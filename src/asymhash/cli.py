@@ -211,26 +211,40 @@ def cmd_train(args) -> int:
     outdir = _ensure_outdir(values.get("out"))
     features = dataio.read_features(values["features"])
     labels = dataio.read_labels(values["labels"])
-    if config.mode == "symmetric_baseline":
-        model, history = train_symmetric_baseline(features, labels, config)
-        codes = encode_queries(model, features)
-    else:
-        query_features = query_labels = None
-        if config.mode == "asymmetric_separate_queries":
-            _require_paths(values, ("query_features", "query_labels"))
-            query_features = dataio.read_features(values["query_features"])
-            query_labels = dataio.read_labels(values["query_labels"])
-        model, codes, history = train(
-            features,
-            labels,
-            config,
-            query_features=query_features,
-            query_labels=query_labels,
-        )
+    query_features = query_labels = None
+    if config.mode == "asymmetric_separate_queries":
+        _require_paths(values, ("query_features", "query_labels"))
+        query_features = dataio.read_features(values["query_features"])
+        query_labels = dataio.read_labels(values["query_labels"])
+    diverged = None
+    try:
+        if config.mode == "symmetric_baseline":
+            model, history = train_symmetric_baseline(features, labels, config)
+            codes = None
+        else:
+            model, codes, history = train(
+                features,
+                labels,
+                config,
+                query_features=query_features,
+                query_labels=query_labels,
+            )
+    except TrainingDiverged as err:
+        # keep the last good state on disk before reporting the failure
+        diverged = err
+        model, codes, history = err.partial
     dataio.write_model(outdir / "model.bin", model)
-    dataio.write_codes(outdir / "db_codes.bin", codes)
     (outdir / "history.csv").write_text(history_to_csv(history), encoding="utf-8")
     _echo_config(outdir, values)
+    if codes is None:
+        codes = encode_queries(model, features)
+    dataio.write_codes(outdir / "db_codes.bin", codes)
+    if diverged is not None:
+        print(
+            f"numeric failure: {diverged}; last good state written to {outdir}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERIC
     print(
         f"trained {config.mode} run: {codes.rows} codes of {codes.code_len} bits "
         f"-> {outdir}"
@@ -247,12 +261,34 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
+    """Row counts and code lengths must agree before any ranking work."""
+    for codes, labels, codes_path, labels_path in (
+        (query_codes, query_labels, args.query_codes, args.query_labels),
+        (db_codes, db_labels, args.db_codes, args.db_labels),
+    ):
+        if codes.rows != len(labels):
+            # offset 8 is the row count in both the labels and codes headers
+            raise FileFormatError(
+                f"{labels_path} has {len(labels)} label rows but {codes_path} "
+                f"has {codes.rows} code rows",
+                8,
+            )
+    if query_codes.code_len != db_codes.code_len:
+        raise FileFormatError(
+            f"{args.query_codes} has {query_codes.code_len}-bit codes but "
+            f"{args.db_codes} has {db_codes.code_len}-bit codes",
+            16,
+        )
+
+
 def cmd_eval(args) -> int:
     outdir = _ensure_outdir(args.out)
     query_codes = dataio.read_codes(args.query_codes)
     db_codes = dataio.read_codes(args.db_codes)
     query_labels = dataio.read_labels(args.query_labels)
     db_labels = dataio.read_labels(args.db_labels)
+    _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels)
     relevance = evaluate.relevance_from_labels(query_labels, db_labels)
     ranking = evaluate.rank_by_hamming(query_codes, db_codes)
 

@@ -94,7 +94,15 @@ def read_features(path) -> np.ndarray:
         reader.magic(FEATURES_MAGIC)
         rows = reader.u64("row count")
         dim = reader.u64("feature dim")
+        start = reader.offset
         flat = reader.array("<f8", rows * dim, f"{rows}x{dim} feature matrix")
+        finite = np.isfinite(flat)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise FileFormatError(
+                f"feature value {bad} of {rows}x{dim} is not finite",
+                start + 8 * bad,
+            )
         return flat.astype(np.float64).reshape(rows, dim)
 
 

@@ -1,8 +1,8 @@
 """Brute-force verifiers for the solver and encoder; slow by design.
 
-Everything here is written as literal loops or exhaustive enumeration so
-it shares no code path with the vectorized implementations it checks.
-Never used in training.
+Everything here is written as literal loops, exhaustive enumeration or a
+direct sum over every query/database pair, so it shares no code path with
+the implementations it checks. Never used in training.
 """
 
 from __future__ import annotations
@@ -96,6 +96,40 @@ def exhaustive_column_min(inst: TinyInstance, k: int):
             best_val = val
             best_col = col
     return best_col, best_val
+
+
+def entrywise_v_step(relaxed, signs, weights, gamma, db, query_indices):
+    """One bit-column sweep computed directly over all m x n pairs.
+
+    The reference for solver.v_step: column k's coefficients are the
+    pair-weighted sums over every (query, database) pair, with a running
+    m x n product of relaxed and database codes patched after each column.
+    ``weights`` is m x n, or None for unit weights; ``query_indices`` gives
+    each query's database row, or None. Returns the swept copy of ``db``;
+    a zero coefficient gives -1.
+    """
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    signs = np.asarray(signs, dtype=np.float64)
+    weights = (
+        np.ones_like(signs) if weights is None
+        else np.asarray(weights, dtype=np.float64)
+    )
+    db = np.array(db, dtype=np.float64)
+    code_len = db.shape[1]
+    static_linear = -code_len * ((weights * signs).T @ relaxed)
+    if query_indices is not None and gamma != 0.0:
+        static_linear[query_indices] -= gamma * relaxed
+    weighted_sq = weights.T @ (relaxed * relaxed)
+    prod = relaxed @ db.T
+    for k in range(code_len):
+        col = relaxed[:, k]
+        coef = (weights * prod).T @ col
+        coef -= db[:, k] * weighted_sq[:, k]
+        coef += static_linear[:, k]
+        new = np.where(coef >= 0.0, -1.0, 1.0)
+        prod += np.outer(col, new - db[:, k])
+        db[:, k] = new
+    return db
 
 
 def finite_difference_grad(arrays, loss_fn, step: float = 1e-5):

@@ -150,9 +150,3 @@ def sample_query_indices(n: int, m: int, rng_seed) -> np.ndarray:
     rng = np.random.default_rng(rng_seed)
     return rng.choice(n, size=m, replace=False).astype(np.int64)
 
-
-def pair_weight(block: SimilarityBlock, i: int, j: int) -> float:
-    """Loss weight of pair (i, j): 1 when similar, neg_weight otherwise."""
-    if not (0 <= i < block.query_count and 0 <= j < block.db_count):
-        raise ValueError(f"pair ({i}, {j}) out of range")
-    return 1.0 if block.signs[i, j] == 1 else float(block.neg_weight)

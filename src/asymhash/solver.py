@@ -7,6 +7,21 @@ given the other columns and the current relaxed query codes; sweeping the
 columns is coordinate descent and never increases the objective. The
 encoder is trained by minibatch gradient steps against the fixed codes.
 
+The column update never forms an m x n array. Pair weights take two
+values, w = rho + (1 - rho) * P, where rho is the dissimilar-pair weight
+(1 when unweighted) and P is the 0/1 "shares a label" relation. Database
+rows with identical sign columns (label-set groups) share every weight, so
+with R the m x c relaxed query codes, Gram = R^T R, P_g the m x groups
+relation and B_k = P_g^T (R * r_k), the coefficient of bit k of row j is
+
+  coef_j = rho * (v_j . Gram[:, k] - v_jk * Gram[k, k])
+           + (1 - rho) * (v_j . B_k[g(j)] - v_jk * B_k[g(j), k])
+           + static[g(j), k]  (- gamma * r_ik when row j is sampled query i)
+
+with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
+bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
+term vanishes and is skipped.
+
 A symmetric single-network trainer is included only as the scaling and
 accuracy contrast; it pays a full pass over all database pairs per epoch.
 """
@@ -140,64 +155,46 @@ def objective(relaxed, db_signs, block: SimilarityBlock, gamma, weighted=False):
     return total
 
 
-@dataclass
-class _SweepWork:
-    """Per-sweep precomputation shared across column updates."""
+def _prepare_sweep(db, relaxed, block, gamma, weighted):
+    """Per-sweep terms of the label-group column update (module docstring).
 
-    method: str
-    gram: np.ndarray | None = None  # c x c, matrix path
-    linear: np.ndarray | None = None  # n x c, matrix path
-    weights: np.ndarray | None = None  # m x n, entrywise path
-    prod: np.ndarray | None = None  # m x n running relaxed @ db.T
-    static_linear: np.ndarray | None = None  # n x c, entrywise path
-    weighted_sq: np.ndarray | None = None  # n x c, entrywise path
+    Groups are the distinct sign columns of the block, found by packing
+    each database row's column of signs, so label-built and hand-built
+    blocks are handled alike. For pair weight w = rho + (1 - rho) * P:
 
+      coef_j = rho * (v_j . Gram[:, k] - v_jk * Gram[k, k])
+               + (1 - rho) * (v_j . B_k[g(j)] - v_jk * B_k[g(j), k])
+               + static[g(j), k]  (- gamma * r_ik if j is sampled query i)
 
-def _prepare_sweep(db, relaxed, block, gamma, weighted, method):
-    if method == "auto":
-        method = "entrywise" if weighted else "matrix"
-    if method == "matrix":
-        if weighted:
-            raise ValueError("matrix-form updates do not support pair weights")
-        code_len = db.shape[1]
-        signs = block.signs.astype(np.float64)
-        linear = -2.0 * code_len * (signs.T @ relaxed)
-        if block.query_indices is not None and gamma != 0.0:
-            linear[block.query_indices] -= 2.0 * gamma * relaxed
-        return _SweepWork(method="matrix", gram=relaxed.T @ relaxed, linear=linear)
-    if method == "entrywise":
-        signs = block.signs.astype(np.float64)
-        weights = block.weights() if weighted else np.ones_like(signs)
-        code_len = db.shape[1]
-        static_linear = -code_len * ((weights * signs).T @ relaxed)
-        if block.query_indices is not None and gamma != 0.0:
-            static_linear[block.query_indices] -= gamma * relaxed
-        return _SweepWork(
-            method="entrywise",
-            weights=weights,
-            prod=relaxed @ db.T,
-            static_linear=static_linear,
-            weighted_sq=weights.T @ (relaxed * relaxed),
-        )
-    raise ValueError(f"unknown update method {method!r}")
+    with Gram = R^T R, B_k = P_g^T (R * r_k) and static =
+    -c * ((1 + rho) * P_g^T R - rho * sum_i r_i) = -c * (w * s)_g^T R.
+    Returns (rho, Gram, static and pull terms per row, P_g, row groups).
+    """
+    rho = block.neg_weight if weighted else 1.0
+    positive = block.signs == 1
+    packed = np.packbits(np.ascontiguousarray(positive.T), axis=1)
+    # one opaque byte string per database row: a 1-D unique is much faster
+    # than np.unique(axis=0) over the byte columns
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, groups = np.unique(keys, return_index=True, return_inverse=True)
+    group_pos = positive[:, first]
+    static = -db.shape[1] * (np.where(group_pos, 1.0, -rho).T @ relaxed)
+    linear = static[groups]
+    if block.query_indices is not None and gamma != 0.0:
+        linear[block.query_indices] -= gamma * relaxed
+    return rho, relaxed.T @ relaxed, linear, group_pos.astype(np.float64), groups
 
 
-def _update_column(db, relaxed, work: _SweepWork, k: int) -> None:
+def _update_column(db, relaxed, sweep, k: int) -> None:
     """Replace column k with its exact minimizer; zero coefficient gives -1."""
-    if work.method == "matrix":
-        coef = 2.0 * (db @ work.gram[:, k] - db[:, k] * work.gram[k, k])
-        coef += work.linear[:, k]
-        db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
-        return
-    col = relaxed[:, k]
-    coef = (work.weights * work.prod).T @ col
-    coef -= db[:, k] * work.weighted_sq[:, k]
-    coef += work.static_linear[:, k]
-    new = np.where(coef >= 0.0, -1.0, 1.0)
-    delta = new - db[:, k]
-    if np.any(delta):
-        work.prod += np.outer(col, delta)
-        db[:, k] = new
+    rho, gram, linear, group_pos, groups = sweep
+    coef = rho * (db @ gram[:, k] - db[:, k] * gram[k, k])
+    if rho != 1.0:
+        shared = (group_pos.T @ (relaxed * relaxed[:, k, None]))[groups]
+        row_dot = np.einsum("jl,jl->j", db, shared)
+        coef += (1.0 - rho) * (row_dot - db[:, k] * shared[:, k])
+    coef += linear[:, k]
+    db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
 
 
 def v_step_column(
@@ -207,16 +204,14 @@ def v_step_column(
     gamma,
     k: int,
     weighted=False,
-    method="auto",
-    work=None,
 ):
     """Exactly minimize the objective over code column k, in place."""
     code_len = db_signs.shape[1]
     if not 0 <= k < code_len:
         raise ValueError(f"column {k} out of range for code_len {code_len}")
-    if work is None:
-        work = _prepare_sweep(db_signs, relaxed, block, gamma, weighted, method)
-    _update_column(db_signs, relaxed, work, k)
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    sweep = _prepare_sweep(db_signs, relaxed, block, gamma, weighted)
+    _update_column(db_signs, relaxed, sweep, k)
     return db_signs
 
 
@@ -226,7 +221,6 @@ def v_step(
     block: SimilarityBlock,
     gamma,
     weighted=False,
-    method="auto",
     track_objective=None,
 ):
     """One full sweep over all code columns, each using the latest codes.
@@ -236,13 +230,13 @@ def v_step(
     after every column update.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    work = _prepare_sweep(db_signs, relaxed, block, gamma, weighted, method)
+    sweep = _prepare_sweep(db_signs, relaxed, block, gamma, weighted)
     trace = None
     if track_objective is not None:
         trace = [objective(relaxed, db_signs, block, gamma, weighted)]
         track_objective.append(trace)
     for k in range(db_signs.shape[1]):
-        _update_column(db_signs, relaxed, work, k)
+        _update_column(db_signs, relaxed, sweep, k)
         if trace is not None:
             trace.append(objective(relaxed, db_signs, block, gamma, weighted))
     return db_signs

@@ -304,27 +304,42 @@ def test_criterion_6_asymmetric_advantage_at_equal_budget():
 
 
 def test_criterion_7_weighted_and_matrix_paths_agree():
+    # the label-group sweep must match the direct m x n reference sweep
+    # bit for bit, with imbalance weights (rho != 1) and without
     rng = np.random.default_rng(707)
-    agreed = 0
-    for _ in range(20):
+    agreed = {True: 0, False: 0}
+    for trial in range(50):
+        weighted = trial % 2 == 0
         n = int(rng.integers(5, 40))
         m = int(rng.integers(1, 6))
         c = int(rng.integers(1, 9))
         signs = (rng.integers(0, 2, (m, n)) * 2 - 1).astype(np.int8)
+        pos = int((signs == 1).sum())
+        neg = signs.size - pos
+        rho = pos / neg if pos and neg else 1.0
+        if weighted and rho == 1.0:
+            continue
         block = SimilarityBlock(
             signs=signs,
-            neg_weight=1.0,
+            neg_weight=rho,
             query_indices=rng.choice(n, m, replace=False).astype(np.int64),
         )
         relaxed = rng.uniform(-0.95, 0.95, (m, c))
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         gamma = float(rng.choice([0.0, 200.0]))
-        via_matrix, via_entry = db.copy(), db.copy()
-        v_step(via_matrix, relaxed, block, gamma, method="matrix")
-        v_step(via_entry, relaxed, block, gamma, method="entrywise")
-        assert np.array_equal(via_matrix, via_entry)
-        agreed += 1
-    report(7, agreed >= 20, f"{agreed} instances bit-identical across paths")
+        reference = oracle.entrywise_v_step(
+            relaxed, signs, block.weights() if weighted else None, gamma, db,
+            block.query_indices,
+        )
+        v_step(db, relaxed, block, gamma, weighted=weighted)
+        assert np.array_equal(db, reference)
+        agreed[weighted] += 1
+    report(
+        7,
+        agreed[True] >= 20 and agreed[False] >= 20,
+        f"{agreed[True]} weighted and {agreed[False]} unweighted instances "
+        "bit-identical to the entrywise reference",
+    )
 
 
 def _naive_ap(ranked_rel, total_rel, cutoff):

@@ -1,7 +1,12 @@
+import struct
+
+import numpy as np
 import pytest
 
+from asymhash import evaluate
 from asymhash.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from asymhash.dataio import read_codes
+from asymhash.dataio import read_codes, read_labels, read_model, write_codes
+from asymhash.hashcore import CodeMatrix
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +40,16 @@ TRAIN_FLAGS = [
     "--hidden", "32",
     "--seed", "5",
 ]
+
+
+def assert_last_good_state(dataset, run):
+    db_rows = len(read_labels(dataset / "db_labels.bin"))
+    assert read_model(run / "model.bin").code_len == 16
+    assert read_codes(run / "db_codes.bin").rows == db_rows
+    assert (run / "history.csv").read_text().startswith(
+        "outer,inner,phase,objective,seconds"
+    )
+    assert "gamma = " in (run / "config.txt").read_text()
 
 
 def run_train(dataset, outdir, extra=()):
@@ -236,12 +251,80 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     def test_divergence_is_numeric_error(self, dataset, tmp_path):
+        run = tmp_path / "run"
         code = run_train(
             dataset,
-            tmp_path / "run",
+            run,
             extra=["--optimizer", "sgd", "--lr", "1e308", "--tout", "1", "--tin", "1"],
         )
         assert code == EXIT_NUMERIC
+        assert_last_good_state(dataset, run)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--gamma", "1e308"],
+            # the symmetric trainer keeps no codes; they come from the model
+            ["--mode", "symmetric_baseline", "--optimizer", "sgd", "--lr", "1e308"],
+        ],
+        ids=["huge_gamma", "symmetric"],
+    )
+    def test_diverged_run_keeps_last_good_state(self, dataset, tmp_path, extra):
+        run = tmp_path / "run"
+        assert run_train(dataset, run, extra=extra) == EXIT_NUMERIC
+        assert_last_good_state(dataset, run)
+
+    def test_non_finite_features_are_data_error(self, dataset, tmp_path):
+        bad = tmp_path / "features.bin"
+        data = bytearray((dataset / "db_features.bin").read_bytes())
+        data[24:32] = struct.pack("<d", float("nan"))
+        bad.write_bytes(bytes(data))
+        code = main(
+            [
+                "train",
+                "--features", str(bad),
+                "--labels", str(dataset / "db_labels.bin"),
+                "--out", str(tmp_path / "run"),
+                *TRAIN_FLAGS,
+            ]
+        )
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("mismatch", ["query_rows", "db_rows", "code_len"])
+    def test_mismatched_eval_inputs_are_data_error(
+        self, dataset, tmp_path, monkeypatch, mismatch
+    ):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("eval did work before checking its inputs")
+
+        monkeypatch.setattr(evaluate, "relevance_from_labels", must_not_run)
+        monkeypatch.setattr(evaluate, "rank_by_hamming", must_not_run)
+        query_rows = len(read_labels(dataset / "query_labels.bin"))
+        db_rows = len(read_labels(dataset / "db_labels.bin"))
+        query_bits = 16
+        if mismatch == "query_rows":
+            query_rows += 1
+        elif mismatch == "db_rows":
+            db_rows -= 1
+        else:
+            query_bits = 8
+        for name, rows, bits in (
+            ("query_codes.bin", query_rows, query_bits),
+            ("db_codes.bin", db_rows, 16),
+        ):
+            write_codes(tmp_path / name, CodeMatrix.from_signs(np.ones((rows, bits))))
+        code = main(
+            [
+                "eval",
+                "--query-codes", str(tmp_path / "query_codes.bin"),
+                "--db-codes", str(tmp_path / "db_codes.bin"),
+                "--query-labels", str(dataset / "query_labels.bin"),
+                "--db-labels", str(dataset / "db_labels.bin"),
+                "--out", str(tmp_path / "metrics"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert not (tmp_path / "metrics" / "metrics.csv").exists()
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == EXIT_CONFIG

@@ -66,6 +66,17 @@ class TestFeatureFormat:
         with pytest.raises(ValueError, match="finite"):
             write_features(tmp_path / "x.bin", np.array([[np.inf]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_on_read(self, tmp_path, bad):
+        path = tmp_path / "features.bin"
+        write_features(path, np.zeros((2, 3)))
+        data = bytearray(path.read_bytes())
+        data[24 + 8 * 4 : 24 + 8 * 5] = np.array([bad], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="not finite") as info:
+            read_features(path)
+        assert info.value.offset == 24 + 8 * 4
+
 
 class TestLabelFormat:
     def test_round_trip(self, tmp_path):

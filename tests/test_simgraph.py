@@ -6,7 +6,6 @@ from asymhash.simgraph import (
     SimilarityBlock,
     build_sampled_similarity,
     build_similarity,
-    pair_weight,
     sample_query_indices,
 )
 
@@ -108,26 +107,6 @@ class TestSampleQueryIndices:
 
 
 class TestPairWeight:
-    def test_positive_pair_weighs_one(self):
-        block = build_similarity(LabelMatrix([{0}]), LabelMatrix([{0}, {1}]))
-        assert pair_weight(block, 0, 0) == 1.0
-
-    def test_negative_pair_weighs_ratio(self):
-        # 2 similar / 8 dissimilar -> ratio 0.25
-        db = LabelMatrix.from_ids([0] * 2 + [1] * 8)
-        block = build_similarity(LabelMatrix([{0}]), db)
-        assert block.neg_weight == pytest.approx(0.25)
-        assert pair_weight(block, 0, 5) == pytest.approx(0.25)
-
-    def test_all_positive_block_weighs_one_everywhere(self):
-        block = build_similarity(LabelMatrix([{0}]), LabelMatrix([{0}, {0}]))
-        assert [pair_weight(block, 0, j) for j in range(2)] == [1.0, 1.0]
-
-    def test_rejects_out_of_range(self):
-        block = build_similarity(LabelMatrix([{0}]), LabelMatrix([{0}]))
-        with pytest.raises(ValueError, match="out of range"):
-            pair_weight(block, 0, 1)
-
     def test_weighted_negative_mass_equals_positive_mass(self):
         rng = np.random.default_rng(3)
         db = LabelMatrix.from_ids(rng.integers(0, 3, size=40))

@@ -5,6 +5,7 @@ from asymhash import oracle
 from asymhash.dataio import gen_synthetic_clusters, split
 from asymhash.encoder import forward, init_encoder
 from asymhash.simgraph import (
+    LabelMatrix,
     SimilarityBlock,
     build_sampled_similarity,
     sample_query_indices,
@@ -133,12 +134,6 @@ class TestVStepColumn:
         with pytest.raises(ValueError, match="out of range"):
             v_step_column(db, relaxed, block, 0.0, k=2)
 
-    def test_matrix_form_rejects_weights(self):
-        rng = np.random.default_rng(4)
-        relaxed, db, block = random_setup(rng, 4, 2, 2)
-        with pytest.raises(ValueError, match="weights"):
-            v_step_column(db, relaxed, block, 0.0, k=0, weighted=True, method="matrix")
-
 
 class TestVStep:
     def test_objective_never_increases_per_column(self):
@@ -184,14 +179,57 @@ class TestVStep:
         v_step_column(via_column, relaxed, block, 2.0, k=0)
         assert np.array_equal(via_sweep, via_column)
 
-    def test_matrix_and_entrywise_agree_bit_for_bit(self):
+    def test_matches_entrywise_reference_bit_for_bit(self):
         rng = np.random.default_rng(9)
-        for _ in range(10):
+        for trial in range(20):
+            weighted = trial % 2 == 0
             relaxed, db, block = random_setup(rng, 15, 4, 5)
-            a, b = db.copy(), db.copy()
-            v_step(a, relaxed, block, 50.0, method="matrix")
-            v_step(b, relaxed, block, 50.0, method="entrywise")
-            assert np.array_equal(a, b)
+            want = oracle.entrywise_v_step(
+                relaxed, block.signs, block.weights() if weighted else None,
+                50.0, db, block.query_indices,
+            )
+            v_step(db, relaxed, block, 50.0, weighted=weighted)
+            assert np.array_equal(db, want)
+
+
+def multi_label_set(rng, n, num_ids=80):
+    """1-3 label ids of ``num_ids`` per row, so ids reach past 64."""
+    return LabelMatrix(
+        [rng.choice(num_ids, int(rng.integers(1, 4)), replace=False) for _ in range(n)]
+    )
+
+
+class TestVStepOnLabelBlocks:
+    """Sampled blocks built from labels, as in training: many rows share a
+    label-set group, and the multi-label set has hundreds of groups."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dataset", ["clusters", "multi_label"])
+    def test_matches_entrywise_reference_bit_for_bit(self, dataset, weighted):
+        rng = np.random.default_rng(14)
+        if dataset == "clusters":
+            features, labels = gen_synthetic_clusters(10, 150, 16, 0.1, seed=14)
+        else:
+            labels = multi_label_set(rng, 1500)
+            features = rng.normal(size=(1500, 16))
+        n = len(labels)
+        omega = sample_query_indices(n, 120, rng)
+        block = build_sampled_similarity(labels, omega)
+        groups = np.unique(block.signs, axis=1).shape[1]
+        if dataset == "clusters":
+            assert groups == 10
+        else:
+            assert groups >= 300
+        model = init_encoder((16, 32, 24), rng)
+        relaxed = forward(model, features[omega])[1]
+        db = (rng.integers(0, 2, (n, 24)) * 2 - 1).astype(np.float64)
+        weights = block.weights() if weighted else None
+        for _ in range(2):
+            want = oracle.entrywise_v_step(
+                relaxed, block.signs, weights, 200.0, db, omega
+            )
+            v_step(db, relaxed, block, 200.0, weighted=weighted)
+            assert np.array_equal(db, want)
 
 
 @pytest.fixture(scope="module")
