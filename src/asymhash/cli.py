@@ -164,6 +164,41 @@ def _require_paths(values: dict[str, str], keys: tuple[str, ...]) -> None:
             raise ConfigError(f"missing required input {key!r}")
 
 
+def _check_rows(labels, labels_path, rows: int, rows_path, what: str) -> None:
+    """A label file must have one row per row of the file it describes."""
+    if len(labels) != rows:
+        # offset 8 is the row count in the labels, features and codes headers
+        raise FileFormatError(
+            f"{labels_path} has {len(labels)} label rows but {rows_path} "
+            f"has {rows} {what} rows",
+            8,
+        )
+
+
+def _check_width(features, features_path, dim: int, dim_path) -> None:
+    if features.shape[1] != dim:
+        # offset 16 is the feature dim in the features header
+        raise FileFormatError(
+            f"{features_path} has {features.shape[1]} features per row but "
+            f"{dim_path} has {dim}",
+            16,
+        )
+
+
+def _check_train_inputs(values, features, labels, query_features, query_labels):
+    """Feature and label files must agree before any training work."""
+    _check_rows(labels, values["labels"], len(features), values["features"], "feature")
+    if query_features is None:
+        return
+    _check_rows(
+        query_labels, values["query_labels"],
+        len(query_features), values["query_features"], "feature",
+    )
+    _check_width(
+        query_features, values["query_features"], features.shape[1], values["features"]
+    )
+
+
 def cmd_gen_data(args) -> int:
     outdir = _ensure_outdir(args.out)
     features, labels = dataio.gen_synthetic_clusters(
@@ -216,6 +251,7 @@ def cmd_train(args) -> int:
         _require_paths(values, ("query_features", "query_labels"))
         query_features = dataio.read_features(values["query_features"])
         query_labels = dataio.read_labels(values["query_labels"])
+    _check_train_inputs(values, features, labels, query_features, query_labels)
     diverged = None
     try:
         if config.mode == "symmetric_baseline":
@@ -255,6 +291,7 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     model = dataio.read_model(args.model)
     features = dataio.read_features(args.features)
+    _check_width(features, args.features, model.feature_dim, args.model)
     codes = encode_queries(model, features)
     dataio.write_codes(args.out, codes)
     print(f"encoded {codes.rows} points at {codes.code_len} bits -> {args.out}")
@@ -263,17 +300,10 @@ def cmd_encode(args) -> int:
 
 def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
     """Row counts and code lengths must agree before any ranking work."""
-    for codes, labels, codes_path, labels_path in (
-        (query_codes, query_labels, args.query_codes, args.query_labels),
-        (db_codes, db_labels, args.db_codes, args.db_labels),
-    ):
-        if codes.rows != len(labels):
-            # offset 8 is the row count in both the labels and codes headers
-            raise FileFormatError(
-                f"{labels_path} has {len(labels)} label rows but {codes_path} "
-                f"has {codes.rows} code rows",
-                8,
-            )
+    _check_rows(
+        query_labels, args.query_labels, query_codes.rows, args.query_codes, "code"
+    )
+    _check_rows(db_labels, args.db_labels, db_codes.rows, args.db_codes, "code")
     if query_codes.code_len != db_codes.code_len:
         raise FileFormatError(
             f"{args.query_codes} has {query_codes.code_len}-bit codes but "
@@ -289,8 +319,10 @@ def cmd_eval(args) -> int:
     query_labels = dataio.read_labels(args.query_labels)
     db_labels = dataio.read_labels(args.db_labels)
     _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels)
-    relevance = evaluate.relevance_from_labels(query_labels, db_labels)
-    ranking = evaluate.rank_by_hamming(query_codes, db_codes)
+    k_max = min(args.topk, db_codes.rows)
+    metrics = evaluate.retrieval_metrics(
+        query_codes, db_codes, query_labels, db_labels, args.map_cutoff or None, k_max
+    )
 
     meta = [
         "# map_normalization = min(relevant, cutoff)",
@@ -298,29 +330,19 @@ def cmd_eval(args) -> int:
         "# zero_relevant_recall = 1.0",
         f"# map_cutoff = {args.map_cutoff if args.map_cutoff else 'none'}",
     ]
-    rows = ["metric,param,value"]
-    full_map = evaluate.mean_average_precision(ranking, relevance)
-    rows.append(f"map,cutoff=none,{full_map!r}")
+    rows = ["metric,param,value", f"map,cutoff=none,{metrics.map!r}"]
     if args.map_cutoff:
-        cut_map = evaluate.mean_average_precision(
-            ranking, relevance, cutoff=args.map_cutoff
-        )
-        rows.append(f"map,cutoff={args.map_cutoff},{cut_map!r}")
+        rows.append(f"map,cutoff={args.map_cutoff},{metrics.cutoff_map!r}")
     (outdir / "metrics.csv").write_text(
         "\n".join(meta + rows) + "\n", encoding="utf-8"
     )
 
-    k_max = min(args.topk, db_codes.rows)
-    curve = evaluate.topk_precision_curve(ranking, relevance, k_max)
     lines = ["k,precision"]
-    lines.extend(f"{k + 1},{p!r}" for k, p in enumerate(curve))
+    lines.extend(f"{k + 1},{p!r}" for k, p in enumerate(metrics.topk_precision))
     (outdir / "topk_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    precision, recall = evaluate.precision_recall_by_radius(
-        query_codes, db_codes, relevance
-    )
     lines = ["# one row per Hamming radius 0..code_len", "precision,recall"]
-    lines.extend(f"{p!r},{r!r}" for p, r in zip(precision, recall))
+    lines.extend(f"{p!r},{r!r}" for p, r in zip(metrics.precision, metrics.recall))
     (outdir / "pr_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     _echo_config(
@@ -335,7 +357,7 @@ def cmd_eval(args) -> int:
             "out": str(outdir),
         },
     )
-    print(f"map = {full_map:.6f} -> {outdir}")
+    print(f"map = {metrics.map:.6f} -> {outdir}")
     return EXIT_OK
 
 
@@ -392,10 +414,12 @@ def cmd_sweep(args) -> int:
     labels = dataio.read_labels(values["labels"])
     query_features = dataio.read_features(values["query_features"])
     query_labels = dataio.read_labels(values["query_labels"])
-    relevance = evaluate.relevance_from_labels(query_labels, labels)
+    _check_train_inputs(values, features, labels, query_features, query_labels)
     gammas = [float(g) for g in args.gammas.split(",")]
     omegas = [int(o) for o in args.omegas.split(",")]
     cutoff = int(values["map_cutoff"]) if values.get("map_cutoff") else None
+    if cutoff is not None and cutoff < 1:
+        raise ConfigError(f"map_cutoff must be >= 1, got {cutoff}")
     lines = ["gamma,omega,map"]
     for gamma in gammas:
         for omega in omegas:
@@ -404,10 +428,11 @@ def cmd_sweep(args) -> int:
             trial["omega"] = str(omega)
             config = _train_config(trial)
             model, codes, _ = train(features, labels, config)
-            ranking = evaluate.rank_by_hamming(
-                encode_queries(model, query_features), codes
-            )
-            score = evaluate.mean_average_precision(ranking, relevance, cutoff)
+            # sweep reports MAP only; k_max = 1 keeps the unused curve small
+            score = evaluate.retrieval_metrics(
+                encode_queries(model, query_features),
+                codes, query_labels, labels, cutoff, 1,
+            ).cutoff_map
             lines.append(f"{gamma!r},{omega},{score!r}")
             print(f"gamma={gamma} omega={omega}: map={score:.6f}")
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

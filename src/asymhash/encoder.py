@@ -128,6 +128,9 @@ def loss_grad_z(relaxed, db_signs, sign_row, weight_row, own_code, gamma):
     return 2.0 * grad * (1.0 - relaxed**2)
 
 
+# A diverging run overflows here; the isfinite checks in minibatch_step turn
+# that into NonFiniteError, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def _batch_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma):
     """Summed loss over a batch of query rows and its gradient wrt raw outputs."""
     code_len = db_signs.shape[1]
@@ -142,6 +145,7 @@ def _batch_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes,
     return loss, 2.0 * grad * (1.0 - relaxed**2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _backprop(model: EncoderModel, acts, grad_raw):
     grad_w = [None] * len(model.weights)
     grad_b = [None] * len(model.biases)

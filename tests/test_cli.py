@@ -3,9 +3,18 @@ import struct
 import numpy as np
 import pytest
 
-from asymhash import evaluate
+from asymhash import cli, evaluate
 from asymhash.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from asymhash.dataio import read_codes, read_labels, read_model, write_codes
+from asymhash.dataio import (
+    read_codes,
+    read_features,
+    read_labels,
+    read_model,
+    write_codes,
+    write_features,
+    write_model,
+)
+from asymhash.encoder import init_encoder
 from asymhash.hashcore import CodeMatrix
 
 
@@ -50,6 +59,17 @@ def assert_last_good_state(dataset, run):
         "outer,inner,phase,objective,seconds"
     )
     assert "gamma = " in (run / "config.txt").read_text()
+
+
+def must_not_run(*_args, **_kwargs):
+    raise AssertionError("the command did work before checking its inputs")
+
+
+def narrow_features(dataset, tmp_path, name):
+    """A copy of a features file with one column fewer."""
+    path = tmp_path / f"narrow_{name}"
+    write_features(path, read_features(dataset / name)[:, :-1])
+    return path
 
 
 def run_train(dataset, outdir, extra=()):
@@ -294,11 +314,9 @@ class TestExitCodes:
     def test_mismatched_eval_inputs_are_data_error(
         self, dataset, tmp_path, monkeypatch, mismatch
     ):
-        def must_not_run(*_args, **_kwargs):
-            raise AssertionError("eval did work before checking its inputs")
-
         monkeypatch.setattr(evaluate, "relevance_from_labels", must_not_run)
         monkeypatch.setattr(evaluate, "rank_by_hamming", must_not_run)
+        monkeypatch.setattr(evaluate, "retrieval_metrics", must_not_run)
         query_rows = len(read_labels(dataset / "query_labels.bin"))
         db_rows = len(read_labels(dataset / "db_labels.bin"))
         query_bits = 16
@@ -325,6 +343,56 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
         assert not (tmp_path / "metrics" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, mismatch",
+        [
+            ("train", "db_rows"),
+            ("train", "query_rows"),
+            ("train", "query_width"),
+            ("encode", "model_width"),
+        ],
+    )
+    def test_mismatched_train_and_encode_inputs_are_data_error(
+        self, dataset, tmp_path, monkeypatch, capsys, command, mismatch
+    ):
+        monkeypatch.setattr(cli, "train", must_not_run)
+        monkeypatch.setattr(cli, "encode_queries", must_not_run)
+        features = dataset / "db_features.bin"
+        labels = dataset / "db_labels.bin"
+        query_features = dataset / "query_features.bin"
+        query_labels = dataset / "query_labels.bin"
+        if mismatch == "db_rows":
+            labels = query_labels
+            named = (features, labels)
+        elif mismatch == "query_rows":
+            query_labels = dataset / "val_labels.bin"
+            named = (query_features, query_labels)
+        elif mismatch == "query_width":
+            query_features = narrow_features(dataset, tmp_path, "query_features.bin")
+            named = (query_features, features)
+        if command == "train":
+            argv = [
+                "train", "--features", str(features), "--labels", str(labels),
+                "--mode", "asymmetric_separate_queries",
+                "--query-features", str(query_features),
+                "--query-labels", str(query_labels),
+                "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
+            ]
+        else:
+            model = tmp_path / "model.bin"
+            write_model(model, init_encoder((12, 16), 0))
+            features = narrow_features(dataset, tmp_path, "query_features.bin")
+            named = (features, model)
+            argv = [
+                "encode", "--model", str(model), "--features", str(features),
+                "--out", str(tmp_path / "codes.bin"),
+            ]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert all(str(path) in err for path in named)
+        assert not (tmp_path / "run" / "model.bin").exists()
+        assert not (tmp_path / "codes.bin").exists()
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == EXIT_CONFIG
@@ -384,3 +452,44 @@ class TestSweep:
         assert len(lines) == 5
         for line in lines[1:]:
             assert 0.0 <= float(line.split(",")[2]) <= 1.0
+
+    @pytest.mark.parametrize("mismatch", ["db_rows", "query_rows", "query_width"])
+    def test_mismatched_inputs_fail_before_the_first_trial(
+        self, dataset, tmp_path, monkeypatch, mismatch
+    ):
+        monkeypatch.setattr(cli, "train", must_not_run)
+        inputs = {
+            "--features": dataset / "db_features.bin",
+            "--labels": dataset / "db_labels.bin",
+            "--query-features": dataset / "query_features.bin",
+            "--query-labels": dataset / "query_labels.bin",
+        }
+        if mismatch == "db_rows":
+            inputs["--labels"] = dataset / "val_labels.bin"
+        elif mismatch == "query_rows":
+            inputs["--query-labels"] = dataset / "val_labels.bin"
+        else:
+            inputs["--query-features"] = narrow_features(
+                dataset, tmp_path, "query_features.bin"
+            )
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--out", str(out), "--gammas", "1", "--omegas", "40"]
+        for flag, path in inputs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == EXIT_DATA
+        assert not (out / "sweep.csv").exists()
+
+    def test_bad_cutoff_fails_before_the_first_trial(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "train", must_not_run)
+        argv = ["sweep", "--out", str(tmp_path / "sweep"), "--map-cutoff", "-1"]
+        for flag, name in (
+            ("--features", "db_features.bin"),
+            ("--labels", "db_labels.bin"),
+            ("--query-features", "query_features.bin"),
+            ("--query-labels", "query_labels.bin"),
+        ):
+            argv += [flag, str(dataset / name)]
+        assert main(argv) == EXIT_CONFIG
+        assert "map_cutoff must be >= 1" in capsys.readouterr().err

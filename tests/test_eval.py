@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from asymhash import evaluate
 from asymhash.evaluate import (
     mean_average_precision,
     precision_recall_by_radius,
     rank_by_hamming,
     relevance_from_labels,
+    retrieval_metrics,
     topk_precision_curve,
 )
 from asymhash.hashcore import CodeMatrix, hamming_distance
@@ -232,3 +236,112 @@ def test_relevance_from_labels_matches_similarity_rule():
         [True, False, True],
         [False, False, True],
     ]
+
+
+def random_labels(rng, rows, ids):
+    return LabelMatrix.from_ids(rng.integers(0, ids, rows))
+
+
+class TestRetrievalMetrics:
+    DB_ROWS = 40
+    STEP = 3  # queries per chunk under the patched pair budget
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", self.STEP * self.DB_ROWS)
+
+    @pytest.mark.parametrize("q", [1, STEP, STEP + 1, 3 * STEP + 2])
+    @pytest.mark.parametrize("code_len", [1, 64, 65])
+    @pytest.mark.parametrize("cutoff", [None, 7, 1000])
+    def test_equals_per_metric_functions(self, q, code_len, cutoff):
+        rng = np.random.default_rng([q, code_len, cutoff or 0])
+        n = self.DB_ROWS
+        queries = random_codes(rng, q, code_len)
+        database = random_codes(rng, n, code_len)
+        # database ids 0..3, query ids 0..5: ids 4 and 5 have no relevant rows
+        query_labels = random_labels(rng, q, 6)
+        db_labels = random_labels(rng, n, 4)
+        got = retrieval_metrics(queries, database, query_labels, db_labels, cutoff, n)
+
+        ranking = rank_by_hamming(queries, database)
+        relevance = relevance_from_labels(query_labels, db_labels)
+        assert got.map == mean_average_precision(ranking, relevance)
+        assert got.cutoff_map == mean_average_precision(ranking, relevance, cutoff)
+        assert np.array_equal(
+            got.topk_precision, topk_precision_curve(ranking, relevance, n)
+        )
+        precision, recall = precision_recall_by_radius(queries, database, relevance)
+        assert np.array_equal(got.precision, precision)
+        assert np.array_equal(got.recall, recall)
+
+    @pytest.mark.parametrize(
+        "cutoff, k_max, match",
+        [(0, 5, "cutoff"), (-3, 5, "cutoff"), (None, 0, "k_max"), (None, 41, "k_max")],
+    )
+    def test_bad_arguments_fail_before_any_chunk(
+        self, monkeypatch, cutoff, k_max, match
+    ):
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a chunk ran before the arguments were checked")
+
+        monkeypatch.setattr(evaluate, "pairwise_hamming", must_not_run)
+        monkeypatch.setattr(evaluate, "relevance_from_labels", must_not_run)
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match=match):
+            retrieval_metrics(
+                random_codes(rng, 5, 8),
+                random_codes(rng, self.DB_ROWS, 8),
+                random_labels(rng, 5, 3),
+                random_labels(rng, self.DB_ROWS, 3),
+                cutoff,
+                k_max,
+            )
+
+
+def test_radius_histograms_match_threshold_passes():
+    # the lookup curve once took one pass over the distances per radius;
+    # the histogram form must reproduce those floats exactly
+    rng = np.random.default_rng(9)
+    queries = random_codes(rng, 30, 12)
+    database = random_codes(rng, 200, 12)
+    relevance = rng.random((30, 200)) < 0.2
+    relevance[3] = False
+    dist = np.array(
+        [[hamming_distance(queries.row(i), database.row(j)) for j in range(200)]
+         for i in range(30)]
+    )
+    n_rel = relevance.sum(axis=1)
+    expected_p, expected_r = [], []
+    for radius in range(13):
+        retrieved = dist <= radius
+        n_ret = retrieved.sum(axis=1)
+        n_hit = (retrieved & relevance).sum(axis=1)
+        expected_p.append(np.where(n_ret > 0, n_hit / np.maximum(n_ret, 1), 1.0).mean())
+        expected_r.append(np.where(n_rel > 0, n_hit / np.maximum(n_rel, 1), 1.0).mean())
+    precision, recall = precision_recall_by_radius(queries, database, relevance)
+    assert precision.tolist() == expected_p
+    assert recall.tolist() == expected_r
+
+
+def test_streamed_memory_does_not_grow_with_query_count():
+    rng = np.random.default_rng(10)
+    n, code_len, k_max = 20_000, 16, 100
+    database = random_codes(rng, n, code_len)
+    db_labels = random_labels(rng, n, 10)
+
+    def peak_bytes(q):
+        queries = random_codes(rng, q, code_len)
+        query_labels = random_labels(rng, q, 10)
+        tracemalloc.start()
+        try:
+            retrieval_metrics(queries, database, query_labels, db_labels, 5000, k_max)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # two per-query AP arrays and two per-query radius count rows
+    def results_bytes(q):
+        return q * 8 * (2 + 2 * (code_len + 1))
+
+    small, large = peak_bytes(64), peak_bytes(1024)
+    assert large <= 1.1 * small + results_bytes(1024)
