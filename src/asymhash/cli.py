@@ -338,11 +338,16 @@ def cmd_eval(args) -> int:
     )
 
     lines = ["k,precision"]
-    lines.extend(f"{k + 1},{p!r}" for k, p in enumerate(metrics.topk_precision))
+    lines.extend(
+        f"{k + 1},{float(p)!r}" for k, p in enumerate(metrics.topk_precision)
+    )
     (outdir / "topk_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = ["# one row per Hamming radius 0..code_len", "precision,recall"]
-    lines.extend(f"{p!r},{r!r}" for p, r in zip(metrics.precision, metrics.recall))
+    lines.extend(
+        f"{float(p)!r},{float(r)!r}"
+        for p, r in zip(metrics.precision, metrics.recall)
+    )
     (outdir / "pr_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     _echo_config(

@@ -15,6 +15,7 @@ writer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,29 +106,6 @@ def forward(model: EncoderModel, features):
     return raw, relaxed
 
 
-def loss_grad_z(relaxed, db_signs, sign_row, weight_row, own_code, gamma):
-    """Gradient of the pairwise + pull loss for one query wrt its raw output.
-
-    2 * { sum_j w_j (relaxed . v_j - code_len * s_j) v_j
-          + gamma (relaxed - own_code) } * (1 - relaxed^2),
-    with the gamma term dropped when own_code is None.
-    """
-    relaxed = np.asarray(relaxed, dtype=np.float64)
-    db = np.asarray(db_signs, dtype=np.float64)
-    if relaxed.shape != (db.shape[1],):
-        raise ValueError(
-            f"relaxed code length {relaxed.shape} does not match codes {db.shape}"
-        )
-    code_len = db.shape[1]
-    resid = db @ relaxed - code_len * np.asarray(sign_row, dtype=np.float64)
-    if weight_row is not None:
-        resid = resid * np.asarray(weight_row, dtype=np.float64)
-    grad = resid @ db
-    if own_code is not None:
-        grad = grad + gamma * (relaxed - np.asarray(own_code, dtype=np.float64))
-    return 2.0 * grad * (1.0 - relaxed**2)
-
-
 # A diverging run overflows here; the isfinite checks in minibatch_step turn
 # that into NonFiniteError, so numpy's warnings would only be noise.
 @np.errstate(over="ignore", invalid="ignore")
@@ -138,6 +116,75 @@ def _batch_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes,
     weighted = resid if weight_rows is None else weight_rows * resid
     loss = float((weighted * resid).sum())
     grad = weighted @ db_signs
+    if own_codes is not None:
+        diff = relaxed - own_codes
+        loss += gamma * float((diff * diff).sum())
+        grad = grad + gamma * diff
+    return loss, 2.0 * grad * (1.0 - relaxed**2)
+
+
+class GroupStats(NamedTuple):
+    """What the loss needs of the database codes V, per label-set group."""
+
+    gram: np.ndarray  # c x c, V^T V
+    sums: np.ndarray  # G x c, u_g = sum of the group's rows
+    sizes: np.ndarray  # G, n_g = the group's row count
+    grams: np.ndarray | None  # G x c x c, Q_g = V_g^T V_g; None when rho = 1
+
+
+def _uses_group_form(block, code_len: int) -> bool:
+    """The group form's Q_g term costs rows * G * c^2 flops against rows *
+    n * c for the direct form, so it is taken when G * c <= n."""
+    return block.group_count * code_len <= block.db_count
+
+
+def _group_stats(db_signs, block, rho: float) -> GroupStats:
+    """Per-group row sums and (for rho != 1) Grams of the database codes.
+
+    Entries are +/-1, so every sum is an exact integer in float64.
+    """
+    order = np.argsort(block.row_groups, kind="stable")
+    groups = np.split(order, np.cumsum(block.group_sizes)[:-1])
+    code_len = db_signs.shape[1]
+    sums = np.empty((len(groups), code_len))
+    grams = None if rho == 1.0 else np.empty((len(groups), code_len, code_len))
+    for g, rows in enumerate(groups):
+        codes = db_signs[rows]
+        sums[g] = codes.sum(axis=0)
+        if grams is not None:
+            grams[g] = codes.T @ codes
+    gram = db_signs.T @ db_signs if grams is None else grams.sum(axis=0)
+    return GroupStats(gram, sums, block.group_sizes.astype(np.float64), grams)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _group_loss_and_grad_z(relaxed, positive, stats: GroupStats, rho, own_codes, gamma):
+    """``_batch_loss_and_grad_z`` for w = rho + (1 - rho) * P, in group form.
+
+    ``positive`` is the rows' m x G relation P_g. Per row i, with
+    q_i = rho * Q r_i + (1 - rho) * sum_g P_ig Q_g r_i and
+    h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g (= sum_j w_ij s_ij v_j):
+
+      loss_i = r_i . q_i - 2c * r_i . h_i + c^2 * (rho * n + (1 - rho) * (P_g n)_i)
+      d loss_i / d r_i = 2 * (q_i - c * h_i)
+
+    plus the gamma pull toward the own code when ``own_codes`` is given.
+    """
+    code_len = relaxed.shape[1]
+    pos = positive.astype(np.float64)
+    target = (1.0 + rho) * (pos @ stats.sums) - rho * stats.sums.sum(axis=0)
+    quad = rho * (relaxed @ stats.gram)
+    pairs = rho * float(stats.sizes.sum()) * len(relaxed)
+    if rho != 1.0:
+        shared = np.zeros_like(relaxed)
+        for g, rows in enumerate(positive.T):
+            if rows.any():
+                shared[rows] += relaxed[rows] @ stats.grams[g]
+        quad += (1.0 - rho) * shared
+        pairs += (1.0 - rho) * float(pos.sum(axis=0) @ stats.sizes)
+    loss = float((relaxed * (quad - 2.0 * code_len * target)).sum())
+    loss += code_len * code_len * pairs
+    grad = quad - code_len * target
     if own_codes is not None:
         diff = relaxed - own_codes
         loss += gamma * float((diff * diff).sum())
@@ -245,22 +292,26 @@ def minibatch_step(
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    sign_rows = block.signs[batch].astype(np.float64)
-    weight_rows = None
-    if weighted:
-        weight_rows = np.where(sign_rows == 1.0, 1.0, block.neg_weight)
+    rho = block.neg_weight if weighted else 1.0
     own_codes = None
     if block.query_indices is not None:
         own_codes = db_signs[block.query_indices[batch]]
-    loss, grad_w, grad_b = loss_and_param_grads(
-        model,
-        np.asarray(query_features, dtype=np.float64)[batch],
-        db_signs,
-        sign_rows,
-        weight_rows,
-        own_codes,
-        gamma,
-    )
+    features = np.asarray(query_features, dtype=np.float64)[batch]
+    if _uses_group_form(block, db_signs.shape[1]):
+        _, relaxed, acts = _forward_cached(model, features)
+        loss, grad_raw = _group_loss_and_grad_z(
+            relaxed, block.group_signs[batch] == 1,
+            _group_stats(db_signs, block, rho), rho, own_codes, gamma,
+        )
+        grad_w, grad_b = _backprop(model, acts, grad_raw)
+    else:
+        sign_rows = block.group_signs[batch][:, block.row_groups].astype(np.float64)
+        weight_rows = None
+        if weighted:
+            weight_rows = np.where(sign_rows == 1.0, 1.0, rho)
+        loss, grad_w, grad_b = loss_and_param_grads(
+            model, features, db_signs, sign_rows, weight_rows, own_codes, gamma
+        )
     if not np.isfinite(loss):
         raise NonFiniteError("batch loss is non-finite")
     for g in grad_w + grad_b:

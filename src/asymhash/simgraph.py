@@ -1,14 +1,13 @@
 """Pairwise supervision: signed similarity blocks, query sampling, weights.
 
 Two points count as similar when their label sets intersect. A block holds
-the m x n sign matrix for m query-role points against the n database points,
-plus the positive/negative imbalance ratio used to down-weight the (usually
-far more numerous) dissimilar pairs.
+the signs of m query-role points against the n database points, plus the
+positive/negative imbalance ratio used to down-weight the (usually far more
+numerous) dissimilar pairs. Database rows with the same sign column form a
+label-set group and are stored once, so a block is m x groups, not m x n.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +28,7 @@ class LabelMatrix:
             sets.append(ids)
         self.label_sets = tuple(sets)
         self._masks = self._build_masks()
+        self._distinct = None
 
     @classmethod
     def from_ids(cls, ids) -> "LabelMatrix":
@@ -49,6 +49,18 @@ class LabelMatrix:
     def __len__(self) -> int:
         return len(self.label_sets)
 
+    def distinct(self):
+        """(the distinct label sets, index of each row's set); found once."""
+        if self._distinct is None:
+            index: dict = {}
+            row_set = np.fromiter(
+                (index.setdefault(s, len(index)) for s in self.label_sets),
+                dtype=np.int64,
+                count=len(self),
+            )
+            self._distinct = (LabelMatrix(list(index)), row_set)
+        return self._distinct
+
     def subset(self, indices) -> "LabelMatrix":
         return LabelMatrix([self.label_sets[int(i)] for i in np.asarray(indices)])
 
@@ -62,59 +74,108 @@ class LabelMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class SimilarityBlock:
-    """Signed m x n supervision with the dissimilar-pair weight.
+def _group_columns(positive: np.ndarray):
+    """Merge identical columns of an m x K "shares a label" matrix.
 
+    Returns (m x G group positives, group of each column). Groups are
+    ordered by their packed columns, so any two K-column views of the same
+    block (per database row or per distinct label set) give the same order.
+    """
+    packed = np.packbits(np.ascontiguousarray(positive.T), axis=1)
+    # one opaque byte string per column: a 1-D unique is much faster than
+    # np.unique(axis=0) over the byte columns
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, column_group = np.unique(keys, return_index=True, return_inverse=True)
+    return positive[:, first], column_group
+
+
+class SimilarityBlock:
+    """Signed m x n supervision, stored per label-set group.
+
+    A group is the set of database rows with one sign column, so the block
+    holds the m x G group signs and each database row's group, never the
+    m x n signs. ``neg_weight`` is the dissimilar-pair weight.
     ``query_indices`` maps each query row to its database row when the
     queries were sampled from the database itself; it is None when the
     query set is separate.
+
+    The constructor takes a hand-built m x n ``signs`` array and groups it
+    once; ``build_similarity`` and ``build_sampled_similarity`` group by
+    label set without building one.
     """
 
-    signs: np.ndarray  # int8, entries in {-1, +1}
-    neg_weight: float
-    query_indices: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        signs = np.ascontiguousarray(self.signs, dtype=np.int8)
+    def __init__(self, signs, neg_weight: float, query_indices=None):
+        signs = np.asarray(signs)
         if signs.ndim != 2:
             raise ValueError("signs must be 2-D")
-        if signs.size and not np.isin(signs, (-1, 1)).all():
+        if signs.size == 0:
+            raise ValueError("signs must be non-empty")
+        if not np.isin(signs, (-1, 1)).all():
             raise ValueError("signs entries must be -1 or +1")
-        signs.flags.writeable = False
-        object.__setattr__(self, "signs", signs)
-        if not self.neg_weight > 0:
+        group_pos, row_groups = _group_columns(signs == 1)
+        self._init(group_pos, row_groups, neg_weight, query_indices)
+
+    @classmethod
+    def _from_groups(cls, group_pos, row_groups, neg_weight, query_indices=None):
+        block = cls.__new__(cls)
+        block._init(group_pos, row_groups, neg_weight, query_indices)
+        return block
+
+    def _init(self, group_pos, row_groups, neg_weight, query_indices):
+        self.group_signs = np.where(group_pos, 1, -1).astype(np.int8)
+        self.row_groups = np.ascontiguousarray(row_groups, dtype=np.int64)
+        self.group_sizes = np.bincount(
+            self.row_groups, minlength=self.group_signs.shape[1]
+        )
+        self.group_signs.flags.writeable = False
+        self.row_groups.flags.writeable = False
+        self.group_sizes.flags.writeable = False
+        if not neg_weight > 0:
             raise ValueError("neg_weight must be positive")
-        if self.query_indices is not None:
-            idx = np.ascontiguousarray(self.query_indices, dtype=np.int64)
-            if idx.shape != (signs.shape[0],):
+        self.neg_weight = float(neg_weight)
+        if query_indices is not None:
+            idx = np.ascontiguousarray(query_indices, dtype=np.int64)
+            if idx.shape != (self.query_count,):
                 raise ValueError("query_indices length must equal query count")
             if len(np.unique(idx)) != len(idx):
                 raise ValueError("query_indices must be distinct")
             if idx.size and (idx.min() < 0 or idx.max() >= self.db_count):
                 raise ValueError("query_indices out of range")
             idx.flags.writeable = False
-            object.__setattr__(self, "query_indices", idx)
+            query_indices = idx
+        self.query_indices = query_indices
 
     @property
     def query_count(self) -> int:
-        return self.signs.shape[0]
+        return self.group_signs.shape[0]
 
     @property
     def db_count(self) -> int:
-        return self.signs.shape[1]
+        return len(self.row_groups)
+
+    @property
+    def group_count(self) -> int:
+        return self.group_signs.shape[1]
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The m x n int8 signs, expanded on demand."""
+        return self.group_signs[:, self.row_groups]
 
     def weights(self) -> np.ndarray:
         """Per-pair weights: 1 for similar pairs, neg_weight for dissimilar."""
         return np.where(self.signs == 1, 1.0, self.neg_weight)
 
 
-def _imbalance_ratio(signs: np.ndarray) -> float:
-    pos = int((signs == 1).sum())
-    neg = signs.size - pos
-    if pos == 0 or neg == 0:
-        return 1.0
-    return pos / neg
+def _grouped_block(query_labels, db_labels, query_indices=None) -> SimilarityBlock:
+    """Block from labels: one shares_label call per distinct database set."""
+    distinct, row_set = db_labels.distinct()
+    group_pos, set_group = _group_columns(query_labels.shares_label(distinct))
+    row_groups = set_group[row_set]
+    pos = int(group_pos.sum(axis=0)[row_groups].sum())
+    neg = len(query_labels) * len(db_labels) - pos
+    ratio = pos / neg if pos and neg else 1.0
+    return SimilarityBlock._from_groups(group_pos, row_groups, ratio, query_indices)
 
 
 def build_similarity(
@@ -123,9 +184,7 @@ def build_similarity(
     """Signs are +1 exactly when the label sets share at least one id."""
     if len(query_labels) == 0 or len(db_labels) == 0:
         raise ValueError("label matrices must be non-empty")
-    shared = query_labels.shares_label(db_labels)
-    signs = np.where(shared, 1, -1).astype(np.int8)
-    return SimilarityBlock(signs=signs, neg_weight=_imbalance_ratio(signs))
+    return _grouped_block(query_labels, db_labels)
 
 
 def build_sampled_similarity(
@@ -133,11 +192,7 @@ def build_sampled_similarity(
 ) -> SimilarityBlock:
     """Block for query rows drawn from the database itself."""
     idx = np.ascontiguousarray(query_indices, dtype=np.int64)
-    shared = db_labels.subset(idx).shares_label(db_labels)
-    signs = np.where(shared, 1, -1).astype(np.int8)
-    return SimilarityBlock(
-        signs=signs, neg_weight=_imbalance_ratio(signs), query_indices=idx
-    )
+    return _grouped_block(db_labels.subset(idx), db_labels, idx)
 
 
 def sample_query_indices(n: int, m: int, rng_seed) -> np.ndarray:

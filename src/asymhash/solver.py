@@ -22,6 +22,21 @@ with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
 bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
 term vanishes and is skipped.
 
+The objective and the encoder's gradient use the same groups. With V the
+database codes, Q = V^T V, and u_g, n_g, Q_g = V_g^T V_g the row sum, row
+count and Gram of group g:
+
+  obj = rho * <R^T R, Q> + (1 - rho) * sum_g <sum_i P_ig r_i r_i^T, Q_g>
+        - 2c * sum_i r_i . h_i + c^2 * (rho * m * n + (1 - rho) * sum_i (P_g n)_i)
+        + pull
+  d obj / d r_i = 2 * (rho * Q r_i + (1 - rho) * (sum_g P_ig Q_g) r_i
+                       - c * h_i + gamma * (r_i - v_own(i)))
+
+with h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g. The Q_g term costs
+m * G * c^2 against m * n * c for the direct form, so the group form is
+taken when G * c <= n and the direct form, on sign rows expanded from the
+block, otherwise.
+
 A symmetric single-network trainer is included only as the scaling and
 accuracy contrast; it pays a full pass over all database pairs per epoch.
 """
@@ -40,6 +55,9 @@ from .encoder import (
     NonFiniteError,
     OptimizerState,
     _apply_gradients,
+    _group_loss_and_grad_z,
+    _group_stats,
+    _uses_group_form,
     forward,
     init_encoder,
     loss_and_param_grads,
@@ -140,17 +158,30 @@ def objective(relaxed, db_signs, block: SimilarityBlock, gamma, weighted=False):
     Pairwise squared residuals against code_len * sign targets, optionally
     imbalance-weighted, plus the pull of each sampled query's own database
     code toward its relaxed code (skipped when the query set is separate).
+    Computed in label-group form when G * c <= n (module docstring), else
+    directly over the m x n pairs.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     db = np.asarray(db_signs, dtype=np.float64)
     code_len = db.shape[1]
-    resid = relaxed @ db.T - code_len * block.signs
+    rho = block.neg_weight if weighted else 1.0
+    own_codes = None
+    if block.query_indices is not None and gamma != 0.0:
+        own_codes = db[block.query_indices]
+    if _uses_group_form(block, code_len):
+        stats = _group_stats(db, block, rho)
+        return _group_loss_and_grad_z(
+            relaxed, block.group_signs == 1, stats, rho, own_codes, gamma
+        )[0]
+    signs = block.group_signs[:, block.row_groups]
+    # a float factor: c * int8 signs would overflow int8 from c = 128 on
+    resid = relaxed @ db.T - float(code_len) * signs
     sq = resid * resid
     if weighted:
-        sq = sq * block.weights()
+        sq = sq * np.where(signs == 1, 1.0, rho)
     total = float(sq.sum())
-    if block.query_indices is not None and gamma != 0.0:
-        diff = db[block.query_indices] - relaxed
+    if own_codes is not None:
+        diff = own_codes - relaxed
         total += gamma * float((diff * diff).sum())
     return total
 
@@ -158,9 +189,8 @@ def objective(relaxed, db_signs, block: SimilarityBlock, gamma, weighted=False):
 def _prepare_sweep(db, relaxed, block, gamma, weighted):
     """Per-sweep terms of the label-group column update (module docstring).
 
-    Groups are the distinct sign columns of the block, found by packing
-    each database row's column of signs, so label-built and hand-built
-    blocks are handled alike. For pair weight w = rho + (1 - rho) * P:
+    The groups are the block's: database rows with one sign column. For
+    pair weight w = rho + (1 - rho) * P:
 
       coef_j = rho * (v_j . Gram[:, k] - v_jk * Gram[k, k])
                + (1 - rho) * (v_j . B_k[g(j)] - v_jk * B_k[g(j), k])
@@ -171,18 +201,15 @@ def _prepare_sweep(db, relaxed, block, gamma, weighted):
     Returns (rho, Gram, static and pull terms per row, P_g, row groups).
     """
     rho = block.neg_weight if weighted else 1.0
-    positive = block.signs == 1
-    packed = np.packbits(np.ascontiguousarray(positive.T), axis=1)
-    # one opaque byte string per database row: a 1-D unique is much faster
-    # than np.unique(axis=0) over the byte columns
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, groups = np.unique(keys, return_index=True, return_inverse=True)
-    group_pos = positive[:, first]
+    group_pos = block.group_signs == 1
     static = -db.shape[1] * (np.where(group_pos, 1.0, -rho).T @ relaxed)
-    linear = static[groups]
+    linear = static[block.row_groups]
     if block.query_indices is not None and gamma != 0.0:
         linear[block.query_indices] -= gamma * relaxed
-    return rho, relaxed.T @ relaxed, linear, group_pos.astype(np.float64), groups
+    return (
+        rho, relaxed.T @ relaxed, linear, group_pos.astype(np.float64),
+        block.row_groups,
+    )
 
 
 def _update_column(db, relaxed, sweep, k: int) -> None:

@@ -138,8 +138,15 @@ class TestTrainEvalFlow:
             .split(",")[2]
         )
         assert score >= 0.95
-        assert (metrics / "topk_curve.csv").read_text().startswith("k,precision")
-        assert "precision,recall" in (metrics / "pr_curve.csv").read_text()
+        topk = (metrics / "topk_curve.csv").read_text().splitlines()
+        assert topk[0] == "k,precision"
+        pr = (metrics / "pr_curve.csv").read_text().splitlines()
+        assert pr[1] == "precision,recall"
+        assert len(topk) == 11 and len(pr) == 2 + 17
+        # every curve value is a plain number, not a numpy scalar repr
+        for line in topk[1:] + pr[2:]:
+            for value in line.split(","):
+                float(value)
 
     def test_same_seed_identical_code_files(self, dataset, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

@@ -7,11 +7,11 @@ from asymhash.encoder import (
     NonFiniteError,
     OptimizerState,
     _apply_gradients,
+    _batch_loss_and_grad_z,
     encode_queries,
     forward,
     init_encoder,
     loss_and_param_grads,
-    loss_grad_z,
     minibatch_step,
 )
 from asymhash.hashcore import binarize
@@ -70,13 +70,22 @@ class TestForward:
             forward(model, np.array([1.0, 1.0]))
 
 
+def grad_z_one_row(relaxed, db_signs, sign_row, own_code, gamma):
+    """The batch loss gradient wrt raw outputs for a batch of one row."""
+    own = None if own_code is None else np.asarray(own_code)[None, :]
+    _, grad = _batch_loss_and_grad_z(
+        np.asarray(relaxed)[None, :], db_signs, np.asarray(sign_row)[None, :],
+        None, own, gamma,
+    )
+    return grad[0]
+
+
 class TestLossGradZ:
     def test_hand_case(self):
-        grad = loss_grad_z(
+        grad = grad_z_one_row(
             relaxed=np.zeros(2),
             db_signs=np.array([[1.0, 1.0]]),
             sign_row=np.array([1.0]),
-            weight_row=None,
             own_code=None,
             gamma=0.0,
         )
@@ -87,34 +96,22 @@ class TestLossGradZ:
         # the pull term vanishes when the code equals the relaxed output
         relaxed = np.array([0.5, -0.5])
         db = np.array([[1.0, 1.0], [1.0, 1.0]])
-        grad = loss_grad_z(
+        grad = grad_z_one_row(
             relaxed,
             db,
             sign_row=np.array([1.0, -1.0]),
-            weight_row=None,
             own_code=relaxed.copy(),
             gamma=7.0,
         )
         assert grad == pytest.approx([0.0, 0.0])
 
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            loss_grad_z(
-                np.zeros(3),
-                np.ones((2, 2)),
-                np.array([1.0, 1.0]),
-                None,
-                None,
-                0.0,
-            )
-
     def test_saturation_damps_gradient(self):
         db = np.array([[1.0, 1.0]])
         sign = np.array([1.0])
-        near_one = loss_grad_z(
-            np.array([1 - 1e-9, -(1 - 1e-9)]), db, sign, None, None, 0.0
+        near_one = grad_z_one_row(
+            np.array([1 - 1e-9, -(1 - 1e-9)]), db, sign, None, 0.0
         )
-        mid = loss_grad_z(np.array([0.5, -0.5]), db, sign, None, None, 0.0)
+        mid = grad_z_one_row(np.array([0.5, -0.5]), db, sign, None, 0.0)
         assert np.abs(near_one).max() < 1e-7
         assert np.abs(mid).max() > 1.0
 

@@ -127,6 +127,10 @@ class TestSimilarityBlockValidation:
         with pytest.raises(ValueError, match="positive"):
             SimilarityBlock(signs=np.array([[1, -1]]), neg_weight=0.0)
 
+    def test_rejects_empty_signs(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            SimilarityBlock(signs=np.zeros((0, 3), dtype=np.int8), neg_weight=1.0)
+
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError, match="range"):
             SimilarityBlock(
@@ -134,3 +138,78 @@ class TestSimilarityBlockValidation:
                 neg_weight=1.0,
                 query_indices=np.array([5]),
             )
+
+
+def labels_with_offset(rng, n, offset):
+    """1-3 label ids of 8 per row, shifted by ``offset``, so ids reach past
+    64 when the offset does."""
+    return LabelMatrix(
+        [offset + rng.choice(8, int(rng.integers(1, 4)), replace=False)
+         for _ in range(n)]
+    )
+
+
+class TestGroupedBlock:
+    @pytest.mark.parametrize("offset", [0, 60, 100])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_expanded_signs_equal_shares_label(self, sampled, offset):
+        rng = np.random.default_rng(21)
+        db = labels_with_offset(rng, 300, offset)
+        if sampled:
+            omega = rng.choice(300, 40, replace=False)
+            block = build_sampled_similarity(db, omega)
+            queries = db.subset(omega)
+        else:
+            queries = labels_with_offset(rng, 40, offset)
+            block = build_similarity(queries, db)
+        want = np.where(queries.shares_label(db), 1, -1)
+        assert block.signs.dtype == np.int8
+        assert np.array_equal(block.signs, want)
+        # one group per distinct sign column, sized by its row count
+        columns = np.unique(want, axis=1)
+        assert block.group_count == columns.shape[1]
+        assert np.array_equal(block.group_signs[:, block.row_groups], want)
+        assert block.group_sizes.sum() == 300
+        pos = int((want == 1).sum())
+        assert block.neg_weight == pos / (want.size - pos)
+
+    def test_hand_built_block_merges_repeated_columns(self):
+        rng = np.random.default_rng(22)
+        pool = rng.integers(0, 2, (5, 4)) * 2 - 1
+        pool[:, 0] = 1  # at least two distinct columns
+        pool[:, 1] = -1
+        signs = pool[:, rng.integers(0, 4, 30)]
+        block = SimilarityBlock(signs=signs, neg_weight=0.5)
+        assert block.group_count == np.unique(signs, axis=1).shape[1]
+        assert np.array_equal(block.signs, signs)
+        assert block.neg_weight == 0.5
+        assert np.array_equal(
+            block.weights(), np.where(signs == 1, 1.0, 0.5)
+        )
+
+    def test_label_built_and_hand_built_groups_agree(self):
+        rng = np.random.default_rng(23)
+        db = labels_with_offset(rng, 200, 70)
+        omega = rng.choice(200, 30, replace=False)
+        built = build_sampled_similarity(db, omega)
+        hand = SimilarityBlock(
+            signs=built.signs, neg_weight=built.neg_weight, query_indices=omega
+        )
+        assert np.array_equal(built.group_signs, hand.group_signs)
+        assert np.array_equal(built.row_groups, hand.row_groups)
+
+    def test_label_sets_are_compared_once_per_distinct_set(self, monkeypatch):
+        labels = LabelMatrix.from_ids(np.arange(1000) % 7)
+        assert labels.distinct() is labels.distinct()
+        assert len(labels.distinct()[0]) == 7
+        calls = []
+        original = LabelMatrix.shares_label
+
+        def counting(self, other):
+            calls.append((len(self), len(other)))
+            return original(self, other)
+
+        monkeypatch.setattr(LabelMatrix, "shares_label", counting)
+        build_sampled_similarity(labels, np.arange(50))
+        build_similarity(LabelMatrix.from_ids([1, 2]), labels)
+        assert calls == [(50, 7), (2, 7)]

@@ -1,16 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from asymhash import oracle
 from asymhash.dataio import gen_synthetic_clusters, split
-from asymhash.encoder import forward, init_encoder
+from asymhash.encoder import (
+    OptimizerState,
+    _apply_gradients,
+    _backprop,
+    _batch_loss_and_grad_z,
+    _forward_cached,
+    _group_loss_and_grad_z,
+    _group_stats,
+    _uses_group_form,
+    forward,
+    init_encoder,
+    minibatch_step,
+)
 from asymhash.simgraph import (
     LabelMatrix,
     SimilarityBlock,
     build_sampled_similarity,
+    build_similarity,
     sample_query_indices,
 )
 from asymhash.solver import (
+    MODES,
     TrainConfig,
     TrainingDiverged,
     complexity_probe,
@@ -89,6 +105,18 @@ class TestObjective:
             fast = objective(relaxed, db, block, gamma=3.0, weighted=weighted)
             slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
             assert fast == pytest.approx(slow, rel=1e-9)
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_long_codes_on_the_direct_path(self, weighted):
+        # c = 128 puts c * sign outside int8; G * c > n takes the direct form
+        rng = np.random.default_rng(4)
+        relaxed, db, block = random_setup(rng, 10, 4, 128)
+        assert not _uses_group_form(block, 128)
+        rows = np.arange(4)
+        want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0, weighted)[0]
+        got = objective(relaxed, db, block, gamma=2.0, weighted=weighted)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestVStepColumn:
@@ -230,6 +258,204 @@ class TestVStepOnLabelBlocks:
             )
             v_step(db, relaxed, block, 200.0, weighted=weighted)
             assert np.array_equal(db, want)
+
+
+def repeated_column_block(rng, n, m, pool_size, sampled):
+    """Hand-built block whose n sign columns repeat ``pool_size`` columns."""
+    pool = rng.integers(0, 2, (m, pool_size)) * 2 - 1
+    signs = pool[:, rng.integers(0, pool_size, n)]
+    pos = int((signs == 1).sum())
+    rho = pos / (signs.size - pos) if 0 < pos < signs.size else 1.0
+    omega = rng.choice(n, m, replace=False) if sampled else None
+    return SimilarityBlock(signs=signs, neg_weight=rho, query_indices=omega)
+
+
+def label_block(rng, labels, m, sampled):
+    n = len(labels)
+    if sampled:
+        return build_sampled_similarity(labels, rng.choice(n, m, replace=False))
+    queries = labels.subset(rng.choice(n, m))
+    return build_similarity(queries, labels)
+
+
+def direct_loss_and_grad_z(relaxed, db, block, rows, gamma, weighted):
+    """The m x n reference: expanded signs and weights of the block's rows."""
+    weights = block.weights()[rows] if weighted else None
+    own = None
+    if block.query_indices is not None:
+        own = db[block.query_indices[rows]]
+    return _batch_loss_and_grad_z(
+        relaxed, db, block.signs[rows].astype(np.float64), weights, own, gamma
+    )
+
+
+def assert_close_at_scale(got, want, rel):
+    """Entrywise |got - want| <= rel * max |want|: the direct form sums n
+    terms per entry, so its own rounding is relative to the array's scale,
+    not to each (possibly cancelled) entry."""
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestGroupForm:
+    """The label-group objective and theta gradient against the direct
+    m x n forms, on both sides of the G * c <= n rule."""
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_objective_matches_naive_triple_loop(self, weighted, sampled):
+        rng = np.random.default_rng(31)
+        sides = {True: 0, False: 0}
+        for trial in range(40):
+            n = int(rng.integers(6, 13))
+            m = int(rng.integers(1, 6))
+            c = int(rng.integers(1, 7))
+            if trial % 2:
+                block = repeated_column_block(
+                    rng, n, m, int(rng.integers(1, 4)), sampled
+                )
+            else:
+                labels = LabelMatrix(
+                    [rng.choice(70, int(rng.integers(1, 3)), replace=False)
+                     for _ in range(n)]
+                )
+                block = label_block(rng, labels, m, sampled)
+            relaxed = rng.uniform(-0.95, 0.95, (m, c))
+            db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
+            fast = objective(relaxed, db, block, 3.0, weighted=weighted)
+            slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
+            assert type(fast) is float
+            assert fast == pytest.approx(slow, rel=1e-9)
+            sides[_uses_group_form(block, c)] += 1
+        assert sides[True] >= 10 and sides[False] >= 10
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["clusters", "multi_label", "repeated"])
+    def test_matches_direct_form(self, kind, weighted, sampled):
+        rng = np.random.default_rng(32)
+        n, m, c = 1500, 120, 24
+        if kind == "clusters":
+            labels = gen_synthetic_clusters(10, 150, 4, 0.1, seed=32)[1]
+            block = label_block(rng, labels, m, sampled)
+        elif kind == "multi_label":
+            block = label_block(rng, multi_label_set(rng, n), m, sampled)
+        else:
+            block = repeated_column_block(rng, n, m, 30, sampled)
+        assert _uses_group_form(block, c) == (kind != "multi_label")
+        relaxed = rng.uniform(-0.95, 0.95, (m, c))
+        db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
+        rho = block.neg_weight if weighted else 1.0
+        rows = rng.permutation(m)[:50]
+        own = None
+        if block.query_indices is not None:
+            own = db[block.query_indices[rows]]
+        loss, grad = _group_loss_and_grad_z(
+            relaxed[rows], block.group_signs[rows] == 1,
+            _group_stats(db, block, rho), rho, own, 200.0,
+        )
+        want_loss, want_grad = direct_loss_and_grad_z(
+            relaxed[rows], db, block, rows, 200.0, weighted
+        )
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert_close_at_scale(grad, want_grad, 1e-12)
+        # objective() takes its path by the rule and agrees either way
+        full = np.arange(m)
+        want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0, weighted)[0]
+        got = objective(relaxed, db, block, 200.0, weighted=weighted)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["clusters", "multi_label"])
+    def test_minibatch_step_matches_direct_step(self, kind, weighted):
+        rng = np.random.default_rng(33)
+        if kind == "clusters":
+            features, labels = gen_synthetic_clusters(10, 150, 8, 0.1, seed=33)
+        else:
+            labels = multi_label_set(rng, 1500)
+            features = rng.normal(size=(1500, 8))
+        n, c = len(labels), 24
+        omega = rng.choice(n, 100, replace=False)
+        block = build_sampled_similarity(labels, omega)
+        model = init_encoder((8, 16, c), rng)
+        db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
+        batch = rng.permutation(100)[:40]
+        stepped = model.copy()
+        loss = minibatch_step(
+            stepped, OptimizerState(1.0), features[omega], batch, db, block,
+            50.0, weighted=weighted,
+        )
+        _, relaxed, acts = _forward_cached(model, features[omega][batch])
+        want_loss, grad_z = direct_loss_and_grad_z(
+            relaxed, db, block, batch, 50.0, weighted
+        )
+        grad_w, grad_b = _backprop(model, acts, grad_z)
+        direct = model.copy()
+        _apply_gradients(direct, OptimizerState(1.0), grad_w, grad_b)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for got, want, start in zip(
+            stepped.params(), direct.params(), model.params()
+        ):
+            assert_close_at_scale(got - start, want - start, 1e-12)
+
+    @pytest.mark.parametrize("dataset", ["clusters", "multi_label"])
+    @pytest.mark.parametrize("mode", MODES[:2])
+    def test_train_never_calls_the_expanded_signs(self, mode, dataset, monkeypatch):
+        # the direct path (multi_label: G * c > n) expands only the rows it
+        # needs from the groups
+        rng = np.random.default_rng(34)
+        if dataset == "clusters":
+            features, labels = gen_synthetic_clusters(6, 40, 8, 0.1, seed=34)
+        else:
+            labels = multi_label_set(rng, 240)
+            features = rng.normal(size=(240, 8))
+        parts = split(len(labels), 30, 0, seed=34)
+        db_labels = labels.subset(parts.db_indices)
+        block = build_similarity(labels.subset(parts.query_indices), db_labels)
+        assert _uses_group_form(block, 8) == (dataset == "clusters")
+
+        def expanded(*_):
+            raise AssertionError("train called the m x n expansion")
+
+        monkeypatch.setattr(SimilarityBlock, "signs", property(expanded))
+        monkeypatch.setattr(SimilarityBlock, "weights", expanded)
+        config = TrainConfig(
+            code_len=8, query_count=30, outer_iters=2, inner_iters=2,
+            batch_size=16, seed=34, mode=mode, hidden_dims=(8,),
+        )
+        result = train(
+            features[parts.db_indices], db_labels, config,
+            query_features=features[parts.query_indices],
+            query_labels=labels.subset(parts.query_indices),
+        )
+        assert result.codes.rows == len(parts.db_indices)
+
+
+def test_train_memory_does_not_grow_with_query_count():
+    # n = 20k rows in 10 label groups: the group path. One outer iteration
+    # at m = 800 may hold more per-query arrays than at m = 100 (m x c
+    # codes and activations, m x G group relations), but nothing m x n.
+    features, labels = gen_synthetic_clusters(10, 2000, 8, 0.1, seed=35)
+    code_len, groups = 16, 10
+
+    def peak_bytes(m):
+        config = TrainConfig(
+            code_len=code_len, query_count=m, outer_iters=1, inner_iters=1,
+            batch_size=100, seed=35, optimizer="adam", hidden_dims=(16,),
+        )
+        tracemalloc.start()
+        try:
+            train(features, labels, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a dozen float64 arrays of m x c and m x G (features and hidden are
+    # no wider than c here)
+    def per_query_bytes(m):
+        return m * 8 * 12 * (code_len + groups)
+
+    small, large = peak_bytes(100), peak_bytes(800)
+    assert large <= 1.1 * small + per_query_bytes(800)
 
 
 @pytest.fixture(scope="module")
