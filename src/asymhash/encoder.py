@@ -132,10 +132,11 @@ class GroupStats(NamedTuple):
     grams: np.ndarray | None  # G x c x c, Q_g = V_g^T V_g; None when rho = 1
 
 
-def _uses_group_form(block, code_len: int) -> bool:
-    """The group form's Q_g term costs rows * G * c^2 flops against rows *
-    n * c for the direct form, so it is taken when G * c <= n."""
-    return block.group_count * code_len <= block.db_count
+def _uses_group_form(block, code_len: int, rho: float) -> bool:
+    """At rho = 1 the group form costs rows * G * c flops, never more than
+    the direct form's rows * n * c. For rho != 1 its Q_g term costs
+    rows * G * c^2, so it is taken only when G * c <= n."""
+    return rho == 1.0 or block.group_count * code_len <= block.db_count
 
 
 def _group_stats(db_signs, block, rho: float) -> GroupStats:
@@ -143,9 +144,21 @@ def _group_stats(db_signs, block, rho: float) -> GroupStats:
 
     Entries are +/-1, so every sum is an exact integer in float64.
     """
+    code_len = db_signs.shape[1]
+    sizes = block.group_sizes.astype(np.float64)
+    if rho == 1.0 and block.group_count > code_len:
+        # many groups and no Grams: one bincount per column beats a
+        # Python loop over the groups
+        sums = np.stack(
+            [
+                np.bincount(block.row_groups, db_signs[:, k], block.group_count)
+                for k in range(code_len)
+            ],
+            axis=1,
+        )
+        return GroupStats(db_signs.T @ db_signs, sums, sizes, None)
     order = np.argsort(block.row_groups, kind="stable")
     groups = np.split(order, np.cumsum(block.group_sizes)[:-1])
-    code_len = db_signs.shape[1]
     sums = np.empty((len(groups), code_len))
     grams = None if rho == 1.0 else np.empty((len(groups), code_len, code_len))
     for g, rows in enumerate(groups):
@@ -154,7 +167,7 @@ def _group_stats(db_signs, block, rho: float) -> GroupStats:
         if grams is not None:
             grams[g] = codes.T @ codes
     gram = db_signs.T @ db_signs if grams is None else grams.sum(axis=0)
-    return GroupStats(gram, sums, block.group_sizes.astype(np.float64), grams)
+    return GroupStats(gram, sums, sizes, grams)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -297,7 +310,7 @@ def minibatch_step(
     if block.query_indices is not None:
         own_codes = db_signs[block.query_indices[batch]]
     features = np.asarray(query_features, dtype=np.float64)[batch]
-    if _uses_group_form(block, db_signs.shape[1]):
+    if _uses_group_form(block, db_signs.shape[1], rho):
         _, relaxed, acts = _forward_cached(model, features)
         loss, grad_raw = _group_loss_and_grad_z(
             relaxed, block.group_signs[batch] == 1,
@@ -305,10 +318,9 @@ def minibatch_step(
         )
         grad_w, grad_b = _backprop(model, acts, grad_raw)
     else:
+        # only weighted runs (rho != 1) with many groups get here
         sign_rows = block.group_signs[batch][:, block.row_groups].astype(np.float64)
-        weight_rows = None
-        if weighted:
-            weight_rows = np.where(sign_rows == 1.0, 1.0, rho)
+        weight_rows = np.where(sign_rows == 1.0, 1.0, rho)
         loss, grad_w, grad_b = loss_and_param_grads(
             model, features, db_signs, sign_rows, weight_rows, own_codes, gamma
         )

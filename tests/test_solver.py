@@ -108,11 +108,14 @@ class TestObjective:
 
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_long_codes_on_the_direct_path(self, weighted):
-        # c = 128 puts c * sign outside int8; G * c > n takes the direct form
+    def test_long_codes_on_both_paths(self, weighted):
+        # c = 128 puts c * sign outside int8; with G * c > n the weighted
+        # objective takes the direct form and the unweighted the group form
         rng = np.random.default_rng(4)
         relaxed, db, block = random_setup(rng, 10, 4, 128)
-        assert not _uses_group_form(block, 128)
+        rho = block.neg_weight if weighted else 1.0
+        assert rho != 1.0 or not weighted
+        assert _uses_group_form(block, 128, rho) == (not weighted)
         rows = np.arange(4)
         want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0, weighted)[0]
         got = objective(relaxed, db, block, gamma=2.0, weighted=weighted)
@@ -298,7 +301,7 @@ def assert_close_at_scale(got, want, rel):
 
 class TestGroupForm:
     """The label-group objective and theta gradient against the direct
-    m x n forms, on both sides of the G * c <= n rule."""
+    m x n forms, on both sides of the rho = 1 or G * c <= n rule."""
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -325,8 +328,10 @@ class TestGroupForm:
             slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
             assert type(fast) is float
             assert fast == pytest.approx(slow, rel=1e-9)
-            sides[_uses_group_form(block, c)] += 1
-        assert sides[True] >= 10 and sides[False] >= 10
+            rho = block.neg_weight if weighted else 1.0
+            sides[_uses_group_form(block, c, rho)] += 1
+        # unweighted (rho = 1) always takes the group form
+        assert sides[True] >= 10 and sides[False] >= (10 if weighted else 0)
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -341,10 +346,11 @@ class TestGroupForm:
             block = label_block(rng, multi_label_set(rng, n), m, sampled)
         else:
             block = repeated_column_block(rng, n, m, 30, sampled)
-        assert _uses_group_form(block, c) == (kind != "multi_label")
+        rho = block.neg_weight if weighted else 1.0
+        group_form = kind != "multi_label" or not weighted
+        assert _uses_group_form(block, c, rho) == group_form
         relaxed = rng.uniform(-0.95, 0.95, (m, c))
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
-        rho = block.neg_weight if weighted else 1.0
         rows = rng.permutation(m)[:50]
         own = None
         if block.query_indices is not None:
@@ -363,6 +369,22 @@ class TestGroupForm:
         want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0, weighted)[0]
         got = objective(relaxed, db, block, 200.0, weighted=weighted)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_group_sums_per_column_equal_per_group(self):
+        # rho = 1 with more groups than columns sums by one bincount per
+        # column; every other call loops over the groups
+        rng = np.random.default_rng(36)
+        block = label_block(rng, multi_label_set(rng, 1500), 120, True)
+        db = (rng.integers(0, 2, (1500, 8)) * 2 - 1).astype(np.float64)
+        assert block.group_count > 8
+        by_column = _group_stats(db, block, 1.0)
+        by_group = _group_stats(db, block, 0.5)
+        want = np.zeros_like(by_column.sums)
+        for row, group in zip(db, block.row_groups):
+            want[group] += row
+        assert np.array_equal(by_column.sums, want)
+        assert np.array_equal(by_group.sums, want)
+        assert np.array_equal(by_column.gram, by_group.gram)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("kind", ["clusters", "multi_label"])
@@ -397,11 +419,14 @@ class TestGroupForm:
         ):
             assert_close_at_scale(got - start, want - start, 1e-12)
 
+    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("dataset", ["clusters", "multi_label"])
     @pytest.mark.parametrize("mode", MODES[:2])
-    def test_train_never_calls_the_expanded_signs(self, mode, dataset, monkeypatch):
-        # the direct path (multi_label: G * c > n) expands only the rows it
-        # needs from the groups
+    def test_train_never_calls_the_expanded_signs(
+        self, mode, dataset, weighted, monkeypatch
+    ):
+        # the direct path (weighted multi_label: G * c > n) expands only the
+        # rows it needs from the groups
         rng = np.random.default_rng(34)
         if dataset == "clusters":
             features, labels = gen_synthetic_clusters(6, 40, 8, 0.1, seed=34)
@@ -411,7 +436,10 @@ class TestGroupForm:
         parts = split(len(labels), 30, 0, seed=34)
         db_labels = labels.subset(parts.db_indices)
         block = build_similarity(labels.subset(parts.query_indices), db_labels)
-        assert _uses_group_form(block, 8) == (dataset == "clusters")
+        rho = block.neg_weight if weighted else 1.0
+        assert _uses_group_form(block, 8, rho) == (
+            dataset == "clusters" or not weighted
+        )
 
         def expanded(*_):
             raise AssertionError("train called the m x n expansion")
@@ -421,6 +449,7 @@ class TestGroupForm:
         config = TrainConfig(
             code_len=8, query_count=30, outer_iters=2, inner_iters=2,
             batch_size=16, seed=34, mode=mode, hidden_dims=(8,),
+            imbalance_weighting=weighted,
         )
         result = train(
             features[parts.db_indices], db_labels, config,
