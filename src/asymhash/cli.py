@@ -56,6 +56,8 @@ CONFIG_KEYS = (
     "query_labels",
     "out",
 )
+# train reads every key but the sweep-only MAP cutoff
+_TRAIN_KEYS = tuple(key for key in CONFIG_KEYS if key != "map_cutoff")
 
 TRAIN_DEFAULTS = {
     "seed": "0",
@@ -232,13 +234,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_KEYS = (
-    "seed", "bits", "gamma", "omega", "tout", "tin", "batch", "lr",
-    "mode", "optimizer", "hidden", "weighting",
-    "features", "labels", "query_features", "query_labels", "out",
-)
-
-
 def cmd_train(args) -> int:
     values = _resolve(args, _TRAIN_KEYS)
     _require_paths(values, ("features", "labels"))
@@ -406,11 +401,8 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_KEYS = _TRAIN_KEYS + ("map_cutoff",)
-
-
 def cmd_sweep(args) -> int:
-    values = _resolve(args, _SWEEP_KEYS)
+    values = _resolve(args, CONFIG_KEYS)
     _require_paths(
         values, ("features", "labels", "query_features", "query_labels")
     )

@@ -36,6 +36,13 @@ class FileFormatError(ValueError):
         self.offset = offset
 
 
+def _truncated(what: str, expected: int, got: int, offset: int) -> FileFormatError:
+    return FileFormatError(
+        f"truncated file reading {what}: expected {expected} bytes, got {got}",
+        offset,
+    )
+
+
 class _Reader:
     def __init__(self, handle):
         self.handle = handle
@@ -44,11 +51,7 @@ class _Reader:
     def exact(self, count: int, what: str) -> bytes:
         data = self.handle.read(count)
         if len(data) != count:
-            raise FileFormatError(
-                f"truncated file reading {what}: expected {count} bytes, "
-                f"got {len(data)}",
-                self.offset,
-            )
+            raise _truncated(what, count, len(data), self.offset)
         self.offset += count
         return data
 
@@ -107,13 +110,14 @@ def read_features(path) -> np.ndarray:
 
 
 def write_labels(path, labels: LabelMatrix) -> None:
+    if labels.ids.size and labels.ids.max() > 0xFFFFFFFF:
+        raise ValueError(f"label id {labels.ids.max()} does not fit the u32 format")
+    # each row's count goes right before its ids
+    words = np.insert(labels.ids, labels.offsets[:-1], np.diff(labels.offsets))
     with open(path, "wb") as fh:
         fh.write(LABELS_MAGIC)
         fh.write(struct.pack("<Q", len(labels)))
-        for ids in labels.label_sets:
-            ordered = sorted(ids)
-            fh.write(struct.pack("<I", len(ordered)))
-            fh.write(struct.pack(f"<{len(ordered)}I", *ordered))
+        fh.write(words.astype("<u4").tobytes())
 
 
 def read_labels(path) -> LabelMatrix:
@@ -121,13 +125,22 @@ def read_labels(path) -> LabelMatrix:
         reader = _Reader(fh)
         reader.magic(LABELS_MAGIC)
         rows = reader.u64("row count")
-        sets = []
-        for r in range(rows):
-            count = reader.u32(f"label count of row {r}")
-            if count == 0:
-                raise FileFormatError(f"label row {r} is empty", reader.offset - 4)
-            sets.append(reader.array("<u4", count, f"label ids of row {r}"))
-        return LabelMatrix(sets)
+        payload = fh.read()
+    # the counts chain row to row, so only the row starts are found one by one
+    heads, at = [], 0  # at: byte offset of the current row's count
+    for r in range(rows):
+        left, here = len(payload) - at, reader.offset + at
+        if left < 4:
+            raise _truncated(f"label count of row {r}", 4, left, here)
+        count = int.from_bytes(payload[at : at + 4], "little")
+        if count == 0:
+            raise FileFormatError(f"label row {r} is empty", here)
+        if left - 4 < 4 * count:
+            raise _truncated(f"label ids of row {r}", 4 * count, left - 4, here + 4)
+        heads.append(at // 4)
+        at += 4 + 4 * count
+    words = np.frombuffer(payload, dtype="<u4", count=at // 4)
+    return LabelMatrix.from_flat(np.delete(words, heads), words[heads])
 
 
 def write_codes(path, codes: CodeMatrix) -> None:
@@ -237,45 +250,3 @@ def split(n: int, query_count: int, val_count: int, seed) -> DatasetSplit:
     val = np.sort(order[query_count : query_count + val_count])
     db = np.sort(order[query_count + val_count :])
     return DatasetSplit(db_indices=db, query_indices=query, val_indices=val)
-
-
-def read_features_csv(path) -> np.ndarray:
-    """Comma-separated floats, one feature row per line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    if not rows:
-        raise ValueError(f"no feature rows in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent feature widths {sorted(widths)} in {path}")
-    return np.array(rows, dtype=np.float64)
-
-
-def write_features_csv(path, features) -> None:
-    arr = np.asarray(features, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_labels_csv(path) -> LabelMatrix:
-    """Comma-separated label ids, one row per line."""
-    sets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                sets.append([int(x) for x in line.split(",")])
-    if not sets:
-        raise ValueError(f"no label rows in {path}")
-    return LabelMatrix(sets)
-
-
-def write_labels_csv(path, labels: LabelMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ids in labels.label_sets:
-            fh.write(",".join(str(i) for i in sorted(ids)) + "\n")

@@ -132,6 +132,15 @@ def entrywise_v_step(relaxed, signs, weights, gamma, db, query_indices):
     return db
 
 
+def shares_label(a_sets, b_sets) -> np.ndarray:
+    """LabelMatrix.shares_label on sequences of id collections, pair by pair."""
+    out = np.empty((len(a_sets), len(b_sets)), dtype=bool)
+    for i, a in enumerate(a_sets):
+        for j, b in enumerate(b_sets):
+            out[i, j] = not set(a).isdisjoint(b)
+    return out
+
+
 def finite_difference_grad(arrays, loss_fn, step: float = 1e-5):
     """Central differences of loss_fn over every entry of ``arrays``.
 

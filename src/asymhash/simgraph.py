@@ -1,76 +1,103 @@
 """Pairwise supervision: signed similarity blocks, query sampling, weights.
 
-Two points count as similar when their label sets intersect. A block holds
-the signs of m query-role points against the n database points, plus the
-positive/negative imbalance ratio used to down-weight the (usually far more
-numerous) dissimilar pairs. Database rows with the same sign column form a
-label-set group and are stored once, so a block is m x groups, not m x n.
+Two points count as similar when their label sets intersect; LabelMatrix
+finds them through a postings index of ids. A block holds the signs of m
+query-role points against the n database points, plus the positive/negative
+imbalance ratio used to down-weight the (usually far more numerous)
+dissimilar pairs. Database rows with the same sign column form a label-set
+group and are stored once, so a block is m x groups, not m x n.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK_LIMIT = 64  # label ids below this use the vectorized bitmask path
+
+def _segments(starts, counts) -> np.ndarray:
+    """Flat positions of the runs ``starts[i] : starts[i] + counts[i]``."""
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return np.arange(len(shift)) + shift
 
 
 class LabelMatrix:
-    """Per-row sets of non-negative integer label ids (>= 1 per row)."""
+    """Per-row sets of non-negative integer label ids (>= 1 per row).
+
+    Row r's ids are ``ids[offsets[r]:offsets[r + 1]]``, sorted and
+    de-duplicated within the row; both int64 arrays are read-only. The
+    constructor takes any iterable of iterables of ids.
+    """
 
     def __init__(self, label_sets):
-        sets = []
-        for r, row in enumerate(label_sets):
-            ids = frozenset(int(x) for x in row)
-            if not ids:
-                raise ValueError(f"label row {r} is empty")
-            if min(ids) < 0:
-                raise ValueError(f"label row {r} has a negative id")
-            sets.append(ids)
-        self.label_sets = tuple(sets)
-        self._masks = self._build_masks()
-        self._distinct = None
+        rows = [list(row) for row in label_sets]
+        self._init_flat([i for row in rows for i in row], [len(row) for row in rows])
+
+    @classmethod
+    def from_flat(cls, ids, counts) -> "LabelMatrix":
+        """Row r takes the next ``counts[r]`` ids of the flat ``ids``."""
+        return cls.__new__(cls)._init_flat(ids, counts)
 
     @classmethod
     def from_ids(cls, ids) -> "LabelMatrix":
         """Single-label shorthand: one id per row."""
-        return cls([(int(i),) for i in np.asarray(ids).ravel()])
+        return cls.from_flat(ids, np.ones(np.size(ids), dtype=np.int64))
 
-    def _build_masks(self):
-        if any(max(s) >= _MASK_LIMIT for s in self.label_sets):
-            return None
-        masks = np.zeros(len(self.label_sets), dtype=np.uint64)
-        for r, ids in enumerate(self.label_sets):
-            acc = 0
-            for i in ids:
-                acc |= 1 << i
-            masks[r] = acc
-        return masks
+    def _init_flat(self, ids, counts) -> "LabelMatrix":
+        ids = np.array(ids, dtype=np.int64).ravel()
+        rows = np.repeat(np.arange(len(counts)), counts)
+        if 0 in counts:
+            raise ValueError(f"label row {np.argmin(counts)} is empty")
+        if ids.size and ids.min() < 0:
+            raise ValueError(f"label row {rows[np.argmax(ids < 0)]} has a negative id")
+        ids = ids[np.lexsort((ids, rows))]
+        keep = (np.diff(ids, prepend=-1) != 0) | (np.diff(rows, prepend=-1) != 0)
+        self.ids, self._id_rows = ids[keep], rows[keep]  # the row of each id
+        self.offsets = np.searchsorted(self._id_rows, np.arange(len(counts) + 1))
+        self.ids.flags.writeable = self.offsets.flags.writeable = False
+        self._distinct = self._postings_index = None
+        return self
 
     def __len__(self) -> int:
-        return len(self.label_sets)
+        return len(self.offsets) - 1
+
+    def _rows(self) -> list:
+        flat, bounds = self.ids.tolist(), self.offsets.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def label_sets(self) -> tuple:
+        """Each row's ids as a frozenset, built on demand."""
+        return tuple(map(frozenset, self._rows()))
+
+    def _postings(self):
+        """(every id in ascending order, the row holding it); built once."""
+        if self._postings_index is None:
+            order = np.argsort(self.ids)
+            self._postings_index = (self.ids[order], self._id_rows[order])
+        return self._postings_index
 
     def distinct(self):
         """(the distinct label sets, index of each row's set); found once."""
         if self._distinct is None:
             index: dict = {}
-            row_set = np.fromiter(
-                (index.setdefault(s, len(index)) for s in self.label_sets),
-                dtype=np.int64,
-                count=len(self),
-            )
-            self._distinct = (LabelMatrix(list(index)), row_set)
+            row_set = [index.setdefault(row, len(index)) for row in self._rows()]
+            self._distinct = (LabelMatrix(index), np.array(row_set, dtype=np.int64))
         return self._distinct
 
     def subset(self, indices) -> "LabelMatrix":
-        return LabelMatrix([self.label_sets[int(i)] for i in np.asarray(indices)])
+        """The rows at ``indices``; negative indices count from the end."""
+        rows = np.arange(len(self))[np.asarray(indices, dtype=np.int64)]
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        return LabelMatrix.from_flat(self.ids[_segments(starts, counts)], counts)
 
     def shares_label(self, other: "LabelMatrix") -> np.ndarray:
         """Boolean matrix: rows of self x rows of other that intersect."""
-        if self._masks is not None and other._masks is not None:
-            return (self._masks[:, None] & other._masks[None, :]) != 0
-        out = np.empty((len(self), len(other)), dtype=bool)
-        for i, a in enumerate(self.label_sets):
-            out[i] = [not a.isdisjoint(b) for b in other.label_sets]
+        post_ids, post_rows = other._postings()
+        # each id of self matches the postings run [lo, lo + hits)
+        lo = np.searchsorted(post_ids, self.ids, side="left")
+        hits = np.searchsorted(post_ids, self.ids, side="right") - lo
+        out = np.zeros((len(self), len(other)), dtype=bool)
+        out[np.repeat(self._id_rows, hits), post_rows[_segments(lo, hits)]] = True
         return out
 
 

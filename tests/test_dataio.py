@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,16 +12,12 @@ from asymhash.dataio import (
     gen_synthetic_clusters,
     read_codes,
     read_features,
-    read_features_csv,
     read_labels,
-    read_labels_csv,
     read_model,
     split,
     write_codes,
     write_features,
-    write_features_csv,
     write_labels,
-    write_labels_csv,
     write_model,
 )
 from asymhash.encoder import init_encoder
@@ -99,6 +96,66 @@ class TestLabelFormat:
         path.write_bytes(payload)
         with pytest.raises(FileFormatError, match="truncated"):
             read_labels(path)
+
+    @pytest.mark.parametrize(
+        "second_row, message, offset",
+        [
+            (
+                b"\x01\x00",
+                "truncated file reading label count of row 1: "
+                "expected 4 bytes, got 2",
+                24,
+            ),
+            (
+                struct.pack("<3I", 3, 4, 5),
+                "truncated file reading label ids of row 1: "
+                "expected 12 bytes, got 8",
+                28,
+            ),
+            (struct.pack("<I", 0), "label row 1 is empty", 24),
+        ],
+        ids=["truncated count", "truncated ids", "empty row"],
+    )
+    def test_errors_name_row_and_offset(self, tmp_path, second_row, message, offset):
+        path = tmp_path / "labels.bin"
+        header = LABELS_MAGIC + struct.pack("<Q", 2)
+        path.write_bytes(header + struct.pack("<2I", 1, 7) + second_row)
+        with pytest.raises(FileFormatError) as info:
+            read_labels(path)
+        assert info.value.offset == offset
+        assert str(info.value) == f"{message} (at byte offset {offset})"
+
+    def test_repeated_ids_collapse_and_trailing_bytes_are_ignored(self, tmp_path):
+        path = tmp_path / "labels.bin"
+        rows = struct.pack("<4I", 3, 5, 2, 5) + struct.pack("<2I", 1, 0)
+        path.write_bytes(LABELS_MAGIC + struct.pack("<Q", 2) + rows + b"tail")
+        labels = read_labels(path)
+        assert labels.label_sets == (frozenset({2, 5}), frozenset({0}))
+        assert labels.ids.tolist() == [2, 5, 0]
+
+    @pytest.mark.parametrize("big", [2**32, 2**32 + 7])
+    def test_id_past_u32_is_rejected_before_writing(self, tmp_path, big):
+        path = tmp_path / "labels.bin"
+        with pytest.raises(ValueError, match="u32"):
+            write_labels(path, LabelMatrix([{1}, {3, big}]))
+        assert not path.exists()
+
+    def test_largest_u32_id_needs_no_id_sized_memory(self, tmp_path):
+        ids = np.arange(1000) % 5
+        ids[500] = 2**32 - 1
+        path = tmp_path / "labels.bin"
+        tracemalloc.start()
+        try:
+            labels = LabelMatrix.from_ids(ids)
+            write_labels(path, labels)
+            back = read_labels(path)
+            shares = back.subset(range(500, 510)).shares_label(back)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.ids, ids)
+        assert shares[0].sum() == 1 and shares[0, 500]
+        assert peak < 2**20
 
 
 class TestCodeFormat:
@@ -202,24 +259,3 @@ class TestSplit:
     def test_rejects_oversized_request(self):
         with pytest.raises(ValueError, match="database"):
             split(10, 6, 4, seed=0)
-
-
-class TestCsv:
-    def test_feature_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        features = rng.normal(0, 1, (5, 3))
-        path = tmp_path / "features.csv"
-        write_features_csv(path, features)
-        assert np.array_equal(read_features_csv(path), features)
-
-    def test_label_round_trip(self, tmp_path):
-        labels = LabelMatrix([{1}, {0, 2}])
-        path = tmp_path / "labels.csv"
-        write_labels_csv(path, labels)
-        assert read_labels_csv(path).label_sets == labels.label_sets
-
-    def test_ragged_features_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="widths"):
-            read_features_csv(path)

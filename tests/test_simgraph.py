@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asymhash import oracle
 from asymhash.simgraph import (
     LabelMatrix,
     SimilarityBlock,
@@ -19,15 +20,50 @@ class TestLabelMatrix:
         with pytest.raises(ValueError, match="negative"):
             LabelMatrix([{-1}])
 
-    def test_mask_and_set_paths_agree(self):
-        # ids >= 64 force the set-based fallback; shift a small instance up
-        small = LabelMatrix([{0, 3}, {3, 5}, {7}])
-        large = LabelMatrix([{100, 103}, {103, 105}, {107}])
-        assert small._masks is not None
-        assert large._masks is None
-        assert np.array_equal(
-            small.shares_label(small), large.shares_label(large)
+    def test_shares_label_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        pools = {
+            "below 64": np.arange(64),
+            "straddling 64": np.arange(56, 72),
+            "64 and up": np.arange(64, 200),
+            "near 2^32 - 1": 2**32 - 1 - np.arange(12),
+        }
+
+        def rows(pool, count):
+            # 1-4 ids per row, drawn with replacement so rows repeat ids
+            return [
+                [int(x) for x in rng.choice(pool, int(rng.integers(1, 5)))]
+                for _ in range(count)
+            ]
+
+        cases = [(rows(p, 30), rows(p, 40)) for p in pools.values()]
+        # self and other from different id sets, overlapping or not
+        cases.append((rows(pools["below 64"], 20), rows(pools["straddling 64"], 25)))
+        cases.append((rows(pools["64 and up"], 20), rows(pools["near 2^32 - 1"], 9)))
+        mixed = rows(np.concatenate(list(pools.values())), 60)
+        cases.append((mixed, mixed))
+        for a_rows, b_rows in cases:
+            a, b = LabelMatrix(a_rows), LabelMatrix(b_rows)
+            want = oracle.shares_label(a_rows, b_rows)
+            got = a.shares_label(b)
+            assert got.dtype == bool and np.array_equal(got, want)
+            assert np.array_equal(b.shares_label(a), want.T)
+            # subset chunks against the full matrix, as eval walks queries
+            for start in range(0, len(a), 7):
+                chunk = a.subset(range(start, min(start + 7, len(a))))
+                assert np.array_equal(chunk.shares_label(b), want[start : start + 7])
+
+    def test_rows_are_sorted_without_repeats(self):
+        labels = LabelMatrix([[5, 3, 5, 3], np.array([9]), {2, 0}])
+        assert labels.ids.tolist() == [3, 5, 9, 0, 2]
+        assert labels.offsets.tolist() == [0, 2, 3, 5]
+        assert labels.label_sets == (
+            frozenset({3, 5}), frozenset({9}), frozenset({0, 2}),
         )
+        with pytest.raises(ValueError, match="read-only"):
+            labels.ids[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            labels.offsets[0] = 1
 
     def test_subset_preserves_rows(self):
         labels = LabelMatrix.from_ids([4, 2, 9])
@@ -35,6 +71,17 @@ class TestLabelMatrix:
             frozenset({9}),
             frozenset({4}),
         )
+
+    def test_subset_indexes_like_a_sequence(self):
+        labels = LabelMatrix([{1}, {2, 3}, {4}])
+        assert labels.subset([-1]).label_sets == (frozenset({4}),)
+        assert labels.subset([-3, 1, 1]).label_sets == (
+            frozenset({1}), frozenset({2, 3}), frozenset({2, 3}),
+        )
+        assert len(labels.subset([])) == 0
+        for bad in ([3], [-4]):
+            with pytest.raises(IndexError):
+                labels.subset(bad)
 
 
 class TestBuildSimilarity:
