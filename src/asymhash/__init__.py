@@ -37,16 +37,7 @@ from .evaluate import (
     retrieval_metrics,
     topk_precision_curve,
 )
-from .hashcore import (
-    CodeMatrix,
-    PackedRow,
-    binarize,
-    code_inner_product,
-    hamming_distance,
-    pack_row,
-    pairwise_hamming,
-    unpack_row,
-)
+from .hashcore import CodeMatrix, binarize, pairwise_hamming
 from .simgraph import (
     LabelMatrix,
     SimilarityBlock,
@@ -76,7 +67,6 @@ __all__ = [
     "LabelMatrix",
     "NonFiniteError",
     "OptimizerState",
-    "PackedRow",
     "ProbeResult",
     "SimilarityBlock",
     "TrainConfig",
@@ -85,18 +75,15 @@ __all__ = [
     "binarize",
     "build_sampled_similarity",
     "build_similarity",
-    "code_inner_product",
     "complexity_probe",
     "encode_queries",
     "forward",
     "gen_synthetic_clusters",
-    "hamming_distance",
     "history_to_csv",
     "init_encoder",
     "mean_average_precision",
     "minibatch_step",
     "objective",
-    "pack_row",
     "pairwise_hamming",
     "precision_recall_by_radius",
     "rank_by_hamming",
@@ -111,7 +98,6 @@ __all__ = [
     "topk_precision_curve",
     "train",
     "train_symmetric_baseline",
-    "unpack_row",
     "v_step",
     "v_step_column",
     "write_codes",

@@ -106,8 +106,8 @@ def forward(model: EncoderModel, features):
     return raw, relaxed
 
 
-# A diverging run overflows here; the isfinite checks in minibatch_step turn
-# that into NonFiniteError, so numpy's warnings would only be noise.
+# A diverging run overflows here; the callers' isfinite checks turn that
+# into NonFiniteError, so numpy's warnings would only be noise.
 @np.errstate(over="ignore", invalid="ignore")
 def _batch_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma):
     """Summed loss over a batch of query rows and its gradient wrt raw outputs."""
@@ -128,73 +128,96 @@ class GroupStats(NamedTuple):
 
     gram: np.ndarray  # c x c, V^T V
     sums: np.ndarray  # G x c, u_g = sum of the group's rows
-    sizes: np.ndarray  # G, n_g = the group's row count
-    grams: np.ndarray | None  # G x c x c, Q_g = V_g^T V_g; None when rho = 1
-
-
-def _uses_group_form(block, code_len: int, rho: float) -> bool:
-    """At rho = 1 the group form costs rows * G * c flops, never more than
-    the direct form's rows * n * c. For rho != 1 its Q_g term costs
-    rows * G * c^2, so it is taken only when G * c <= n."""
-    return rho == 1.0 or block.group_count * code_len <= block.db_count
+    large: np.ndarray  # the groups of more than c rows, ascending
+    grams: np.ndarray | None  # len(large) x c x c, their Q_g; None when rho = 1
 
 
 def _group_stats(db_signs, block, rho: float) -> GroupStats:
-    """Per-group row sums and (for rho != 1) Grams of the database codes.
+    """Per-group row sums of the database codes and, for rho != 1, the Gram
+    Q_g = V_g^T V_g of each group of more than c rows.
 
-    Entries are +/-1, so every sum is an exact integer in float64.
+    A large group is gathered and summed on its own; the small groups are
+    gathered together and summed in one reduceat. Entries are +/-1, so
+    every sum is an exact integer in float64.
     """
     code_len = db_signs.shape[1]
-    sizes = block.group_sizes.astype(np.float64)
-    if rho == 1.0 and block.group_count > code_len:
-        # many groups and no Grams: one bincount per column beats a
-        # Python loop over the groups
-        sums = np.stack(
-            [
-                np.bincount(block.row_groups, db_signs[:, k], block.group_count)
-                for k in range(code_len)
-            ],
-            axis=1,
-        )
-        return GroupStats(db_signs.T @ db_signs, sums, sizes, None)
-    order = np.argsort(block.row_groups, kind="stable")
-    groups = np.split(order, np.cumsum(block.group_sizes)[:-1])
-    sums = np.empty((len(groups), code_len))
-    grams = None if rho == 1.0 else np.empty((len(groups), code_len, code_len))
-    for g, rows in enumerate(groups):
+    is_large = block.group_sizes > code_len
+    large = np.flatnonzero(is_large)
+    sums = np.empty((block.group_count, code_len))
+    grams = None if rho == 1.0 else np.empty((len(large), code_len, code_len))
+    for at, g in enumerate(large):
+        rows = block.group_rows[block.group_offsets[g] : block.group_offsets[g + 1]]
         codes = db_signs[rows]
         sums[g] = codes.sum(axis=0)
         if grams is not None:
-            grams[g] = codes.T @ codes
+            grams[at] = codes.T @ codes
     gram = db_signs.T @ db_signs if grams is None else grams.sum(axis=0)
-    return GroupStats(gram, sums, sizes, grams)
+    small = np.flatnonzero(~is_large)
+    if small.size:
+        codes = db_signs[block.rows_of(small)]
+        starts = np.cumsum(block.group_sizes[small]) - block.group_sizes[small]
+        sums[small] = np.add.reduceat(codes, starts, axis=0)
+        if grams is not None:
+            gram += codes.T @ codes
+    return GroupStats(gram, sums, large, grams)
+
+
+def _small_group_shared(relaxed, positive, db_signs, block):
+    """Per row i, sum_j (r_i . v_j) v_j over the database rows j that share
+    a label with it and lie in groups of at most c rows.
+
+    Taken over those positive (row, database row) pairs, about n pairs at a
+    time, so no array grows with m * n.
+    """
+    out = np.zeros_like(relaxed)
+    query, group = np.nonzero(positive)
+    small = block.group_sizes[group] <= relaxed.shape[1]
+    query, group = query[small], group[small]
+    if not query.size:
+        return out
+    ends = np.cumsum(block.group_sizes[group])
+    cuts = np.searchsorted(ends, np.arange(block.db_count, ends[-1], block.db_count))
+    for q, g in zip(np.split(query, cuts), np.split(group, cuts)):
+        q = np.repeat(q, block.group_sizes[g])  # ascending, as from nonzero
+        codes = db_signs[block.rows_of(g)]
+        codes *= np.einsum("pk,pk->p", relaxed[q], codes)[:, None]
+        first = np.flatnonzero(np.diff(q, prepend=-1))
+        out[q[first]] += np.add.reduceat(codes, first, axis=0)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _group_loss_and_grad_z(relaxed, positive, stats: GroupStats, rho, own_codes, gamma):
+def _group_loss_and_grad_z(
+    relaxed, positive, db_signs, block, stats: GroupStats, rho, own_codes, gamma
+):
     """``_batch_loss_and_grad_z`` for w = rho + (1 - rho) * P, in group form.
 
-    ``positive`` is the rows' m x G relation P_g. Per row i, with
-    q_i = rho * Q r_i + (1 - rho) * sum_g P_ig Q_g r_i and
+    ``positive`` is the rows' m x G relation P_g. Per row i, with P_i the
+    database rows sharing a label with it,
+    q_i = rho * Q r_i + (1 - rho) * sum_{j in P_i} (r_i . v_j) v_j and
     h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g (= sum_j w_ij s_ij v_j):
 
       loss_i = r_i . q_i - 2c * r_i . h_i + c^2 * (rho * n + (1 - rho) * (P_g n)_i)
       d loss_i / d r_i = 2 * (q_i - c * h_i)
 
     plus the gamma pull toward the own code when ``own_codes`` is given.
+    The sum in q_i is Q_g r_i over each positive group of more than c rows
+    and runs over the positive pairs of the smaller groups.
     """
     code_len = relaxed.shape[1]
     pos = positive.astype(np.float64)
     target = (1.0 + rho) * (pos @ stats.sums) - rho * stats.sums.sum(axis=0)
     quad = rho * (relaxed @ stats.gram)
-    pairs = rho * float(stats.sizes.sum()) * len(relaxed)
+    pairs = rho * float(block.db_count) * len(relaxed)
     if rho != 1.0:
         shared = np.zeros_like(relaxed)
-        for g, rows in enumerate(positive.T):
+        for g, gram in zip(stats.large, stats.grams):
+            rows = positive[:, g]
             if rows.any():
-                shared[rows] += relaxed[rows] @ stats.grams[g]
+                shared[rows] += relaxed[rows] @ gram
+        shared += _small_group_shared(relaxed, positive, db_signs, block)
         quad += (1.0 - rho) * shared
-        pairs += (1.0 - rho) * float(pos.sum(axis=0) @ stats.sizes)
+        pairs += (1.0 - rho) * float(pos.sum(axis=0) @ block.group_sizes)
     loss = float((relaxed * (quad - 2.0 * code_len * target)).sum())
     loss += code_len * code_len * pairs
     grad = quad - code_len * target
@@ -310,20 +333,12 @@ def minibatch_step(
     if block.query_indices is not None:
         own_codes = db_signs[block.query_indices[batch]]
     features = np.asarray(query_features, dtype=np.float64)[batch]
-    if _uses_group_form(block, db_signs.shape[1], rho):
-        _, relaxed, acts = _forward_cached(model, features)
-        loss, grad_raw = _group_loss_and_grad_z(
-            relaxed, block.group_signs[batch] == 1,
-            _group_stats(db_signs, block, rho), rho, own_codes, gamma,
-        )
-        grad_w, grad_b = _backprop(model, acts, grad_raw)
-    else:
-        # only weighted runs (rho != 1) with many groups get here
-        sign_rows = block.group_signs[batch][:, block.row_groups].astype(np.float64)
-        weight_rows = np.where(sign_rows == 1.0, 1.0, rho)
-        loss, grad_w, grad_b = loss_and_param_grads(
-            model, features, db_signs, sign_rows, weight_rows, own_codes, gamma
-        )
+    _, relaxed, acts = _forward_cached(model, features)
+    loss, grad_raw = _group_loss_and_grad_z(
+        relaxed, block.group_signs[batch] == 1, db_signs, block,
+        _group_stats(db_signs, block, rho), rho, own_codes, gamma,
+    )
+    grad_w, grad_b = _backprop(model, acts, grad_raw)
     if not np.isfinite(loss):
         raise NonFiniteError("batch loss is non-finite")
     for g in grad_w + grad_b:

@@ -8,8 +8,6 @@ rows compare bit-exactly regardless of how they were produced.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 WORD_BITS = 64
@@ -18,13 +16,6 @@ _WORD_BYTES = WORD_BITS // 8
 
 def words_per_row(code_len: int) -> int:
     return (code_len + WORD_BITS - 1) // WORD_BITS
-
-
-class PackedRow(NamedTuple):
-    """A single packed code row plus its logical bit length."""
-
-    words: np.ndarray  # uint64, shape (words_per_row(code_len),)
-    code_len: int
 
 
 def _as_sign_matrix(signs) -> np.ndarray:
@@ -102,9 +93,6 @@ class CodeMatrix:
         """Unpack to an int8 matrix over {-1, +1}."""
         return _unpack_words(self.words, self.code_len)
 
-    def row(self, i: int) -> PackedRow:
-        return PackedRow(self.words[i], self.code_len)
-
     def __len__(self) -> int:
         return self.rows
 
@@ -119,37 +107,6 @@ class CodeMatrix:
 
     def __repr__(self) -> str:
         return f"CodeMatrix(rows={self.rows}, code_len={self.code_len})"
-
-
-def pack_row(signs) -> PackedRow:
-    """Pack a 1-D vector of +/-1 into words (set bit means +1)."""
-    mat = _as_sign_matrix(signs)
-    if mat.shape[0] != 1:
-        raise ValueError("pack_row expects a single vector")
-    return PackedRow(_pack_sign_matrix(mat)[0], mat.shape[1])
-
-
-def unpack_row(row: PackedRow) -> np.ndarray:
-    return _unpack_words(row.words[None, :], row.code_len)[0]
-
-
-def _check_compatible(u: PackedRow, v: PackedRow) -> None:
-    if u.code_len != v.code_len:
-        raise ValueError(
-            f"code length mismatch: {u.code_len} vs {v.code_len}"
-        )
-
-
-def hamming_distance(u: PackedRow, v: PackedRow) -> int:
-    """Number of differing bit positions between two packed rows."""
-    _check_compatible(u, v)
-    return int(np.bitwise_count(u.words ^ v.words).sum())
-
-
-def code_inner_product(u: PackedRow, v: PackedRow) -> int:
-    """Inner product over the logical +/-1 values: code_len - 2 * distance."""
-    _check_compatible(u, v)
-    return u.code_len - 2 * hamming_distance(u, v)
 
 
 def pairwise_hamming(

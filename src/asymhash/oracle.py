@@ -132,6 +132,15 @@ def entrywise_v_step(relaxed, signs, weights, gamma, db, query_indices):
     return db
 
 
+def hamming_distance(a_words, b_words) -> int:
+    """Differing bits between two packed code rows of uint64 words, word by
+    word through Python integers."""
+    if len(a_words) != len(b_words):
+        raise ValueError(f"word count mismatch: {len(a_words)} vs {len(b_words)}")
+    pairs = zip(a_words.tolist(), b_words.tolist())
+    return sum(bin(a ^ b).count("1") for a, b in pairs)
+
+
 def shares_label(a_sets, b_sets) -> np.ndarray:
     """LabelMatrix.shares_label on sequences of id collections, pair by pair."""
     out = np.empty((len(a_sets), len(b_sets)), dtype=bool)

@@ -76,11 +76,25 @@ class LabelMatrix:
         return self._postings_index
 
     def distinct(self):
-        """(the distinct label sets, index of each row's set); found once."""
+        """(the distinct label sets, index of each row's set); found once.
+
+        Rows of one length are compared as fixed-width byte strings of
+        their sorted ids, one 1-D unique per length.
+        """
         if self._distinct is None:
-            index: dict = {}
-            row_set = [index.setdefault(row, len(index)) for row in self._rows()]
-            self._distinct = (LabelMatrix(index), np.array(row_set, dtype=np.int64))
+            counts = np.diff(self.offsets)
+            row_set = np.empty(len(self), dtype=np.int64)
+            firsts = [np.zeros(0, dtype=np.int64)]
+            for length in np.unique(counts):
+                rows = np.flatnonzero(counts == length)
+                ids = self.ids[_segments(self.offsets[rows], counts[rows])]
+                keys = ids.view(np.dtype((np.void, 8 * int(length))))
+                _, first, inverse = np.unique(
+                    keys, return_index=True, return_inverse=True
+                )
+                row_set[rows] = sum(map(len, firsts)) + inverse
+                firsts.append(rows[first])
+            self._distinct = (self.subset(np.concatenate(firsts)), row_set)
         return self._distinct
 
     def subset(self, indices) -> "LabelMatrix":
@@ -154,9 +168,13 @@ class SimilarityBlock:
         self.group_sizes = np.bincount(
             self.row_groups, minlength=self.group_signs.shape[1]
         )
-        self.group_signs.flags.writeable = False
-        self.row_groups.flags.writeable = False
-        self.group_sizes.flags.writeable = False
+        # the database rows ordered by group; group g's are
+        # group_rows[group_offsets[g]:group_offsets[g + 1]]
+        self.group_rows = np.argsort(self.row_groups, kind="stable")
+        self.group_offsets = np.concatenate(([0], np.cumsum(self.group_sizes)))
+        for arr in (self.group_signs, self.row_groups, self.group_sizes,
+                    self.group_rows, self.group_offsets):
+            arr.flags.writeable = False
         if not neg_weight > 0:
             raise ValueError("neg_weight must be positive")
         self.neg_weight = float(neg_weight)
@@ -183,6 +201,13 @@ class SimilarityBlock:
     @property
     def group_count(self) -> int:
         return self.group_signs.shape[1]
+
+    def rows_of(self, groups) -> np.ndarray:
+        """The database rows of each of ``groups`` in turn, concatenated."""
+        groups = np.asarray(groups, dtype=np.int64)
+        return self.group_rows[
+            _segments(self.group_offsets[groups], self.group_sizes[groups])
+        ]
 
     @property
     def signs(self) -> np.ndarray:

@@ -32,11 +32,11 @@ count and Gram of group g:
   d obj / d r_i = 2 * (rho * Q r_i + (1 - rho) * (sum_g P_ig Q_g) r_i
                        - c * h_i + gamma * (r_i - v_own(i)))
 
-with h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g. At rho = 1 there is no
-Q_g term and the group form costs m * G * c, never more than the direct
-form's m * n * c, so unweighted training always takes it. For rho != 1 the
-Q_g term costs m * G * c^2, so the group form is taken when G * c <= n and
-the direct form, on sign rows expanded from the block, otherwise.
+with h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g. Each group takes the
+cheaper form of its Q_g term: a group of more than c rows applies its Gram,
+at c^2 flops per positive (query, group) pair, and a smaller group sums
+(r_i . v_j) v_j over its rows j, at n_g * c. Neither costs more than the
+n_g * c of the pairs themselves, and no m x n array is formed.
 
 A symmetric single-network trainer is included only as the scaling and
 accuracy contrast; it pays a full pass over all database pairs per epoch.
@@ -58,7 +58,6 @@ from .encoder import (
     _apply_gradients,
     _group_loss_and_grad_z,
     _group_stats,
-    _uses_group_form,
     forward,
     init_encoder,
     loss_and_param_grads,
@@ -159,30 +158,18 @@ def objective(relaxed, db_signs, block: SimilarityBlock, gamma, weighted=False):
     Pairwise squared residuals against code_len * sign targets, optionally
     imbalance-weighted, plus the pull of each sampled query's own database
     code toward its relaxed code (skipped when the query set is separate).
-    Computed in label-group form when rho = 1 or G * c <= n (module
-    docstring), else directly over the m x n pairs.
+    Computed in label-group form (module docstring).
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     db = np.asarray(db_signs, dtype=np.float64)
-    code_len = db.shape[1]
     rho = block.neg_weight if weighted else 1.0
     own_codes = None
     if block.query_indices is not None and gamma != 0.0:
         own_codes = db[block.query_indices]
-    if _uses_group_form(block, code_len, rho):
-        stats = _group_stats(db, block, rho)
-        return _group_loss_and_grad_z(
-            relaxed, block.group_signs == 1, stats, rho, own_codes, gamma
-        )[0]
-    # only weighted runs (rho != 1) with many groups get here
-    signs = block.group_signs[:, block.row_groups]
-    # a float factor: c * int8 signs would overflow int8 from c = 128 on
-    resid = relaxed @ db.T - float(code_len) * signs
-    total = float((resid * resid * np.where(signs == 1, 1.0, rho)).sum())
-    if own_codes is not None:
-        diff = own_codes - relaxed
-        total += gamma * float((diff * diff).sum())
-    return total
+    stats = _group_stats(db, block, rho)
+    return _group_loss_and_grad_z(
+        relaxed, block.group_signs == 1, db, block, stats, rho, own_codes, gamma
+    )[0]
 
 
 def _prepare_sweep(db, relaxed, block, gamma, weighted):

@@ -29,7 +29,8 @@ from asymhash.evaluate import (
     relevance_from_labels,
     topk_precision_curve,
 )
-from asymhash.hashcore import CodeMatrix, hamming_distance
+from asymhash.hashcore import CodeMatrix
+from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix, SimilarityBlock
 from asymhash.solver import (
     TrainConfig,
@@ -393,7 +394,7 @@ def test_criterion_8_metric_oracle_equivalence():
                 retrieved = [
                     j
                     for j in range(n)
-                    if hamming_distance(queries.row(i), database.row(j)) <= radius
+                    if hamming_distance(queries.words[i], database.words[j]) <= radius
                 ]
                 hit = sum(1 for j in retrieved if relevance[i, j])
                 n_rel = int(relevance[i].sum())

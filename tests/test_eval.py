@@ -12,7 +12,8 @@ from asymhash.evaluate import (
     retrieval_metrics,
     topk_precision_curve,
 )
-from asymhash.hashcore import CodeMatrix, hamming_distance
+from asymhash.hashcore import CodeMatrix
+from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix
 
 
@@ -24,7 +25,7 @@ def naive_ranking(queries, database):
     out = []
     for i in range(queries.rows):
         dist = [
-            (hamming_distance(queries.row(i), database.row(j)), j)
+            (hamming_distance(queries.words[i], database.words[j]), j)
             for j in range(database.rows)
         ]
         out.append([j for _, j in sorted(dist)])
@@ -194,7 +195,7 @@ class TestPrecisionRecallByRadius:
                 retrieved = [
                     j
                     for j in range(12)
-                    if hamming_distance(queries.row(i), database.row(j)) <= radius
+                    if hamming_distance(queries.words[i], database.words[j]) <= radius
                 ]
                 hit = sum(1 for j in retrieved if relevance[i, j])
                 n_rel = int(relevance[i].sum())
@@ -307,7 +308,7 @@ def test_radius_histograms_match_threshold_passes():
     relevance = rng.random((30, 200)) < 0.2
     relevance[3] = False
     dist = np.array(
-        [[hamming_distance(queries.row(i), database.row(j)) for j in range(200)]
+        [[hamming_distance(queries.words[i], database.words[j]) for j in range(200)]
          for i in range(30)]
     )
     n_rel = relevance.sum(axis=1)

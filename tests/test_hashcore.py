@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from asymhash.hashcore import (
     CodeMatrix,
     binarize,
-    code_inner_product,
-    hamming_distance,
-    pack_row,
     pairwise_hamming,
-    unpack_row,
     words_per_row,
 )
+from asymhash.oracle import hamming_distance
 
 
 def random_signs(rng, length):
@@ -23,31 +20,36 @@ def naive_hamming(a, b):
     return int(sum(1 for x, y in zip(a, b) if x != y))
 
 
+def words(signs):
+    """The packed words of one code row."""
+    return CodeMatrix.from_signs([signs]).words[0]
+
+
 class TestPacking:
     def test_all_ones_packs_to_low_bits(self):
-        row = pack_row([1, 1, 1, 1])
-        assert row.words.tolist() == [0b1111]
-        assert row.code_len == 4
+        matrix = CodeMatrix.from_signs([[1, 1, 1, 1]])
+        assert matrix.words.tolist() == [[0b1111]]
+        assert matrix.code_len == 4
 
     def test_all_minus_packs_to_zero(self):
-        row = pack_row([-1, -1, -1, -1])
-        assert row.words.tolist() == [0]
+        matrix = CodeMatrix.from_signs([[-1, -1, -1, -1]])
+        assert matrix.words.tolist() == [[0]]
 
     def test_length_64_round_trips(self):
         rng = np.random.default_rng(0)
         signs = random_signs(rng, 64)
-        row = pack_row(signs)
+        matrix = CodeMatrix.from_signs(signs[None, :])
         # oracle: set bit b exactly when sign b is +1
         expected = 0
         for b, s in enumerate(signs):
             if s == 1:
                 expected |= 1 << b
-        assert int(row.words[0]) == expected
-        assert np.array_equal(unpack_row(row), signs)
+        assert int(matrix.words[0, 0]) == expected
+        assert np.array_equal(matrix.to_signs()[0], signs)
 
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
-            pack_row([1, 0, -1])
+            CodeMatrix.from_signs([[1, 0, -1]])
 
     @given(st.integers(min_value=1, max_value=512), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -68,7 +70,8 @@ class TestPacking:
         rng = np.random.default_rng(8)
         for code_len in range(1, 513):
             signs = random_signs(rng, code_len)
-            assert np.array_equal(unpack_row(pack_row(signs)), signs)
+            matrix = CodeMatrix.from_signs(signs[None, :])
+            assert np.array_equal(matrix.to_signs()[0], signs)
 
     def test_rejects_dirty_pad_bits(self):
         words = np.array([[1 << 13]], dtype=np.uint64)
@@ -82,27 +85,30 @@ class TestPacking:
 
 
 class TestHamming:
+    """The per-pair reference in oracle.py that pairwise_hamming and the
+    ranking tests are checked against."""
+
     def test_identical_codes(self):
-        u = pack_row([1, 1, 1, 1])
+        u = words([1, 1, 1, 1])
         assert hamming_distance(u, u) == 0
 
     def test_full_flip(self):
-        assert hamming_distance(pack_row([1, -1]), pack_row([-1, 1])) == 2
+        assert hamming_distance(words([1, -1]), words([-1, 1])) == 2
 
     def test_matches_bit_loop_at_128(self):
         rng = np.random.default_rng(1)
         a, b = random_signs(rng, 128), random_signs(rng, 128)
-        assert hamming_distance(pack_row(a), pack_row(b)) == naive_hamming(a, b)
+        assert hamming_distance(words(a), words(b)) == naive_hamming(a, b)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            hamming_distance(pack_row([1, 1]), pack_row([1, 1, 1]))
+            hamming_distance(words([1] * 64), words([1] * 65))
 
     @given(st.integers(0, 2**32 - 1), st.integers(min_value=1, max_value=130))
     @settings(max_examples=60, deadline=None)
     def test_metric_properties(self, seed, code_len):
         rng = np.random.default_rng(seed)
-        rows = [pack_row(random_signs(rng, code_len)) for _ in range(3)]
+        rows = [words(random_signs(rng, code_len)) for _ in range(3)]
         u, v, w = rows
         assert hamming_distance(u, u) == 0
         assert hamming_distance(u, v) == hamming_distance(v, u)
@@ -113,30 +119,6 @@ class TestHamming:
         assert 0 <= hamming_distance(u, v) <= code_len
 
 
-class TestInnerProduct:
-    def test_single_disagreement(self):
-        u, v = pack_row([1, -1, 1]), pack_row([1, 1, 1])
-        assert code_inner_product(u, v) == 1
-
-    def test_identical_at_48_bits(self):
-        u = pack_row(np.ones(48, dtype=np.int8))
-        assert code_inner_product(u, u) == 48
-
-    @given(st.integers(0, 2**32 - 1), st.integers(min_value=1, max_value=200))
-    @settings(max_examples=60, deadline=None)
-    def test_identity_with_distance(self, seed, code_len):
-        rng = np.random.default_rng(seed)
-        u = pack_row(random_signs(rng, code_len))
-        v = pack_row(random_signs(rng, code_len))
-        assert (
-            code_inner_product(u, v) + 2 * hamming_distance(u, v) == code_len
-        )
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            code_inner_product(pack_row([1]), pack_row([1, -1]))
-
-
 class TestPairwise:
     def test_matches_per_pair_loop(self):
         rng = np.random.default_rng(2)
@@ -145,7 +127,7 @@ class TestPairwise:
         dist = pairwise_hamming(q, d)
         for i in range(5):
             for j in range(9):
-                assert dist[i, j] == hamming_distance(q.row(i), d.row(j))
+                assert dist[i, j] == hamming_distance(q.words[i], d.words[j])
 
     def test_chunking_is_invisible(self):
         rng = np.random.default_rng(3)

@@ -84,6 +84,28 @@ class TestLabelMatrix:
                 labels.subset(bad)
 
 
+    def test_distinct_matches_a_dict_over_tuples(self):
+        rng = np.random.default_rng(21)
+        top = 2**32 - 1
+        cases = [
+            [[3], [1, 2], [2, 1], [3], [top, 0], [1, 2, top - 1], [0, top],
+             [7], [1, 2, top - 1], [2, 1, 1]],
+            [[5, top]],
+            [rng.choice(6, int(rng.integers(1, 4)), replace=False)
+             for _ in range(300)],
+        ]
+        for rows in cases:
+            index: dict = {}
+            want = [index.setdefault(tuple(sorted(set(r))), len(index)) for r in rows]
+            sets, row_set = LabelMatrix(rows).distinct()
+            assert len(sets) == len(index)
+            # the same partition of the rows, and each row's own set
+            assert len(set(zip(want, row_set.tolist()))) == len(index)
+            own = sets.label_sets
+            for row, at in zip(rows, row_set):
+                assert own[at] == frozenset(int(i) for i in row)
+
+
 class TestBuildSimilarity:
     def test_singleton_intersection(self):
         block = build_similarity(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asymhash import oracle
+from asymhash import encoder, oracle
 from asymhash.dataio import gen_synthetic_clusters, split
 from asymhash.encoder import (
     OptimizerState,
@@ -13,7 +13,6 @@ from asymhash.encoder import (
     _forward_cached,
     _group_loss_and_grad_z,
     _group_stats,
-    _uses_group_form,
     forward,
     init_encoder,
     minibatch_step,
@@ -108,14 +107,12 @@ class TestObjective:
 
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_long_codes_on_both_paths(self, weighted):
-        # c = 128 puts c * sign outside int8; with G * c > n the weighted
-        # objective takes the direct form and the unweighted the group form
+    def test_long_codes_on_the_one_path(self, weighted):
+        # c = 128 puts c * sign outside int8, and every group is small
         rng = np.random.default_rng(4)
         relaxed, db, block = random_setup(rng, 10, 4, 128)
         rho = block.neg_weight if weighted else 1.0
         assert rho != 1.0 or not weighted
-        assert _uses_group_form(block, 128, rho) == (not weighted)
         rows = np.arange(4)
         want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0, weighted)[0]
         got = objective(relaxed, db, block, gamma=2.0, weighted=weighted)
@@ -292,6 +289,13 @@ def direct_loss_and_grad_z(relaxed, db, block, rows, gamma, weighted):
     )
 
 
+def assert_groups_on_both_sides(block, code_len):
+    """Groups of more than c rows take their Gram, smaller ones their
+    positive pairs: the block must exercise both."""
+    assert (block.group_sizes > code_len).any()
+    assert (block.group_sizes <= code_len).any()
+
+
 def assert_close_at_scale(got, want, rel):
     """Entrywise |got - want| <= rel * max |want|: the direct form sums n
     terms per entry, so its own rounding is relative to the array's scale,
@@ -301,13 +305,13 @@ def assert_close_at_scale(got, want, rel):
 
 class TestGroupForm:
     """The label-group objective and theta gradient against the direct
-    m x n forms, on both sides of the rho = 1 or G * c <= n rule."""
+    m x n forms, with groups on both sides of the n_g <= c rule."""
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_objective_matches_naive_triple_loop(self, weighted, sampled):
         rng = np.random.default_rng(31)
-        sides = {True: 0, False: 0}
+        sides = {"gram": 0, "pairs": 0}
         for trial in range(40):
             n = int(rng.integers(6, 13))
             m = int(rng.integers(1, 6))
@@ -328,17 +332,16 @@ class TestGroupForm:
             slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
             assert type(fast) is float
             assert fast == pytest.approx(slow, rel=1e-9)
-            rho = block.neg_weight if weighted else 1.0
-            sides[_uses_group_form(block, c, rho)] += 1
-        # unweighted (rho = 1) always takes the group form
-        assert sides[True] >= 10 and sides[False] >= (10 if weighted else 0)
+            sides["gram"] += bool((block.group_sizes > c).any())
+            sides["pairs"] += bool((block.group_sizes <= c).any())
+        assert sides["gram"] >= 10 and sides["pairs"] >= 10
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("kind", ["clusters", "multi_label", "repeated"])
     def test_matches_direct_form(self, kind, weighted, sampled):
         rng = np.random.default_rng(32)
-        n, m, c = 1500, 120, 24
+        n, m, c = 1500, 120, 16
         if kind == "clusters":
             labels = gen_synthetic_clusters(10, 150, 4, 0.1, seed=32)[1]
             block = label_block(rng, labels, m, sampled)
@@ -347,8 +350,8 @@ class TestGroupForm:
         else:
             block = repeated_column_block(rng, n, m, 30, sampled)
         rho = block.neg_weight if weighted else 1.0
-        group_form = kind != "multi_label" or not weighted
-        assert _uses_group_form(block, c, rho) == group_form
+        if kind == "multi_label":
+            assert_groups_on_both_sides(block, c)
         relaxed = rng.uniform(-0.95, 0.95, (m, c))
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         rows = rng.permutation(m)[:50]
@@ -356,7 +359,7 @@ class TestGroupForm:
         if block.query_indices is not None:
             own = db[block.query_indices[rows]]
         loss, grad = _group_loss_and_grad_z(
-            relaxed[rows], block.group_signs[rows] == 1,
+            relaxed[rows], block.group_signs[rows] == 1, db, block,
             _group_stats(db, block, rho), rho, own, 200.0,
         )
         want_loss, want_grad = direct_loss_and_grad_z(
@@ -364,27 +367,32 @@ class TestGroupForm:
         )
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert_close_at_scale(grad, want_grad, 1e-12)
-        # objective() takes its path by the rule and agrees either way
         full = np.arange(m)
         want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0, weighted)[0]
         got = objective(relaxed, db, block, 200.0, weighted=weighted)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_group_sums_per_column_equal_per_group(self):
-        # rho = 1 with more groups than columns sums by one bincount per
-        # column; every other call loops over the groups
+        # groups of more than c rows are summed one at a time, the rest in
+        # one reduceat; both give the per-row sums, and rho != 1 keeps the
+        # Gram V_g^T V_g of each large group
         rng = np.random.default_rng(36)
         block = label_block(rng, multi_label_set(rng, 1500), 120, True)
         db = (rng.integers(0, 2, (1500, 8)) * 2 - 1).astype(np.float64)
-        assert block.group_count > 8
-        by_column = _group_stats(db, block, 1.0)
-        by_group = _group_stats(db, block, 0.5)
-        want = np.zeros_like(by_column.sums)
+        assert_groups_on_both_sides(block, 8)
+        unweighted = _group_stats(db, block, 1.0)
+        weighted = _group_stats(db, block, 0.5)
+        want = np.zeros_like(unweighted.sums)
         for row, group in zip(db, block.row_groups):
             want[group] += row
-        assert np.array_equal(by_column.sums, want)
-        assert np.array_equal(by_group.sums, want)
-        assert np.array_equal(by_column.gram, by_group.gram)
+        assert np.array_equal(unweighted.sums, want)
+        assert np.array_equal(weighted.sums, want)
+        assert np.array_equal(unweighted.gram, weighted.gram)
+        assert unweighted.grams is None
+        assert np.array_equal(weighted.large, np.flatnonzero(block.group_sizes > 8))
+        for g, gram in zip(weighted.large, weighted.grams):
+            codes = db[block.row_groups == g]
+            assert np.array_equal(gram, codes.T @ codes)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("kind", ["clusters", "multi_label"])
@@ -425,8 +433,8 @@ class TestGroupForm:
     def test_train_never_calls_the_expanded_signs(
         self, mode, dataset, weighted, monkeypatch
     ):
-        # the direct path (weighted multi_label: G * c > n) expands only the
-        # rows it needs from the groups
+        # every label structure takes the group form: no expanded signs or
+        # weights, and no call to the direct m x n loss
         rng = np.random.default_rng(34)
         if dataset == "clusters":
             features, labels = gen_synthetic_clusters(6, 40, 8, 0.1, seed=34)
@@ -436,16 +444,15 @@ class TestGroupForm:
         parts = split(len(labels), 30, 0, seed=34)
         db_labels = labels.subset(parts.db_indices)
         block = build_similarity(labels.subset(parts.query_indices), db_labels)
-        rho = block.neg_weight if weighted else 1.0
-        assert _uses_group_form(block, 8, rho) == (
-            dataset == "clusters" or not weighted
-        )
+        if dataset == "multi_label":
+            assert_groups_on_both_sides(block, 8)
 
         def expanded(*_):
             raise AssertionError("train called the m x n expansion")
 
         monkeypatch.setattr(SimilarityBlock, "signs", property(expanded))
         monkeypatch.setattr(SimilarityBlock, "weights", expanded)
+        monkeypatch.setattr(encoder, "_batch_loss_and_grad_z", expanded)
         config = TrainConfig(
             code_len=8, query_count=30, outer_iters=2, inner_iters=2,
             batch_size=16, seed=34, mode=mode, hidden_dims=(8,),
@@ -459,12 +466,21 @@ class TestGroupForm:
         assert result.codes.rows == len(parts.db_indices)
 
 
-def test_train_memory_does_not_grow_with_query_count():
-    # n = 20k rows in 10 label groups: the group path. One outer iteration
-    # at m = 800 may hold more per-query arrays than at m = 100 (m x c
-    # codes and activations, m x G group relations), but nothing m x n.
-    features, labels = gen_synthetic_clusters(10, 2000, 8, 0.1, seed=35)
-    code_len, groups = 16, 10
+@pytest.mark.parametrize("dataset", ["clusters", "multi_label"])
+def test_train_memory_does_not_grow_with_query_count(dataset):
+    # Weighted training, one outer iteration. At m = 800 it may hold more
+    # per-query arrays than at m = 100 (m x c codes and activations, m x G
+    # group relations), but nothing m x n. clusters: n = 20k rows in 10
+    # label groups. multi_label: n = 4k rows in ~2.5k groups, most of
+    # them no larger than c, so both sides of the loss run.
+    if dataset == "clusters":
+        features, labels = gen_synthetic_clusters(10, 2000, 8, 0.1, seed=35)
+    else:
+        rng = np.random.default_rng(35)
+        labels = multi_label_set(rng, 4000)
+        features = rng.normal(size=(4000, 8))
+    code_len = 16
+    groups = len(labels.distinct()[0])  # no block has more groups
 
     def peak_bytes(m):
         config = TrainConfig(
@@ -478,10 +494,10 @@ def test_train_memory_does_not_grow_with_query_count():
         finally:
             tracemalloc.stop()
 
-    # a dozen float64 arrays of m x c and m x G (features and hidden are
-    # no wider than c here)
+    # a dozen float64 arrays of m x c and three of m x G (features and
+    # hidden are no wider than c here)
     def per_query_bytes(m):
-        return m * 8 * 12 * (code_len + groups)
+        return m * 8 * (12 * code_len + 3 * groups)
 
     small, large = peak_bytes(100), peak_bytes(800)
     assert large <= 1.1 * small + per_query_bytes(800)
