@@ -22,6 +22,16 @@ with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
 bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
 term vanishes and is skipped.
 
+Given R, the sweep separates over database rows: coef_j reads only row
+j's own code, its group and its own pull term. Rows with one (group, code)
+get one new code, so a sweep keys each row by its packed code and a tag
+(its group, or a private tag for a sampled row whose pull is live), runs
+over one representative row per key, and writes the result back to every
+row with one gather. Random initial codes are ~all distinct and collapse
+onto a few codes per group during the first sweep, so the key is taken
+afresh on every call; later sweeps cost O(distinct rows * c^2), not
+O(n * c^2).
+
 The objective and the encoder's gradient use the same groups. With V the
 database codes, Q = V^T V, and u_g, n_g, Q_g = V_g^T V_g the row sum, row
 count and Gram of group g:
@@ -63,7 +73,7 @@ from .encoder import (
     loss_and_param_grads,
     minibatch_step,
 )
-from .hashcore import CodeMatrix
+from .hashcore import CodeMatrix, _pack_sign_matrix
 from .simgraph import (
     LabelMatrix,
     SimilarityBlock,
@@ -172,7 +182,7 @@ def objective(relaxed, db_signs, block: SimilarityBlock, gamma, weighted=False):
     )[0]
 
 
-def _prepare_sweep(db, relaxed, block, gamma, weighted):
+def _prepare_sweep(relaxed, block, code_len, weighted):
     """Per-sweep terms of the label-group column update (module docstring).
 
     The groups are the block's: database rows with one sign column. For
@@ -184,29 +194,71 @@ def _prepare_sweep(db, relaxed, block, gamma, weighted):
 
     with Gram = R^T R, B_k = P_g^T (R * r_k) and static =
     -c * ((1 + rho) * P_g^T R - rho * sum_i r_i) = -c * (w * s)_g^T R.
-    Returns (rho, Gram, static and pull terms per row, P_g, row groups).
+    Returns (rho, Gram, static, P_g); P_g is None when rho = 1, where the
+    (1 - rho) term that reads it vanishes.
     """
     rho = block.neg_weight if weighted else 1.0
     group_pos = block.group_signs == 1
-    static = -db.shape[1] * (np.where(group_pos, 1.0, -rho).T @ relaxed)
-    linear = static[block.row_groups]
-    if block.query_indices is not None and gamma != 0.0:
-        linear[block.query_indices] -= gamma * relaxed
+    static = -code_len * (np.where(group_pos, 1.0, -rho).T @ relaxed)
     return (
-        rho, relaxed.T @ relaxed, linear, group_pos.astype(np.float64),
-        block.row_groups,
+        rho, relaxed.T @ relaxed, static,
+        group_pos.astype(np.float64) if rho != 1.0 else None,
     )
 
 
-def _update_column(db, relaxed, sweep, k: int) -> None:
-    """Replace column k with its exact minimizer; zero coefficient gives -1."""
-    rho, gram, linear, group_pos, groups = sweep
+class _DistinctRows(NamedTuple):
+    """One representative database row per distinct sweep key."""
+
+    reps: np.ndarray  # the representatives' database rows
+    inverse: np.ndarray  # each database row's position in ``reps``
+    groups: np.ndarray  # each representative's label-set group
+    pulled: np.ndarray  # positions in ``reps`` of rows with a pull term
+    pull: np.ndarray  # gamma * r_i of each of those, in the same order
+
+
+def _distinct_rows(db, relaxed, block, gamma) -> _DistinctRows:
+    """Group the database rows by their key (tag, packed code).
+
+    The tag is the row's label-set group. A sampled row whose pull term is
+    live (gamma != 0) gets a private tag instead, since -gamma * r_i belongs
+    to it alone. Rows with one key get one new code from a sweep. The key
+    is sorted by one lexsort over (code words..., tag).
+    """
+    n_groups = block.group_count
+    tags = block.row_groups
+    if block.query_indices is not None and gamma != 0.0:
+        tags = tags.copy()
+        tags[block.query_indices] = n_groups + np.arange(block.query_count)
+    words = _pack_sign_matrix(db).T
+    order = np.lexsort((*words, tags))
+    new_key = np.empty(len(order), dtype=bool)
+    new_key[:1] = True
+    sorted_tags = tags[order]
+    np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=new_key[1:])
+    for word in words:
+        sorted_word = word[order]
+        new_key[1:] |= sorted_word[1:] != sorted_word[:-1]
+    reps = order[new_key]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new_key) - 1
+    rep_tags = tags[reps]
+    pulled = np.flatnonzero(rep_tags >= n_groups)
+    pull = gamma * relaxed[rep_tags[pulled] - n_groups]
+    return _DistinctRows(reps, inverse, block.row_groups[reps], pulled, pull)
+
+
+def _update_column(db, relaxed, sweep, rows: _DistinctRows, k: int) -> None:
+    """Replace column k of the representative rows ``db`` with its exact
+    minimizer; zero coefficient gives -1."""
+    rho, gram, static, group_pos = sweep
     coef = rho * (db @ gram[:, k] - db[:, k] * gram[k, k])
-    if rho != 1.0:
-        shared = (group_pos.T @ (relaxed * relaxed[:, k, None]))[groups]
+    if group_pos is not None:
+        shared = (group_pos.T @ (relaxed * relaxed[:, k, None]))[rows.groups]
         row_dot = np.einsum("jl,jl->j", db, shared)
         coef += (1.0 - rho) * (row_dot - db[:, k] * shared[:, k])
-    coef += linear[:, k]
+    linear = static[rows.groups, k]
+    linear[rows.pulled] -= rows.pull[:, k]
+    coef += linear
     db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
 
 
@@ -223,8 +275,11 @@ def v_step_column(
     if not 0 <= k < code_len:
         raise ValueError(f"column {k} out of range for code_len {code_len}")
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    sweep = _prepare_sweep(db_signs, relaxed, block, gamma, weighted)
-    _update_column(db_signs, relaxed, sweep, k)
+    sweep = _prepare_sweep(relaxed, block, code_len, weighted)
+    rows = _distinct_rows(db_signs, relaxed, block, gamma)
+    work = db_signs[rows.reps]
+    _update_column(work, relaxed, sweep, rows, k)
+    db_signs[:, k] = work[rows.inverse, k]
     return db_signs
 
 
@@ -238,20 +293,34 @@ def v_step(
 ):
     """One full sweep over all code columns, each using the latest codes.
 
+    Given the relaxed query codes the objective is a sum of independent
+    per-row terms, so a row's new code depends only on its key: its code,
+    its label-set group and, for a sampled row, its own pull term. The
+    sweep runs over one representative row per distinct key and one gather
+    writes the result back to all rows. The key is taken on every call:
+    the first sweep from random codes starts with ~all rows distinct, and
+    they collapse onto few keys only during that sweep.
+
     When ``track_objective`` is a list, appends one sub-list per sweep
     holding the fully recomputed objective before the first column and
     after every column update.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    sweep = _prepare_sweep(db_signs, relaxed, block, gamma, weighted)
+    sweep = _prepare_sweep(relaxed, block, db_signs.shape[1], weighted)
+    rows = _distinct_rows(db_signs, relaxed, block, gamma)
+    work = db_signs[rows.reps]
     trace = None
     if track_objective is not None:
         trace = [objective(relaxed, db_signs, block, gamma, weighted)]
         track_objective.append(trace)
     for k in range(db_signs.shape[1]):
-        _update_column(db_signs, relaxed, sweep, k)
+        _update_column(work, relaxed, sweep, rows, k)
         if trace is not None:
+            db_signs[:, k] = work[rows.inverse, k]
             trace.append(objective(relaxed, db_signs, block, gamma, weighted))
+    # mode="clip" writes straight into db_signs; the default mode buffers
+    # a whole copy of it first
+    np.take(work, rows.inverse, axis=0, out=db_signs, mode="clip")
     return db_signs
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asymhash import encoder, oracle
+from asymhash import encoder, oracle, solver
 from asymhash.dataio import gen_synthetic_clusters, split
 from asymhash.encoder import (
     OptimizerState,
@@ -219,6 +219,63 @@ class TestVStep:
             v_step(db, relaxed, block, 50.0, weighted=weighted)
             assert np.array_equal(db, want)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sweeps_only_distinct_rows(self, weighted, monkeypatch):
+        # small query codes near one code per class, each bit +1 in half
+        # the classes: the static term outweighs the coupling between bits,
+        # so the first sweep from random codes leaves one code per group,
+        # and the sampled rows keep their own keys
+        _, labels = gen_synthetic_clusters(10, 300, 2, 0.1, seed=15)
+        rng = np.random.default_rng(15)
+        n, code_len = len(labels), 16
+        omega = sample_query_indices(n, 100, rng)
+        block = build_sampled_similarity(labels, omega)
+        class_codes = np.array(
+            [rng.permutation([1] * 5 + [-1] * 5) for _ in range(code_len)]
+        ).T
+        relaxed = 0.1 * class_codes[block.row_groups[omega]]
+        relaxed += rng.uniform(-0.02, 0.02, relaxed.shape)
+        db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
+        tracked = db.copy()
+        swept = []
+        update = solver._update_column
+
+        def recording(work, *args):
+            swept.append(len(work))
+            update(work, *args)
+
+        monkeypatch.setattr(solver, "_update_column", recording)
+        for _ in range(2):
+            v_step(db, relaxed, block, 200.0, weighted=weighted)
+        assert len(swept) == 2 * code_len
+        assert max(swept[code_len:]) <= block.group_count + block.query_count
+
+        trace = []
+        for _ in range(2):
+            v_step(tracked, relaxed, block, 200.0, weighted, track_objective=trace)
+            final = objective(relaxed, tracked, block, 200.0, weighted)
+            assert trace[-1][-1] == final
+        assert np.array_equal(tracked, db)
+
+    def test_memory_is_one_code_array_on_distinct_rows(self):
+        # every row distinct at rho = 1: the representatives are a whole copy
+        # of the codes, so no other n x c array may be held beside them
+        _, labels = gen_synthetic_clusters(10, 2000, 2, 0.1, seed=16)
+        rng = np.random.default_rng(16)
+        n, code_len = len(labels), 64
+        omega = sample_query_indices(n, 200, rng)
+        block = build_sampled_similarity(labels, omega)
+        relaxed = rng.uniform(-0.95, 0.95, (200, code_len))
+        db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
+        assert len(np.unique(db, axis=0)) == n
+        tracemalloc.start()
+        try:
+            v_step(db, relaxed, block, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * db.nbytes
+
 
 def multi_label_set(rng, n, num_ids=80):
     """1-3 label ids of ``num_ids`` per row, so ids reach past 64."""
@@ -229,34 +286,55 @@ def multi_label_set(rng, n, num_ids=80):
 
 class TestVStepOnLabelBlocks:
     """Sampled blocks built from labels, as in training: many rows share a
-    label-set group, and the multi-label set has hundreds of groups."""
+    label-set group, and the multi-label set has hundreds of groups. The
+    ``shared_keys`` cases and ``gamma_zero`` start from codes that are
+    constant within each group, so sampled rows share a group and a code
+    with unsampled rows; only their own pull term sets them apart."""
 
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("dataset", ["clusters", "multi_label"])
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            "clusters", "multi_label", "shared_keys", "multi_label_shared_keys",
+            "gamma_zero", "separate", "c64", "c70",
+        ],
+    )
     def test_matches_entrywise_reference_bit_for_bit(self, dataset, weighted):
         rng = np.random.default_rng(14)
-        if dataset == "clusters":
-            features, labels = gen_synthetic_clusters(10, 150, 16, 0.1, seed=14)
-        else:
+        multi_label = dataset.startswith("multi_label")
+        if multi_label:
             labels = multi_label_set(rng, 1500)
             features = rng.normal(size=(1500, 16))
+        else:
+            features, labels = gen_synthetic_clusters(10, 150, 16, 0.1, seed=14)
         n = len(labels)
         omega = sample_query_indices(n, 120, rng)
-        block = build_sampled_similarity(labels, omega)
-        groups = np.unique(block.signs, axis=1).shape[1]
-        if dataset == "clusters":
-            assert groups == 10
+        if dataset == "separate":
+            block = build_similarity(labels.subset(omega), labels)
         else:
+            block = build_sampled_similarity(labels, omega)
+        groups = np.unique(block.signs, axis=1).shape[1]
+        if multi_label:
             assert groups >= 300
-        model = init_encoder((16, 32, 24), rng)
+        else:
+            assert groups == 10
+        code_len = {"c64": 64, "c70": 70}.get(dataset, 24)
+        gamma = 0.0 if dataset == "gamma_zero" else 200.0
+        model = init_encoder((16, 32, code_len), rng)
         relaxed = forward(model, features[omega])[1]
-        db = (rng.integers(0, 2, (n, 24)) * 2 - 1).astype(np.float64)
+        db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
+        if dataset.endswith("shared_keys") or dataset == "gamma_zero":
+            db = db[block.row_groups]  # row g's code for all of group g
+        elif code_len >= 64:
+            # rows of a group differ only in their last 6 bits, which for
+            # c = 70 are all of the second code word
+            db[:, :-6] = db[block.row_groups, :-6]
         weights = block.weights() if weighted else None
         for _ in range(2):
             want = oracle.entrywise_v_step(
-                relaxed, block.signs, weights, 200.0, db, omega
+                relaxed, block.signs, weights, gamma, db, block.query_indices
             )
-            v_step(db, relaxed, block, 200.0, weighted=weighted)
+            v_step(db, relaxed, block, gamma, weighted=weighted)
             assert np.array_equal(db, want)
 
 
