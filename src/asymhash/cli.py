@@ -294,7 +294,12 @@ def cmd_encode(args) -> int:
 
 
 def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
-    """Row counts and code lengths must agree before any ranking work."""
+    """Both code files must hold rows, and row counts and code lengths must
+    agree, before any ranking work."""
+    for codes, path in ((query_codes, args.query_codes), (db_codes, args.db_codes)):
+        if codes.rows == 0:
+            # offset 8 is the row count in the codes header
+            raise FileFormatError(f"{path} has no code rows", 8)
     _check_rows(
         query_labels, args.query_labels, query_codes.rows, args.query_codes, "code"
     )
@@ -412,6 +417,9 @@ def cmd_sweep(args) -> int:
     query_features = dataio.read_features(values["query_features"])
     query_labels = dataio.read_labels(values["query_labels"])
     _check_train_inputs(values, features, labels, query_features, query_labels)
+    if len(query_features) == 0:
+        # offset 8 is the row count in the features header
+        raise FileFormatError(f"{values['query_features']} has no rows", 8)
     gammas = [float(g) for g in args.gammas.split(",")]
     omegas = [int(o) for o in args.omegas.split(",")]
     cutoff = int(values["map_cutoff"]) if values.get("map_cutoff") else None

@@ -126,20 +126,25 @@ def read_labels(path) -> LabelMatrix:
         reader.magic(LABELS_MAGIC)
         rows = reader.u64("row count")
         payload = fh.read()
-    # the counts chain row to row, so only the row starts are found one by one
-    heads, at = [], 0  # at: byte offset of the current row's count
+    words = np.frombuffer(payload, dtype="<u4", count=len(payload) // 4)
+    # the counts chain row to row, so the row starts are found one by one,
+    # over a list of Python ints (indexing numpy scalars is several times
+    # slower)
+    walk, heads, at = words.tolist(), [], 0  # at: index of the row's count
+    total = len(walk)
     for r in range(rows):
-        left, here = len(payload) - at, reader.offset + at
-        if left < 4:
+        if at >= total:
+            left, here = len(payload) - 4 * at, reader.offset + 4 * at
             raise _truncated(f"label count of row {r}", 4, left, here)
-        count = int.from_bytes(payload[at : at + 4], "little")
+        count = walk[at]
         if count == 0:
-            raise FileFormatError(f"label row {r} is empty", here)
-        if left - 4 < 4 * count:
-            raise _truncated(f"label ids of row {r}", 4 * count, left - 4, here + 4)
-        heads.append(at // 4)
-        at += 4 + 4 * count
-    words = np.frombuffer(payload, dtype="<u4", count=at // 4)
+            raise FileFormatError(f"label row {r} is empty", reader.offset + 4 * at)
+        if total - at <= count:
+            left, here = len(payload) - 4 * at - 4, reader.offset + 4 * at + 4
+            raise _truncated(f"label ids of row {r}", 4 * count, left, here)
+        heads.append(at)
+        at += 1 + count
+    words = words[:at]
     return LabelMatrix.from_flat(np.delete(words, heads), words[heads])
 
 

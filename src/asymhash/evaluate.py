@@ -6,9 +6,16 @@ Conventions for degenerate cases (documented per function) are also
 recorded by the CLI in its output metadata.
 
 ``retrieval_metrics`` computes everything the CLI reports in one pass over
-query chunks, with memory O(chunk * n). The per-metric functions share its
-per-query helpers, and every mean is taken once over the full per-query
-results, so both routes give bit-identical floats.
+query chunks, with memory O(chunk * n). It ranks the narrow distances of
+``pairwise_hamming`` as they are and works from the ranks of each query's
+relevant rows. Average precision scatters k / (rank + 1), the precision at
+the k-th relevant rank, into a zeroed row and sums its prefix. The lookup
+curve counts the relevant ranks below each radius's retrieved count. Only
+precision@k (over the first k_max ranks) and that row are float64, and
+the floats equal those of a dense float64 precision at every rank, bit for
+bit. The per-metric functions share its per-query helpers, and every mean
+is taken once over the full per-query results, so both routes give
+bit-identical floats.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from .simgraph import LabelMatrix
 RankingResult = np.ndarray
 
 # Query/database pairs per chunk of retrieval_metrics. A chunk's working set
-# peaks near 34 bytes per pair, so this bounds it near 17 MB whatever the
-# query count.
+# peaks near 21 bytes per pair (tracemalloc, 10 label classes), so this
+# bounds it near 11 MB whatever the query count. When nearly every pair is
+# relevant, shares_label's scatter indices raise the peak to ~44 bytes.
 CHUNK_PAIRS = 1 << 19
 
 
@@ -39,16 +47,14 @@ class RetrievalMetrics(NamedTuple):
     recall: np.ndarray  # lookup recall per Hamming radius 0..code_len
 
 
-def _stable_order(dist: np.ndarray, code_len: int) -> RankingResult:
-    """Row-wise stable argsort; the narrowed copy lets numpy radix-sort."""
-    narrow = dist.astype(np.min_scalar_type(code_len))
-    return np.argsort(narrow, axis=1, kind="stable")
+def _stable_order(dist: np.ndarray) -> RankingResult:
+    """Row-wise stable argsort; numpy radix-sorts the narrow distances."""
+    return np.argsort(dist, axis=1, kind="stable")
 
 
 def rank_by_hamming(query_codes: CodeMatrix, db_codes: CodeMatrix) -> RankingResult:
     """Full ranking per query; equal distances order by database index."""
-    dist = pairwise_hamming(query_codes, db_codes)
-    return _stable_order(dist, query_codes.code_len)
+    return _stable_order(pairwise_hamming(query_codes, db_codes))
 
 
 def relevance_from_labels(
@@ -81,18 +87,50 @@ def _check_k_max(k_max: int, n: int) -> None:
         raise ValueError(f"need 1 <= k_max <= {n}, got {k_max}")
 
 
+def _ranked_relevance(relevance, ranking, out=None) -> np.ndarray:
+    """relevance[i, ranking[i]] for each row i, by one np.take per row (a
+    2-D take_along_axis is several times slower on a bool matrix)."""
+    if out is None:
+        out = np.empty(ranking.shape, dtype=bool)
+    for row, order, ranked in zip(relevance, ranking, out):
+        np.take(row, order, out=ranked)
+    return out
+
+
+def _relevant_ranks(ranked_rel: np.ndarray) -> list[np.ndarray]:
+    """The 0-based ranks of each query's relevant rows, ascending."""
+    return [np.flatnonzero(row) for row in ranked_rel]
+
+
 def _precision_at_ranks(ranked_rel: np.ndarray) -> np.ndarray:
     """precision@r of each ranked relevance row at every rank r = 1..width."""
     hits = np.cumsum(ranked_rel, axis=1, dtype=np.float64)
     return hits / np.arange(1, ranked_rel.shape[1] + 1, dtype=np.float64)
 
 
-def _average_precision(ranked_rel, precision, cutoff: int) -> np.ndarray:
-    """Per-query AP: precision summed over relevant ranks <= cutoff, divided
-    by min(#relevant, cutoff); 0 for a query with no relevant rows."""
-    gained = np.where(ranked_rel[:, :cutoff], precision[:, :cutoff], 0.0)
-    denom = np.minimum(ranked_rel.sum(axis=1), cutoff)
-    return np.where(denom > 0, gained.sum(axis=1) / np.maximum(denom, 1), 0.0)
+def _average_precision(ranks, limits, gained: np.ndarray) -> list[np.ndarray]:
+    """Per-query AP for each rank limit: precision summed over relevant ranks
+    <= limit, divided by min(#relevant, limit); 0 for a query with no
+    relevant rows.
+
+    ``gained`` is a zero float64 buffer of one full-width row per query, and
+    is zero again on return. The k-th relevant rank r gets precision
+    k / (r + 1), the float a float64 cumsum / rank gives there, and each
+    limit sums the dense row prefix: numpy's pairwise sum then adds in the
+    same order as over a dense masked precision row. A sum over the
+    relevant ranks alone would round differently.
+    """
+    n_rel = np.array([len(r) for r in ranks], dtype=np.int64)
+    for row, r in zip(gained, ranks):
+        row[r] = np.arange(1, len(r) + 1) / (r + 1)
+    out = []
+    for limit in limits:
+        denom = np.minimum(n_rel, limit)
+        summed = gained[:, :limit].sum(axis=1)
+        out.append(np.where(denom > 0, summed / np.maximum(denom, 1), 0.0))
+    for row, r in zip(gained, ranks):
+        row[r] = 0.0
+    return out
 
 
 def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
@@ -102,17 +140,17 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
         total += row
 
 
-def _radius_counts(dist: np.ndarray, relevance: np.ndarray, code_len: int):
-    """Per query and radius 0..code_len: rows within the radius, and relevant
-    rows within it. Two histograms and their cumulative sums."""
-    rows, bins = len(dist), code_len + 1
-    keys = dist + np.arange(rows)[:, None] * bins  # (query, distance) bin ids
-    retrieved = np.bincount(keys.ravel(), minlength=rows * bins)
-    hits = np.bincount(keys[relevance], minlength=rows * bins)
-    return (
-        retrieved.reshape(rows, bins).cumsum(axis=1),
-        hits.reshape(rows, bins).cumsum(axis=1),
-    )
+def _radius_counts(dist, ranks, code_len: int):
+    """Per query and radius 0..code_len: the rows within the radius (a
+    cumulated bincount of the query's distances) and the relevant rows
+    within it. The ranking is sorted by distance, so the latter are the
+    relevant ranks below the former."""
+    retrieved = np.empty((len(dist), code_len + 1), dtype=np.int64)
+    hits = np.empty_like(retrieved)
+    for row, r, n_ret, n_hit in zip(dist, ranks, retrieved, hits):
+        np.cumsum(np.bincount(row, minlength=code_len + 1), out=n_ret)
+        n_hit[:] = np.searchsorted(r, n_ret)
+    return retrieved, hits
 
 
 def _precision_recall(retrieved: np.ndarray, hits: np.ndarray):
@@ -138,16 +176,16 @@ def mean_average_precision(
     """
     relevance = _check_relevance(ranking, relevance)
     cutoff = _check_cutoff(cutoff, ranking.shape[1])
-    ranked_rel = np.take_along_axis(relevance, ranking, axis=1)
-    precision = _precision_at_ranks(ranked_rel[:, :cutoff])
-    return float(_average_precision(ranked_rel, precision, cutoff).mean())
+    ranks = _relevant_ranks(_ranked_relevance(relevance, ranking))
+    (ap,) = _average_precision(ranks, (cutoff,), np.zeros(ranking.shape))
+    return float(ap.mean())
 
 
 def topk_precision_curve(ranking: RankingResult, relevance, k_max: int) -> np.ndarray:
     """precision@k averaged over queries, for k = 1..k_max."""
     relevance = _check_relevance(ranking, relevance)
     _check_k_max(k_max, ranking.shape[1])
-    ranked_rel = np.take_along_axis(relevance, ranking[:, :k_max], axis=1)
+    ranked_rel = _ranked_relevance(relevance, ranking[:, :k_max])
     total = np.zeros(k_max)
     _add_rows(total, _precision_at_ranks(ranked_rel))
     return total / len(ranking)
@@ -169,7 +207,8 @@ def precision_recall_by_radius(
             f"relevance shape {relevance.shape} does not match "
             f"{dist.shape} query/database pair grid"
         )
-    return _precision_recall(*_radius_counts(dist, relevance, query_codes.code_len))
+    ranks = _relevant_ranks(_ranked_relevance(relevance, _stable_order(dist)))
+    return _precision_recall(*_radius_counts(dist, ranks, query_codes.code_len))
 
 
 def retrieval_metrics(
@@ -183,10 +222,15 @@ def retrieval_metrics(
     """MAP (full and at map_cutoff), precision@1..k_max and the lookup
     precision/recall curve, from one Hamming scan per query chunk.
 
-    A chunk holds at most max(1, CHUNK_PAIRS // n) queries. Its distances
-    and relevance are computed once and feed both its stable ranking (MAP,
-    top-k) and its radius histograms (the lookup curve). The results equal
-    those of the per-metric functions exactly, with the same conventions.
+    A chunk holds at most max(1, CHUNK_PAIRS // n) queries. Its narrow
+    distances and its relevance are computed once. The stable ranking of
+    the distances orders the relevance, whose first k_max ranks give
+    top-k, and the relevant ranks give MAP and, with a bincount of each
+    query's distances, the lookup curve. The ranked-relevance and
+    average-precision buffers are allocated once per call. The results
+    equal those of the per-metric functions exactly, with the same
+    conventions. Raises ValueError before any chunk for mismatched inputs,
+    no queries, a cutoff below 1 or k_max outside 1..n.
     """
     q, n, code_len = query_codes.rows, db_codes.rows, db_codes.code_len
     if query_codes.code_len != code_len:
@@ -198,6 +242,8 @@ def retrieval_metrics(
             f"{len(query_labels)} query and {len(db_labels)} database label "
             f"rows do not match {q} query and {n} database code rows"
         )
+    if q == 0:
+        raise ValueError("need at least one query")
     cutoff = _check_cutoff(map_cutoff, n)
     _check_k_max(k_max, n)
 
@@ -206,6 +252,9 @@ def retrieval_metrics(
     retrieved = np.empty((q, code_len + 1), dtype=np.int64)
     hits = np.empty_like(retrieved)
     step = max(1, CHUNK_PAIRS // n)
+    # reused by every chunk; gained is zero between chunks
+    ranked_buf = np.empty((min(step, q), n), dtype=bool)
+    gained_buf = np.zeros((min(step, q), n))
     for start in range(0, q, step):
         stop = min(start + step, q)
         chunk = CodeMatrix(query_codes.words[start:stop], stop - start, code_len)
@@ -213,17 +262,19 @@ def retrieval_metrics(
         relevance = relevance_from_labels(
             query_labels.subset(range(start, stop)), db_labels
         )
-        ranked_rel = np.take_along_axis(
-            relevance, _stable_order(dist, code_len), axis=1
+        ranked_rel = _ranked_relevance(
+            relevance, _stable_order(dist), ranked_buf[: stop - start]
         )
+        del relevance
+        ranks = _relevant_ranks(ranked_rel)
         retrieved[start:stop], hits[start:stop] = _radius_counts(
-            dist, relevance, code_len
+            dist, ranks, code_len
         )
-        del dist, relevance
-        precision = _precision_at_ranks(ranked_rel)
-        for limit, out in ap.items():
-            out[start:stop] = _average_precision(ranked_rel, precision, limit)
-        _add_rows(topk, precision[:, :k_max])
+        del dist
+        per_limit = _average_precision(ranks, ap, gained_buf[: stop - start])
+        for out, values in zip(ap.values(), per_limit):
+            out[start:stop] = values
+        _add_rows(topk, _precision_at_ranks(ranked_rel[:, :k_max]))
     precision_curve, recall_curve = _precision_recall(retrieved, hits)
     return RetrievalMetrics(
         map=float(ap[n].mean()),

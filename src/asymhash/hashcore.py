@@ -114,18 +114,23 @@ def pairwise_hamming(
 ) -> np.ndarray:
     """Distance matrix (queries.rows x database.rows) of Hamming distances.
 
-    Chunked over query rows to bound the xor workspace at
-    chunk * database.rows * words bytes.
+    The dtype is ``np.min_scalar_type(code_len)``, the narrowest unsigned
+    type that holds every distance: uint8 up to 255 bits, uint16 up to
+    65535. Each code word is xored and popcounted into the output on its
+    own, a chunk of query rows at a time, so the workspace stays at
+    chunk * database.rows * 9 bytes whatever the word count.
     """
     if queries.code_len != database.code_len:
         raise ValueError(
             f"code length mismatch: {queries.code_len} vs {database.code_len}"
         )
-    out = np.empty((queries.rows, database.rows), dtype=np.int64)
+    dtype = np.min_scalar_type(queries.code_len)
+    out = np.zeros((queries.rows, database.rows), dtype=dtype)
     for start in range(0, queries.rows, chunk):
-        stop = min(start + chunk, queries.rows)
-        xored = queries.words[start:stop, None, :] ^ database.words[None, :, :]
-        out[start:stop] = np.bitwise_count(xored).sum(axis=2, dtype=np.int64)
+        block = out[start : start + chunk]
+        for word in range(queries.words.shape[1]):
+            query_words = queries.words[start : start + chunk, word, None]
+            block += np.bitwise_count(query_words ^ database.words[:, word])
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from asymhash import cli, evaluate
 from asymhash.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from asymhash.dataio import (
+    LABELS_MAGIC,
     read_codes,
     read_features,
     read_labels,
@@ -351,6 +352,28 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert not (tmp_path / "metrics" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("empty", ["query", "db"])
+    def test_empty_eval_code_file_is_data_error(
+        self, dataset, tmp_path, monkeypatch, capsys, empty
+    ):
+        # a 0-row code file beside a 0-row label file: the row counts agree,
+        # but there is nothing to rank (once exit 0 and NaN metrics)
+        monkeypatch.setattr(evaluate, "retrieval_metrics", must_not_run)
+        argv = ["eval", "--out", str(tmp_path / "metrics")]
+        for side in ("query", "db"):
+            labels = dataset / f"{side}_labels.bin"
+            if side == empty:
+                labels = tmp_path / "empty_labels.bin"
+                labels.write_bytes(LABELS_MAGIC + struct.pack("<Q", 0))
+            rows = len(read_labels(labels))
+            codes = tmp_path / f"{side}_codes.bin"
+            write_codes(codes, CodeMatrix(np.zeros((rows, 1)), rows, 16))
+            argv += [f"--{side}-codes", str(codes), f"--{side}-labels", str(labels)]
+        code = main(argv)
+        assert code == EXIT_DATA
+        assert "has no code rows" in capsys.readouterr().err
+        assert not (tmp_path / "metrics" / "metrics.csv").exists()
+
     @pytest.mark.parametrize(
         "command, mismatch",
         [
@@ -484,6 +507,28 @@ class TestSweep:
         for flag, path in inputs.items():
             argv += [flag, str(path)]
         assert main(argv) == EXIT_DATA
+        assert not (out / "sweep.csv").exists()
+
+    def test_empty_query_file_fails_before_the_first_trial(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        # with no queries there is no MAP to report (once a NaN row, exit 0)
+        monkeypatch.setattr(cli, "train", must_not_run)
+        write_features(tmp_path / "query_features.bin", np.zeros((0, 12)))
+        (tmp_path / "query_labels.bin").write_bytes(
+            LABELS_MAGIC + struct.pack("<Q", 0)
+        )
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--out", str(out), "--gammas", "1", "--omegas", "40"]
+        for flag, path in (
+            ("--features", dataset / "db_features.bin"),
+            ("--labels", dataset / "db_labels.bin"),
+            ("--query-features", tmp_path / "query_features.bin"),
+            ("--query-labels", tmp_path / "query_labels.bin"),
+        ):
+            argv += [flag, str(path)]
+        assert main(argv) == EXIT_DATA
+        assert "has no rows" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_bad_cutoff_fails_before_the_first_trial(

@@ -82,6 +82,18 @@ class TestLabelFormat:
         write_labels(path, labels)
         assert read_labels(path).label_sets == labels.label_sets
 
+    def test_round_trip_many_rows_near_u32_max(self, tmp_path):
+        rng = np.random.default_rng(14)
+        counts = rng.integers(1, 4, 10_000)
+        ids = rng.integers(2**32 - 40, 2**32, counts.sum())
+        ids[::7] = rng.integers(0, 40, ids[::7].size)  # small ids mixed in
+        labels = LabelMatrix.from_flat(ids, counts)
+        path = tmp_path / "labels.bin"
+        write_labels(path, labels)
+        back = read_labels(path)
+        assert np.array_equal(back.ids, labels.ids)
+        assert np.array_equal(back.offsets, labels.offsets)
+
     def test_empty_row_rejected_on_read(self, tmp_path):
         path = tmp_path / "labels.bin"
         payload = LABELS_MAGIC + struct.pack("<Q", 1) + struct.pack("<I", 0)

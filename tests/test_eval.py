@@ -277,7 +277,13 @@ class TestRetrievalMetrics:
 
     @pytest.mark.parametrize(
         "cutoff, k_max, match",
-        [(0, 5, "cutoff"), (-3, 5, "cutoff"), (None, 0, "k_max"), (None, 41, "k_max")],
+        [
+            (0, 5, "cutoff"),
+            (-3, 5, "cutoff"),
+            (None, 0, "k_max"),
+            (None, 41, "k_max"),
+            (None, 5, "one query"),  # no query rows: a mean over nothing
+        ],
     )
     def test_bad_arguments_fail_before_any_chunk(
         self, monkeypatch, cutoff, k_max, match
@@ -288,11 +294,12 @@ class TestRetrievalMetrics:
         monkeypatch.setattr(evaluate, "pairwise_hamming", must_not_run)
         monkeypatch.setattr(evaluate, "relevance_from_labels", must_not_run)
         rng = np.random.default_rng(7)
+        q = 0 if match == "one query" else 5
         with pytest.raises(ValueError, match=match):
             retrieval_metrics(
-                random_codes(rng, 5, 8),
+                random_codes(rng, q, 8),
                 random_codes(rng, self.DB_ROWS, 8),
-                random_labels(rng, 5, 3),
+                random_labels(rng, q, 3),
                 random_labels(rng, self.DB_ROWS, 3),
                 cutoff,
                 k_max,
@@ -346,3 +353,111 @@ def test_streamed_memory_does_not_grow_with_query_count():
 
     small, large = peak_bytes(64), peak_bytes(1024)
     assert large <= 1.1 * small + results_bytes(1024)
+
+
+def dense_reference(query_codes, db_codes, relevance, cutoff, k_max):
+    """The dense formulas evaluation used before it worked on narrow
+    distances and relevant ranks, kept literally: int64 distances, a float64
+    cumsum/divide precision at every rank, where/sum AP, and int64-key
+    radius histograms. The fast path must match them to the last bit."""
+    xored = query_codes.words[:, None, :] ^ db_codes.words[None, :, :]
+    dist = np.bitwise_count(xored).sum(axis=2, dtype=np.int64)
+    q, n = dist.shape
+    ranked_rel = np.take_along_axis(
+        relevance, np.argsort(dist, axis=1, kind="stable"), axis=1
+    )
+    hits = np.cumsum(ranked_rel, axis=1, dtype=np.float64)
+    precision = hits / np.arange(1, n + 1, dtype=np.float64)
+
+    def mean_ap(limit):
+        gained = np.where(ranked_rel[:, :limit], precision[:, :limit], 0.0)
+        denom = np.minimum(ranked_rel.sum(axis=1), limit)
+        ap = np.where(denom > 0, gained.sum(axis=1) / np.maximum(denom, 1), 0.0)
+        return float(ap.mean())
+
+    topk = np.zeros(k_max)
+    for row in precision[:, :k_max]:
+        topk += row
+
+    bins = query_codes.code_len + 1
+    keys = dist + np.arange(q)[:, None] * bins
+    retrieved = np.bincount(keys.ravel(), minlength=q * bins)
+    retrieved = retrieved.reshape(q, bins).cumsum(axis=1)
+    within = np.bincount(keys[relevance], minlength=q * bins)
+    within = within.reshape(q, bins).cumsum(axis=1)
+    n_rel = within[:, -1]
+    precisions, recalls = [], []
+    for n_ret, n_hit in zip(retrieved.T, within.T):
+        precisions.append(np.where(n_ret > 0, n_hit / np.maximum(n_ret, 1), 1.0).mean())
+        recalls.append(np.where(n_rel > 0, n_hit / np.maximum(n_rel, 1), 1.0).mean())
+    return (
+        mean_ap(n),
+        mean_ap(n if cutoff is None else min(cutoff, n)),
+        topk / q,
+        np.array(precisions),
+        np.array(recalls),
+    )
+
+
+class TestDenseReference:
+    DB_ROWS = 300  # past numpy's 128-wide pairwise-summation blocks
+    QUERIES = 8
+
+    @pytest.mark.parametrize("code_len", [1, 16, 64, 65, 255, 256, 300])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("cutoff", [None, 7, 1000])
+    def test_bit_identical(self, monkeypatch, code_len, ties, cutoff):
+        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * self.DB_ROWS)
+        rng = np.random.default_rng([code_len, ties, cutoff or 0])
+        n, q = self.DB_ROWS, self.QUERIES
+        queries = random_codes(rng, q, code_len)
+        database = random_codes(rng, n, code_len)
+        if ties:  # every database row takes one of 3 codes
+            signs = random_codes(rng, 3, code_len).to_signs()
+            database = CodeMatrix.from_signs(signs[rng.integers(0, 3, n)])
+        # database rows: one id of 0..3 and the shared id 9; query 0 has
+        # the shared id (all relevant), query 1 an unused id (none relevant)
+        db_labels = LabelMatrix([{int(i), 9} for i in rng.integers(0, 4, n)])
+        query_ids = [{9}, {7}] + [{int(i)} for i in rng.integers(0, 4, q - 2)]
+        query_labels = LabelMatrix(query_ids)
+        relevance = relevance_from_labels(query_labels, db_labels)
+        assert relevance[0].all() and not relevance[1].any()
+
+        expected = dense_reference(queries, database, relevance, cutoff, n)
+        got = retrieval_metrics(queries, database, query_labels, db_labels, cutoff, n)
+        assert got.map == expected[0]
+        assert got.cutoff_map == expected[1]
+        assert np.array_equal(got.topk_precision, expected[2])
+        assert np.array_equal(got.precision, expected[3])
+        assert np.array_equal(got.recall, expected[4])
+
+        ranking = rank_by_hamming(queries, database)
+        assert mean_average_precision(ranking, relevance) == expected[0]
+        assert mean_average_precision(ranking, relevance, cutoff) == expected[1]
+        assert np.array_equal(
+            topk_precision_curve(ranking, relevance, n), expected[2]
+        )
+        precision, recall = precision_recall_by_radius(queries, database, relevance)
+        assert np.array_equal(precision, expected[3])
+        assert np.array_equal(recall, expected[4])
+
+
+@pytest.mark.parametrize("code_len", [64, 300])
+def test_chunk_working_set_is_bounded_per_pair(code_len):
+    # distances, relevance, the ranking and the reused ranked-relevance and
+    # precision buffers: ~21 bytes per pair of a chunk at 10 label classes,
+    # for any word count (the dense passes took ~35, and 71 at 300 bits)
+    rng = np.random.default_rng(12)
+    n = 20_000
+    step = evaluate.CHUNK_PAIRS // n
+    q = 2 * step + 3  # two full chunks and a short one
+    database = random_codes(rng, n, code_len)
+    queries = random_codes(rng, q, code_len)
+    db_labels, query_labels = random_labels(rng, n, 10), random_labels(rng, q, 10)
+    tracemalloc.start()
+    try:
+        retrieval_metrics(queries, database, query_labels, db_labels, 5000, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * step * n

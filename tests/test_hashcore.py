@@ -129,6 +129,27 @@ class TestPairwise:
             for j in range(9):
                 assert dist[i, j] == hamming_distance(q.words[i], d.words[j])
 
+    @pytest.mark.parametrize(
+        "code_len, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)]
+    )
+    def test_dtype_is_the_narrowest_that_holds_code_len(self, code_len, dtype):
+        rng = np.random.default_rng(code_len)
+        q = CodeMatrix.from_signs(rng.integers(0, 2, (2, code_len)) * 2 - 1)
+        assert pairwise_hamming(q, q).dtype == dtype
+
+    @pytest.mark.parametrize("code_len", [129, 255, 256])
+    def test_matches_oracle_across_words(self, code_len):
+        rng = np.random.default_rng(code_len)
+        q_signs = rng.integers(0, 2, (4, code_len)) * 2 - 1
+        d_signs = rng.integers(0, 2, (6, code_len)) * 2 - 1
+        # the ends of the range: query 0 against itself and its negation
+        q = CodeMatrix.from_signs(q_signs)
+        d = CodeMatrix.from_signs(np.vstack([d_signs, q_signs[:1], -q_signs[:1]]))
+        expected = [[hamming_distance(a, b) for b in d.words] for a in q.words]
+        dist = pairwise_hamming(q, d, chunk=3)
+        assert dist.tolist() == expected
+        assert dist[0, -2] == 0 and dist[0, -1] == code_len
+
     def test_chunking_is_invisible(self):
         rng = np.random.default_rng(3)
         q = CodeMatrix.from_signs(rng.integers(0, 2, (10, 33)) * 2 - 1)
