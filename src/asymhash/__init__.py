@@ -56,7 +56,6 @@ from .solver import (
     train,
     train_symmetric_baseline,
     v_step,
-    v_step_column,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "train",
     "train_symmetric_baseline",
     "v_step",
-    "v_step_column",
     "write_codes",
     "write_features",
     "write_labels",

@@ -17,6 +17,7 @@ from . import dataio, evaluate
 from .dataio import FileFormatError
 from .encoder import NonFiniteError, encode_queries
 from .solver import (
+    PROBE_MODES,
     TrainConfig,
     TrainingDiverged,
     complexity_probe,
@@ -312,7 +313,13 @@ def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
         )
 
 
+def _check_cutoff(cutoff) -> None:
+    if cutoff is not None and cutoff < 1:
+        raise ConfigError(f"map_cutoff must be >= 1, got {cutoff}")
+
+
 def cmd_eval(args) -> int:
+    _check_cutoff(args.map_cutoff)
     outdir = _ensure_outdir(args.out)
     query_codes = dataio.read_codes(args.query_codes)
     db_codes = dataio.read_codes(args.db_codes)
@@ -321,7 +328,7 @@ def cmd_eval(args) -> int:
     _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels)
     k_max = min(args.topk, db_codes.rows)
     metrics = evaluate.retrieval_metrics(
-        query_codes, db_codes, query_labels, db_labels, args.map_cutoff or None, k_max
+        query_codes, db_codes, query_labels, db_labels, args.map_cutoff, k_max
     )
 
     meta = [
@@ -372,7 +379,7 @@ def cmd_bench(args) -> int:
     modes = []
     for mode in args.modes.split(","):
         mode = mode.strip()
-        if mode not in ("asymmetric_sampled", "symmetric_baseline"):
+        if mode not in PROBE_MODES:
             raise ConfigError(f"bench mode must not be {mode!r}")
         modes.append(mode)
     lines = ["mode,n,seconds"]
@@ -423,8 +430,7 @@ def cmd_sweep(args) -> int:
     gammas = [float(g) for g in args.gammas.split(",")]
     omegas = [int(o) for o in args.omegas.split(",")]
     cutoff = int(values["map_cutoff"]) if values.get("map_cutoff") else None
-    if cutoff is not None and cutoff < 1:
-        raise ConfigError(f"map_cutoff must be >= 1, got {cutoff}")
+    _check_cutoff(cutoff)
     lines = ["gamma,omega,map"]
     for gamma in gammas:
         for omega in omegas:

@@ -13,6 +13,7 @@ last byte is the format version; readers reject anything else. Layouts:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -49,6 +50,11 @@ class _Reader:
         self.offset = 0
 
     def exact(self, count: int, what: str) -> bytes:
+        # a size field can claim more than any file holds; check the bytes
+        # left before read() tries to allocate the claim
+        left = os.fstat(self.handle.fileno()).st_size - self.handle.tell()
+        if count > left:
+            raise _truncated(what, count, left, self.offset)
         data = self.handle.read(count)
         if len(data) != count:
             raise _truncated(what, count, len(data), self.offset)

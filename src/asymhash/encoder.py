@@ -49,13 +49,6 @@ class EncoderModel:
     def params(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
 
-    def copy(self) -> "EncoderModel":
-        return EncoderModel(
-            layer_dims=tuple(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def init_encoder(layer_dims, rng_seed) -> EncoderModel:
     """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
@@ -86,14 +79,11 @@ def _forward_cached(model: EncoderModel, features: np.ndarray):
 
 
 def forward(model: EncoderModel, features):
-    """Evaluate the network; accepts a single vector or a row matrix.
+    """Evaluate the network on a matrix of feature rows.
 
     Returns (raw, relaxed) where relaxed = tanh(raw) entrywise.
     """
     arr = np.asarray(features, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.feature_dim:
         raise ValueError(
             f"expected feature dim {model.feature_dim}, got shape {arr.shape}"
@@ -101,8 +91,6 @@ def forward(model: EncoderModel, features):
     raw, relaxed, _ = _forward_cached(model, arr)
     if not np.isfinite(raw).all():
         raise NonFiniteError("encoder produced a non-finite output")
-    if single:
-        return raw[0], relaxed[0]
     return raw, relaxed
 
 
@@ -350,7 +338,4 @@ def minibatch_step(
 
 def encode_queries(model: EncoderModel, features) -> CodeMatrix:
     """sign(raw outputs) for every feature row, packed."""
-    raw, _ = forward(model, np.asarray(features, dtype=np.float64))
-    if raw.ndim == 1:
-        raw = raw[None, :]
-    return CodeMatrix.from_signs(binarize(raw))
+    return CodeMatrix.from_signs(binarize(forward(model, features)[0]))

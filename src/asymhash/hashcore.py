@@ -12,6 +12,8 @@ import numpy as np
 
 WORD_BITS = 64
 _WORD_BYTES = WORD_BITS // 8
+# Query rows per block of pairwise_hamming.
+CHUNK_ROWS = 64
 
 
 def words_per_row(code_len: int) -> int:
@@ -20,10 +22,8 @@ def words_per_row(code_len: int) -> int:
 
 def _as_sign_matrix(signs) -> np.ndarray:
     arr = np.asarray(signs)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D sign array, got ndim={arr.ndim}")
+        raise ValueError(f"expected a 2-D sign array, got ndim={arr.ndim}")
     plus = arr == 1
     minus = arr == -1
     if not np.logical_or(plus, minus).all():
@@ -109,16 +109,14 @@ class CodeMatrix:
         return f"CodeMatrix(rows={self.rows}, code_len={self.code_len})"
 
 
-def pairwise_hamming(
-    queries: CodeMatrix, database: CodeMatrix, chunk: int = 64
-) -> np.ndarray:
+def pairwise_hamming(queries: CodeMatrix, database: CodeMatrix) -> np.ndarray:
     """Distance matrix (queries.rows x database.rows) of Hamming distances.
 
     The dtype is ``np.min_scalar_type(code_len)``, the narrowest unsigned
     type that holds every distance: uint8 up to 255 bits, uint16 up to
     65535. Each code word is xored and popcounted into the output on its
-    own, a chunk of query rows at a time, so the workspace stays at
-    chunk * database.rows * 9 bytes whatever the word count.
+    own, CHUNK_ROWS query rows at a time, so the workspace stays at
+    CHUNK_ROWS * database.rows * 9 bytes whatever the word count.
     """
     if queries.code_len != database.code_len:
         raise ValueError(
@@ -126,10 +124,10 @@ def pairwise_hamming(
         )
     dtype = np.min_scalar_type(queries.code_len)
     out = np.zeros((queries.rows, database.rows), dtype=dtype)
-    for start in range(0, queries.rows, chunk):
-        block = out[start : start + chunk]
+    for start in range(0, queries.rows, CHUNK_ROWS):
+        block = out[start : start + CHUNK_ROWS]
         for word in range(queries.words.shape[1]):
-            query_words = queries.words[start : start + chunk, word, None]
+            query_words = queries.words[start : start + CHUNK_ROWS, word, None]
             block += np.bitwise_count(query_words ^ database.words[:, word])
     return out
 

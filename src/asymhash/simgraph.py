@@ -27,8 +27,8 @@ class LabelMatrix:
     constructor takes any iterable of iterables of ids.
     """
 
-    def __init__(self, label_sets):
-        rows = [list(row) for row in label_sets]
+    def __init__(self, rows):
+        rows = [list(row) for row in rows]
         self._init_flat([i for row in rows for i in row], [len(row) for row in rows])
 
     @classmethod
@@ -58,15 +58,6 @@ class LabelMatrix:
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    def _rows(self) -> list:
-        flat, bounds = self.ids.tolist(), self.offsets.tolist()
-        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    @property
-    def label_sets(self) -> tuple:
-        """Each row's ids as a frozenset, built on demand."""
-        return tuple(map(frozenset, self._rows()))
 
     def _postings(self):
         """(every id in ascending order, the row holding it); built once."""

@@ -83,6 +83,8 @@ from .simgraph import (
 )
 
 MODES = ("asymmetric_sampled", "asymmetric_separate_queries", "symmetric_baseline")
+# the two trainers complexity_probe can time
+PROBE_MODES = ("asymmetric_sampled", "symmetric_baseline")
 
 HISTORY_CSV_HEADER = "outer,inner,phase,objective,seconds"
 
@@ -260,27 +262,6 @@ def _update_column(db, relaxed, sweep, rows: _DistinctRows, k: int) -> None:
     linear[rows.pulled] -= rows.pull[:, k]
     coef += linear
     db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
-
-
-def v_step_column(
-    db_signs,
-    relaxed,
-    block: SimilarityBlock,
-    gamma,
-    k: int,
-    weighted=False,
-):
-    """Exactly minimize the objective over code column k, in place."""
-    code_len = db_signs.shape[1]
-    if not 0 <= k < code_len:
-        raise ValueError(f"column {k} out of range for code_len {code_len}")
-    relaxed = np.asarray(relaxed, dtype=np.float64)
-    sweep = _prepare_sweep(relaxed, block, code_len, weighted)
-    rows = _distinct_rows(db_signs, relaxed, block, gamma)
-    work = db_signs[rows.reps]
-    _update_column(work, relaxed, sweep, rows, k)
-    db_signs[:, k] = work[rows.inverse, k]
-    return db_signs
 
 
 def v_step(
@@ -518,45 +499,34 @@ def complexity_probe(
     query_count: int,
     code_len: int,
     mode: str = "asymmetric_sampled",
-    feature_dim: int = 32,
-    num_clusters: int = 10,
-    noise: float = 0.1,
-    hidden_dims: tuple[int, ...] = (64,),
-    inner_iters: int = 1,
-    batch_size: int = 128,
-    learning_rate: float = 1e-3,
-    optimizer: str = "adam",
-    warmup_iters: int = 1,
-    measured_iters: int = 2,
     seed: int = 0,
 ) -> ProbeResult:
     """Measure per-outer-iteration wall-clock across database sizes.
 
-    Fits a straight line to log(seconds) against log(n); the returned
-    slope is the growth exponent.
+    Each size trains on 10 synthetic 32-d clusters (noise 0.1) with one
+    hidden layer of 64, one inner iteration and Adam at 1e-3, and times
+    two outer iterations after one warm-up. Fits a straight line to
+    log(seconds) against log(n); the returned slope is the growth exponent.
     """
+    if mode not in PROBE_MODES:
+        raise ValueError(f"probe mode must be one of {PROBE_MODES}, got {mode!r}")
     n_values = [int(n) for n in n_values]
     if len(n_values) < 3:
         raise ValueError("need at least 3 database sizes")
     sizes, secs = [], []
     for n in n_values:
-        per_cluster = -(-n // num_clusters)
-        feats, labels = dataio.gen_synthetic_clusters(
-            num_clusters, per_cluster, feature_dim, noise, seed
-        )
+        feats, labels = dataio.gen_synthetic_clusters(10, -(-n // 10), 32, 0.1, seed)
         feats = feats[:n]
         labels = labels.subset(range(n))
         config = TrainConfig(
             code_len=code_len,
             query_count=query_count,
-            outer_iters=warmup_iters + measured_iters,
-            inner_iters=inner_iters,
-            batch_size=min(batch_size, query_count),
-            learning_rate=learning_rate,
+            outer_iters=3,
+            inner_iters=1,
+            batch_size=min(128, query_count),
             seed=seed,
-            mode="asymmetric_sampled",
-            hidden_dims=hidden_dims,
-            optimizer=optimizer,
+            hidden_dims=(64,),
+            optimizer="adam",
         )
         times: list[float] = []
         if mode == "symmetric_baseline":
@@ -570,6 +540,6 @@ def complexity_probe(
                 on_outer_end=lambda o, s, _m, _v: times.append(s),
             )
         sizes.append(n)
-        secs.append(float(np.mean(times[warmup_iters:])))
+        secs.append(float(np.mean(times[1:])))  # after the warm-up
     slope = float(np.polyfit(np.log(sizes), np.log(secs), 1)[0])
     return ProbeResult(mode=mode, sizes=sizes, seconds=secs, slope=slope)

@@ -6,7 +6,10 @@ import pytest
 from asymhash import cli, evaluate
 from asymhash.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from asymhash.dataio import (
+    CODES_MAGIC,
+    FEATURES_MAGIC,
     LABELS_MAGIC,
+    MODEL_MAGIC,
     read_codes,
     read_features,
     read_labels,
@@ -148,6 +151,29 @@ class TestTrainEvalFlow:
         for line in topk[1:] + pr[2:]:
             for value in line.split(","):
                 float(value)
+
+    @pytest.mark.parametrize("cutoff", ["0", "-2"])
+    def test_eval_cutoff_below_one_is_config_error(
+        self, dataset, tmp_path, monkeypatch, capsys, cutoff
+    ):
+        # --map-cutoff 0 once meant "no cutoff"; eval now rejects it as sweep does
+        monkeypatch.setattr(evaluate, "retrieval_metrics", must_not_run)
+        codes = tmp_path / "codes.bin"
+        write_codes(codes, CodeMatrix.from_signs(np.ones((1, 16))))
+        code = main(
+            [
+                "eval",
+                "--query-codes", str(codes),
+                "--db-codes", str(codes),
+                "--query-labels", str(dataset / "query_labels.bin"),
+                "--db-labels", str(dataset / "db_labels.bin"),
+                "--map-cutoff", cutoff,
+                "--out", str(tmp_path / "metrics"),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert f"map_cutoff must be >= 1, got {cutoff}" in capsys.readouterr().err
+        assert not (tmp_path / "metrics").exists()
 
     def test_same_seed_identical_code_files(self, dataset, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -423,6 +449,38 @@ class TestExitCodes:
         assert all(str(path) in err for path in named)
         assert not (tmp_path / "run" / "model.bin").exists()
         assert not (tmp_path / "codes.bin").exists()
+
+    @pytest.mark.parametrize("reader", ["features", "model", "codes"])
+    def test_size_fields_past_the_end_are_data_error(
+        self, dataset, tmp_path, capsys, reader
+    ):
+        # each header claims more than 2**63 bytes; the reader must find the
+        # file too short before it tries to allocate the claim
+        bad = tmp_path / f"{reader}.bin"
+        if reader == "features":
+            bad.write_bytes(FEATURES_MAGIC + struct.pack("<QQ", 2**62, 4))
+            argv = [
+                "train", "--features", str(bad),
+                "--labels", str(dataset / "db_labels.bin"),
+                "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
+            ]
+        elif reader == "model":
+            bad.write_bytes(MODEL_MAGIC + struct.pack("<IQQ", 2, 2**40, 2**40))
+            argv = [
+                "encode", "--model", str(bad),
+                "--features", str(dataset / "query_features.bin"),
+                "--out", str(tmp_path / "codes.bin"),
+            ]
+        else:
+            bad.write_bytes(CODES_MAGIC + struct.pack("<QI", 2**62, 64))
+            argv = [
+                "eval", "--query-codes", str(bad), "--db-codes", str(bad),
+                "--query-labels", str(dataset / "query_labels.bin"),
+                "--db-labels", str(dataset / "db_labels.bin"),
+                "--out", str(tmp_path / "metrics"),
+            ]
+        assert main(argv) == EXIT_DATA
+        assert "truncated file" in capsys.readouterr().err
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == EXIT_CONFIG

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -42,15 +44,15 @@ def random_instance(rng, n, m, c, d, hidden=4, gamma=1.0, weighted=False):
 class TestForward:
     def test_zero_parameters_give_zero_outputs(self):
         model = zero_model((3, 4, 2))
-        raw, relaxed = forward(model, np.array([1.0, -2.0, 0.5]))
-        assert np.array_equal(raw, np.zeros(2))
-        assert np.array_equal(relaxed, np.zeros(2))
+        raw, relaxed = forward(model, np.array([[1.0, -2.0, 0.5]]))
+        assert np.array_equal(raw, np.zeros((1, 2)))
+        assert np.array_equal(relaxed, np.zeros((1, 2)))
 
     def test_identity_layer_applies_tanh(self):
         model = zero_model((2, 2))
         model.weights[0][...] = np.eye(2)
-        _, relaxed = forward(model, np.array([2.0, -2.0]))
-        assert relaxed == pytest.approx([0.9640275800758169, -0.9640275800758169])
+        _, relaxed = forward(model, np.array([[2.0, -2.0]]))
+        assert relaxed[0] == pytest.approx([0.9640275800758169, -0.9640275800758169])
 
     def test_outputs_stay_inside_open_interval(self):
         rng = np.random.default_rng(0)
@@ -61,13 +63,20 @@ class TestForward:
     def test_rejects_dimension_mismatch(self):
         model = zero_model((3, 2))
         with pytest.raises(ValueError, match="feature dim"):
-            forward(model, np.zeros(4))
+            forward(model, np.zeros((1, 4)))
+
+    def test_rejects_a_single_vector(self):
+        model = zero_model((3, 2))
+        with pytest.raises(ValueError, match="feature dim"):
+            forward(model, np.zeros(3))
+        with pytest.raises(ValueError, match="feature dim"):
+            encode_queries(model, np.zeros(3))
 
     def test_rejects_non_finite_output(self):
         model = zero_model((2, 2))
         model.weights[0][0, 0] = np.inf
         with pytest.raises(NonFiniteError):
-            forward(model, np.array([1.0, 1.0]))
+            forward(model, np.array([[1.0, 1.0]]))
 
 
 def grad_z_one_row(relaxed, db_signs, sign_row, own_code, gamma):
@@ -149,7 +158,7 @@ class TestMinibatchStep:
         model, feats, signs, db, omega, _, gamma = random_instance(
             rng, n=6, m=3, c=2, d=4
         )
-        before = model.copy()
+        before = copy.deepcopy(model)
         opt = OptimizerState(learning_rate=0.0)
         minibatch_step(
             model, opt, feats, [0, 1, 2], db, self.make_block(signs, omega), gamma

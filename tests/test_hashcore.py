@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymhash import hashcore
 from asymhash.hashcore import (
     CodeMatrix,
     binarize,
@@ -50,6 +51,10 @@ class TestPacking:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
             CodeMatrix.from_signs([[1, 0, -1]])
+
+    def test_rejects_a_single_row_vector(self):
+        with pytest.raises(ValueError, match="2-D"):
+            CodeMatrix.from_signs([1, -1, 1])
 
     @given(st.integers(min_value=1, max_value=512), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -138,7 +143,7 @@ class TestPairwise:
         assert pairwise_hamming(q, q).dtype == dtype
 
     @pytest.mark.parametrize("code_len", [129, 255, 256])
-    def test_matches_oracle_across_words(self, code_len):
+    def test_matches_oracle_across_words(self, code_len, monkeypatch):
         rng = np.random.default_rng(code_len)
         q_signs = rng.integers(0, 2, (4, code_len)) * 2 - 1
         d_signs = rng.integers(0, 2, (6, code_len)) * 2 - 1
@@ -146,17 +151,18 @@ class TestPairwise:
         q = CodeMatrix.from_signs(q_signs)
         d = CodeMatrix.from_signs(np.vstack([d_signs, q_signs[:1], -q_signs[:1]]))
         expected = [[hamming_distance(a, b) for b in d.words] for a in q.words]
-        dist = pairwise_hamming(q, d, chunk=3)
+        monkeypatch.setattr(hashcore, "CHUNK_ROWS", 3)
+        dist = pairwise_hamming(q, d)
         assert dist.tolist() == expected
         assert dist[0, -2] == 0 and dist[0, -1] == code_len
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, monkeypatch):
         rng = np.random.default_rng(3)
         q = CodeMatrix.from_signs(rng.integers(0, 2, (10, 33)) * 2 - 1)
         d = CodeMatrix.from_signs(rng.integers(0, 2, (7, 33)) * 2 - 1)
-        assert np.array_equal(
-            pairwise_hamming(q, d, chunk=3), pairwise_hamming(q, d, chunk=100)
-        )
+        whole = pairwise_hamming(q, d)
+        monkeypatch.setattr(hashcore, "CHUNK_ROWS", 3)
+        assert np.array_equal(pairwise_hamming(q, d), whole)
 
 
 class TestBinarize:

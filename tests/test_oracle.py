@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from asymhash import oracle
 from asymhash.hashcore import binarize
 from asymhash.simgraph import SimilarityBlock
-from asymhash.solver import objective, v_step_column
+from asymhash.solver import objective, v_step
 
 
 def tiny(rng, n, m, c, gamma=1.0, weighted=False, with_indices=True):
@@ -80,6 +82,7 @@ class TestExhaustiveColumnMin:
         assert col[0] in (-1, 1)
 
     def test_matches_solver_column_update(self):
+        # column 1 of a sweep starts from the new column 0 and the old rest
         rng = np.random.default_rng(2)
         inst = tiny(rng, n=6, m=3, c=3, gamma=2.0)
         block = SimilarityBlock(
@@ -87,17 +90,12 @@ class TestExhaustiveColumnMin:
             neg_weight=1.0,
             query_indices=inst.query_indices,
         )
-        _, best = oracle.exhaustive_column_min(inst, 1)
-        db = inst.db_signs.copy()
-        v_step_column(db, inst.relaxed, block, inst.gamma, k=1)
-        refit = oracle.TinyInstance(
-            relaxed=inst.relaxed,
-            signs=inst.signs,
-            weights=None,
-            gamma=inst.gamma,
-            db_signs=db,
-            query_indices=inst.query_indices,
-        )
+        old = inst.db_signs
+        new = v_step(old.copy(), inst.relaxed, block, inst.gamma)
+        before = np.hstack([new[:, :1], old[:, 1:]])
+        after = np.hstack([new[:, :2], old[:, 2:]])
+        _, best = oracle.exhaustive_column_min(replace(inst, db_signs=before), 1)
+        refit = replace(inst, db_signs=after)
         assert oracle.naive_objective(refit) == pytest.approx(best, abs=1e-9)
 
     def test_huge_gamma_pins_sampled_rows_to_relaxed_signs(self):

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,6 @@ from asymhash.solver import (
     train,
     train_symmetric_baseline,
     v_step,
-    v_step_column,
 )
 
 
@@ -120,13 +120,17 @@ class TestObjective:
 
 
 class TestVStepColumn:
+    """Each column update of a v_step sweep. Column k starts from the new
+    columns < k and the old columns >= k, and leaves the new columns <= k
+    and the old columns > k."""
+
     def test_aligns_with_all_positive_query(self):
         relaxed = np.array([[1.0]])
         db = np.array([[-1.0], [-1.0], [1.0]])
         block = SimilarityBlock(
             signs=np.array([[1, 1, 1]], dtype=np.int8), neg_weight=1.0
         )
-        v_step_column(db, relaxed, block, gamma=0.0, k=0)
+        v_step(db, relaxed, block, gamma=0.0)
         assert db[:, 0].tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -137,14 +141,18 @@ class TestVStepColumn:
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, min(n, 4) + 1))
             c = int(rng.integers(1, 5))
-            relaxed, db, block = random_setup(rng, n, m, c)
-            k = int(rng.integers(0, c))
-            _, best = oracle.exhaustive_column_min(
-                as_tiny(relaxed, db.copy(), block, gamma, weighted), k
-            )
-            v_step_column(db, relaxed, block, gamma, k, weighted=weighted)
-            got = oracle.naive_objective(as_tiny(relaxed, db, block, gamma, weighted))
-            assert got == pytest.approx(best, abs=1e-9)
+            relaxed, old, block = random_setup(rng, n, m, c)
+            new = v_step(old.copy(), relaxed, block, gamma, weighted=weighted)
+            for k in range(c):
+                before = np.hstack([new[:, :k], old[:, k:]])
+                after = np.hstack([new[:, : k + 1], old[:, k + 1 :]])
+                _, best = oracle.exhaustive_column_min(
+                    as_tiny(relaxed, before, block, gamma, weighted), k
+                )
+                got = oracle.naive_objective(
+                    as_tiny(relaxed, after, block, gamma, weighted)
+                )
+                assert got == pytest.approx(best, abs=1e-9)
 
     def test_zero_coefficient_gives_minus_one(self):
         # with zero relaxed outputs and gamma 0 every coefficient is zero
@@ -153,14 +161,8 @@ class TestVStepColumn:
         block = SimilarityBlock(
             signs=np.array([[1, 1, 1]], dtype=np.int8), neg_weight=1.0
         )
-        v_step_column(db, relaxed, block, gamma=0.0, k=0)
-        assert db[:, 0].tolist() == [-1.0, -1.0, -1.0]
-
-    def test_rejects_bad_column(self):
-        rng = np.random.default_rng(3)
-        relaxed, db, block = random_setup(rng, 4, 2, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            v_step_column(db, relaxed, block, 0.0, k=2)
+        v_step(db, relaxed, block, gamma=0.0)
+        assert (db == -1.0).all()
 
 
 class TestVStep:
@@ -197,15 +199,6 @@ class TestVStep:
         v_step(db, relaxed, block, 1.0)
         j2 = objective(relaxed, db, block, 1.0)
         assert j0 - j1 >= (j1 - j2) - 1e-9
-
-    def test_single_bit_equals_column_update(self):
-        rng = np.random.default_rng(8)
-        relaxed, db, block = random_setup(rng, 10, 3, 1)
-        via_sweep = db.copy()
-        v_step(via_sweep, relaxed, block, 2.0)
-        via_column = db.copy()
-        v_step_column(via_column, relaxed, block, 2.0, k=0)
-        assert np.array_equal(via_sweep, via_column)
 
     def test_matches_entrywise_reference_bit_for_bit(self):
         rng = np.random.default_rng(9)
@@ -487,7 +480,7 @@ class TestGroupForm:
         model = init_encoder((8, 16, c), rng)
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         batch = rng.permutation(100)[:40]
-        stepped = model.copy()
+        stepped = copy.deepcopy(model)
         loss = minibatch_step(
             stepped, OptimizerState(1.0), features[omega], batch, db, block,
             50.0, weighted=weighted,
@@ -497,7 +490,7 @@ class TestGroupForm:
             relaxed, db, block, batch, 50.0, weighted
         )
         grad_w, grad_b = _backprop(model, acts, grad_z)
-        direct = model.copy()
+        direct = copy.deepcopy(model)
         _apply_gradients(direct, OptimizerState(1.0), grad_w, grad_b)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         for got, want, start in zip(
@@ -774,13 +767,7 @@ class TestTrainConfig:
 
 class TestComplexityProbe:
     def test_probe_reports_positive_times_and_slope(self):
-        result = complexity_probe(
-            [400, 800, 1600],
-            query_count=50,
-            code_len=8,
-            hidden_dims=(8,),
-            measured_iters=1,
-        )
+        result = complexity_probe([400, 800, 1600], query_count=50, code_len=8)
         assert result.sizes == [400, 800, 1600]
         assert all(s > 0 for s in result.seconds)
         assert np.isfinite(result.slope)
@@ -788,6 +775,14 @@ class TestComplexityProbe:
     def test_rejects_too_few_sizes(self):
         with pytest.raises(ValueError, match="3"):
             complexity_probe([100, 200], query_count=10, code_len=4)
+
+    def test_rejects_unknown_mode_before_training(self, monkeypatch):
+        monkeypatch.setattr(solver, "train", None)
+        monkeypatch.setattr(solver, "train_symmetric_baseline", None)
+        with pytest.raises(ValueError, match="symetric_baseline"):
+            complexity_probe(
+                [100, 200, 400], query_count=10, code_len=4, mode="symetric_baseline"
+            )
 
     def test_theta_epoch_cost_grows_with_query_count(self):
         # one outer iteration; theta phase seconds should grow roughly
