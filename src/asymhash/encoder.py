@@ -112,17 +112,26 @@ def _batch_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes,
 
 
 class GroupStats(NamedTuple):
-    """What the loss needs of the database codes V, per label-set group."""
+    """All the loss reads of the database codes V, per label-set group.
 
+    ``_group_stats`` builds it once per (block, codes) state; the objective
+    and every minibatch step of that state read it in place of V.
+    """
+
+    rho: float  # the dissimilar-pair weight it was built for
     gram: np.ndarray  # c x c, V^T V
     sums: np.ndarray  # G x c, u_g = sum of the group's rows
     large: np.ndarray  # the groups of more than c rows, ascending
     grams: np.ndarray | None  # len(large) x c x c, their Q_g; None when rho = 1
+    small_codes: np.ndarray  # the rows of the groups of at most c rows, group by group
+    small_groups: np.ndarray  # the group of each of those rows
+    own: np.ndarray | None  # m x c, each sampled query's own code
 
 
 def _group_stats(db_signs, block, rho: float) -> GroupStats:
-    """Per-group row sums of the database codes and, for rho != 1, the Gram
-    Q_g = V_g^T V_g of each group of more than c rows.
+    """Per-group row sums of the database codes, the rows of the groups of
+    at most c rows and, for rho != 1, the Gram Q_g = V_g^T V_g of each
+    larger group.
 
     A large group is gathered and summed on its own; the small groups are
     gathered together and summed in one reduceat. Entries are +/-1, so
@@ -141,76 +150,79 @@ def _group_stats(db_signs, block, rho: float) -> GroupStats:
             grams[at] = codes.T @ codes
     gram = db_signs.T @ db_signs if grams is None else grams.sum(axis=0)
     small = np.flatnonzero(~is_large)
+    small_codes = db_signs[block.rows_of(small)]
     if small.size:
-        codes = db_signs[block.rows_of(small)]
         starts = np.cumsum(block.group_sizes[small]) - block.group_sizes[small]
-        sums[small] = np.add.reduceat(codes, starts, axis=0)
+        sums[small] = np.add.reduceat(small_codes, starts, axis=0)
         if grams is not None:
-            gram += codes.T @ codes
-    return GroupStats(gram, sums, large, grams)
+            gram += small_codes.T @ small_codes
+    small_groups = np.repeat(small, block.group_sizes[small])
+    own = None
+    if block.query_indices is not None:
+        own = db_signs[block.query_indices]
+    return GroupStats(rho, gram, sums, large, grams, small_codes, small_groups, own)
 
 
-def _small_group_shared(relaxed, positive, db_signs, block):
+def _small_group_shared(relaxed, positive, db_count, stats: GroupStats):
     """Per row i, sum_j (r_i . v_j) v_j over the database rows j that share
     a label with it and lie in groups of at most c rows.
 
-    Taken over those positive (row, database row) pairs, about n pairs at a
-    time, so no array grows with m * n.
+    A masked product over chunks of those rows, (P_g[:, g(j)] * (R V^T)) V
+    with about ``db_count`` (row, database row) pairs per chunk, so no
+    array grows with m * n. It is taken transposed, so that each chunk's
+    mask is a row gather of P_g^T.
     """
     out = np.zeros_like(relaxed)
-    query, group = np.nonzero(positive)
-    small = block.group_sizes[group] <= relaxed.shape[1]
-    query, group = query[small], group[small]
-    if not query.size:
-        return out
-    ends = np.cumsum(block.group_sizes[group])
-    cuts = np.searchsorted(ends, np.arange(block.db_count, ends[-1], block.db_count))
-    for q, g in zip(np.split(query, cuts), np.split(group, cuts)):
-        q = np.repeat(q, block.group_sizes[g])  # ascending, as from nonzero
-        codes = db_signs[block.rows_of(g)]
-        codes *= np.einsum("pk,pk->p", relaxed[q], codes)[:, None]
-        first = np.flatnonzero(np.diff(q, prepend=-1))
-        out[q[first]] += np.add.reduceat(codes, first, axis=0)
+    codes, groups = stats.small_codes, stats.small_groups
+    positive_t = np.ascontiguousarray(positive.T)
+    step = max(1, db_count // len(relaxed))
+    for start in range(0, len(codes), step):
+        chunk = codes[start : start + step]
+        mask = positive_t[groups[start : start + step]]
+        out += ((chunk @ relaxed.T) * mask).T @ chunk
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _group_loss_and_grad_z(
-    relaxed, positive, db_signs, block, stats: GroupStats, rho, own_codes, gamma
-):
+def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
     """``_batch_loss_and_grad_z`` for w = rho + (1 - rho) * P, in group form.
 
-    ``positive`` is the rows' m x G relation P_g. Per row i, with P_i the
-    database rows sharing a label with it,
+    ``relaxed`` holds the relaxed codes of the block's query rows ``rows``
+    (an index array or a slice), and ``stats`` is ``_group_stats`` of the
+    current codes. With P_g the rows' m x G relation and P_i the database
+    rows sharing a label with row i,
     q_i = rho * Q r_i + (1 - rho) * sum_{j in P_i} (r_i . v_j) v_j and
     h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g (= sum_j w_ij s_ij v_j):
 
       loss_i = r_i . q_i - 2c * r_i . h_i + c^2 * (rho * n + (1 - rho) * (P_g n)_i)
       d loss_i / d r_i = 2 * (q_i - c * h_i)
 
-    plus the gamma pull toward the own code when ``own_codes`` is given.
-    The sum in q_i is Q_g r_i over each positive group of more than c rows
-    and runs over the positive pairs of the smaller groups.
+    plus the gamma pull toward the own code when the block's queries are
+    database rows and gamma != 0. The sum in q_i is Q_g r_i over each
+    positive group of more than c rows and a masked product over the rows
+    of the smaller groups.
     """
     code_len = relaxed.shape[1]
-    pos = positive.astype(np.float64)
-    target = (1.0 + rho) * (pos @ stats.sums) - rho * stats.sums.sum(axis=0)
+    rho = stats.rho
+    positive = block.group_signs[rows] == 1
+    target = (1.0 + rho) * (positive.astype(np.float64) @ stats.sums)
+    target -= rho * stats.sums.sum(axis=0)
     quad = rho * (relaxed @ stats.gram)
     pairs = rho * float(block.db_count) * len(relaxed)
     if rho != 1.0:
         shared = np.zeros_like(relaxed)
         for g, gram in zip(stats.large, stats.grams):
-            rows = positive[:, g]
-            if rows.any():
-                shared[rows] += relaxed[rows] @ gram
-        shared += _small_group_shared(relaxed, positive, db_signs, block)
+            hit = positive[:, g]
+            if hit.any():
+                shared[hit] += relaxed[hit] @ gram
+        shared += _small_group_shared(relaxed, positive, block.db_count, stats)
         quad += (1.0 - rho) * shared
-        pairs += (1.0 - rho) * float(pos.sum(axis=0) @ block.group_sizes)
+        pairs += (1.0 - rho) * float(block.positive_counts[rows].sum())
     loss = float((relaxed * (quad - 2.0 * code_len * target)).sum())
     loss += code_len * code_len * pairs
     grad = quad - code_len * target
-    if own_codes is not None:
-        diff = relaxed - own_codes
+    if stats.own is not None and gamma != 0.0:
+        diff = relaxed - stats.own[rows]
         loss += gamma * float((diff * diff).sum())
         grad = grad + gamma * diff
     return loss, 2.0 * grad * (1.0 - relaxed**2)
@@ -298,34 +310,21 @@ def _apply_gradients(model, optimizer, grad_w, grad_b):
 
 
 def minibatch_step(
-    model,
-    optimizer,
-    query_features,
-    batch,
-    db_signs,
-    block,
-    gamma,
-    weighted=False,
+    model, optimizer, query_features, batch, stats: GroupStats, block, gamma
 ):
     """One gradient step on the batch-summed loss; returns that loss.
 
-    ``batch`` holds query-row positions into the block; when the block
-    carries query_indices, each position's own database code feeds the
-    gamma pull term.
+    ``batch`` holds query-row positions into the block, and ``stats`` is
+    ``_group_stats`` of the current database codes and the block. When the
+    block carries query_indices, each position's own database code feeds
+    the gamma pull term.
     """
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    rho = block.neg_weight if weighted else 1.0
-    own_codes = None
-    if block.query_indices is not None:
-        own_codes = db_signs[block.query_indices[batch]]
     features = np.asarray(query_features, dtype=np.float64)[batch]
     _, relaxed, acts = _forward_cached(model, features)
-    loss, grad_raw = _group_loss_and_grad_z(
-        relaxed, block.group_signs[batch] == 1, db_signs, block,
-        _group_stats(db_signs, block, rho), rho, own_codes, gamma,
-    )
+    loss, grad_raw = _group_loss_and_grad_z(relaxed, batch, block, stats, gamma)
     grad_w, grad_b = _backprop(model, acts, grad_raw)
     if not np.isfinite(loss):
         raise NonFiniteError("batch loss is non-finite")

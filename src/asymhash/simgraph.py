@@ -48,9 +48,13 @@ class LabelMatrix:
             raise ValueError(f"label row {np.argmin(counts)} is empty")
         if ids.size and ids.min() < 0:
             raise ValueError(f"label row {rows[np.argmax(ids < 0)]} has a negative id")
-        ids = ids[np.lexsort((ids, rows))]
-        keep = (np.diff(ids, prepend=-1) != 0) | (np.diff(rows, prepend=-1) != 0)
-        self.ids, self._id_rows = ids[keep], rows[keep]  # the row of each id
+        new_row = np.diff(rows) != 0
+        # rows written by write_labels are already strictly increasing
+        if not ((np.diff(ids) > 0) | new_row).all():
+            ids = ids[np.lexsort((ids, rows))]
+            keep = (np.diff(ids, prepend=-1) != 0) | np.concatenate(([True], new_row))
+            ids, rows = ids[keep], rows[keep]
+        self.ids, self._id_rows = ids, rows  # the row of each id
         self.offsets = np.searchsorted(self._id_rows, np.arange(len(counts) + 1))
         self.ids.flags.writeable = self.offsets.flags.writeable = False
         self._distinct = self._postings_index = None
@@ -126,7 +130,8 @@ class SimilarityBlock:
 
     A group is the set of database rows with one sign column, so the block
     holds the m x G group signs and each database row's group, never the
-    m x n signs. ``neg_weight`` is the dissimilar-pair weight.
+    m x n signs, plus each query's count of positive pairs
+    (``positive_counts``). ``neg_weight`` is the dissimilar-pair weight.
     ``query_indices`` maps each query row to its database row when the
     queries were sampled from the database itself; it is None when the
     query set is separate.
@@ -148,9 +153,14 @@ class SimilarityBlock:
         self._init(group_pos, row_groups, neg_weight, query_indices)
 
     @classmethod
-    def _from_groups(cls, group_pos, row_groups, neg_weight, query_indices=None):
+    def _from_groups(cls, group_pos, row_groups, query_indices=None):
+        """Block of the given groups, weighted by its own pair imbalance."""
         block = cls.__new__(cls)
-        block._init(group_pos, row_groups, neg_weight, query_indices)
+        block._init(group_pos, row_groups, 1.0, query_indices)
+        pos = int(block.positive_counts.sum())
+        neg = block.query_count * block.db_count - pos
+        if pos and neg:
+            block.neg_weight = pos / neg
         return block
 
     def _init(self, group_pos, row_groups, neg_weight, query_indices):
@@ -163,8 +173,11 @@ class SimilarityBlock:
         # group_rows[group_offsets[g]:group_offsets[g + 1]]
         self.group_rows = np.argsort(self.row_groups, kind="stable")
         self.group_offsets = np.concatenate(([0], np.cumsum(self.group_sizes)))
+        # (P_g n)_i, the database rows sharing a label with query i; einsum
+        # buffers the bool-to-int cast instead of copying the m x G relation
+        self.positive_counts = np.einsum("ig,g->i", group_pos, self.group_sizes)
         for arr in (self.group_signs, self.row_groups, self.group_sizes,
-                    self.group_rows, self.group_offsets):
+                    self.group_rows, self.group_offsets, self.positive_counts):
             arr.flags.writeable = False
         if not neg_weight > 0:
             raise ValueError("neg_weight must be positive")
@@ -214,11 +227,7 @@ def _grouped_block(query_labels, db_labels, query_indices=None) -> SimilarityBlo
     """Block from labels: one shares_label call per distinct database set."""
     distinct, row_set = db_labels.distinct()
     group_pos, set_group = _group_columns(query_labels.shares_label(distinct))
-    row_groups = set_group[row_set]
-    pos = int(group_pos.sum(axis=0)[row_groups].sum())
-    neg = len(query_labels) * len(db_labels) - pos
-    ratio = pos / neg if pos and neg else 1.0
-    return SimilarityBlock._from_groups(group_pos, row_groups, ratio, query_indices)
+    return SimilarityBlock._from_groups(group_pos, set_group[row_set], query_indices)
 
 
 def build_similarity(

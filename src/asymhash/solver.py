@@ -42,11 +42,19 @@ count and Gram of group g:
   d obj / d r_i = 2 * (rho * Q r_i + (1 - rho) * (sum_g P_ig Q_g) r_i
                        - c * h_i + gamma * (r_i - v_own(i)))
 
-with h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g. Each group takes the
-cheaper form of its Q_g term: a group of more than c rows applies its Gram,
-at c^2 flops per positive (query, group) pair, and a smaller group sums
-(r_i . v_j) v_j over its rows j, at n_g * c. Neither costs more than the
-n_g * c of the pairs themselves, and no m x n array is formed.
+with h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g. A group of more than c
+rows applies its Gram Q_g, at c^2 flops per positive (query, group) pair.
+The groups of at most c rows are taken together: with V_s their rows and
+g(j) the group of row j, their part of the sum is the masked product
+(P_g[:, g(j)] * (R V_s^T)) V_s, in chunks of about n (query, row) pairs.
+That is the direct form's n_g * c per query for those rows, but in two
+matrix products and with no pair list; no m x n array is formed.
+
+The loss reads V only through Q, the u_g, the large groups' Q_g, the small
+groups' rows and the sampled queries' own codes. ``train`` builds these
+terms (``_group_stats``) once after each block build and once after each
+V-step, and the objective and every minibatch step of that code state
+read them.
 
 A symmetric single-network trainer is included only as the scaling and
 accuracy contrast; it pays a full pass over all database pairs per epoch.
@@ -63,6 +71,7 @@ import numpy as np
 from . import dataio
 from .encoder import (
     EncoderModel,
+    GroupStats,
     NonFiniteError,
     OptimizerState,
     _apply_gradients,
@@ -164,24 +173,17 @@ class TrainingDiverged(RuntimeError):
         self.partial = partial
 
 
-def objective(relaxed, db_signs, block: SimilarityBlock, gamma, weighted=False):
+def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
     """Training objective for the current relaxed codes and database codes.
 
-    Pairwise squared residuals against code_len * sign targets, optionally
-    imbalance-weighted, plus the pull of each sampled query's own database
-    code toward its relaxed code (skipped when the query set is separate).
-    Computed in label-group form (module docstring).
+    ``stats`` is ``_group_stats`` of the database codes, the block and its
+    dissimilar-pair weight (1 when unweighted). Pairwise squared residuals
+    against code_len * sign targets, plus the pull of each sampled query's
+    own database code toward its relaxed code (skipped when the query set
+    is separate). Computed in label-group form (module docstring).
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    db = np.asarray(db_signs, dtype=np.float64)
-    rho = block.neg_weight if weighted else 1.0
-    own_codes = None
-    if block.query_indices is not None and gamma != 0.0:
-        own_codes = db[block.query_indices]
-    stats = _group_stats(db, block, rho)
-    return _group_loss_and_grad_z(
-        relaxed, block.group_signs == 1, db, block, stats, rho, own_codes, gamma
-    )[0]
+    return _group_loss_and_grad_z(relaxed, slice(None), block, stats, gamma)[0]
 
 
 def _prepare_sweep(relaxed, block, code_len, weighted):
@@ -292,13 +294,15 @@ def v_step(
     work = db_signs[rows.reps]
     trace = None
     if track_objective is not None:
-        trace = [objective(relaxed, db_signs, block, gamma, weighted)]
+        stats = _group_stats(db_signs, block, sweep[0])
+        trace = [objective(relaxed, stats, block, gamma)]
         track_objective.append(trace)
     for k in range(db_signs.shape[1]):
         _update_column(work, relaxed, sweep, rows, k)
         if trace is not None:
             db_signs[:, k] = work[rows.inverse, k]
-            trace.append(objective(relaxed, db_signs, block, gamma, weighted))
+            stats = _group_stats(db_signs, block, sweep[0])
+            trace.append(objective(relaxed, stats, block, gamma))
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, rows.inverse, axis=0, out=db_signs, mode="clip")
@@ -370,14 +374,22 @@ def train(
     def snapshot() -> TrainResult:
         return TrainResult(model, _pack(db), history)
 
+    # the loss reads the codes only through these terms, built once per
+    # block and once per V-step
+    def group_stats() -> GroupStats:
+        return _group_stats(db, block, block.neg_weight if weighted else 1.0)
+
+    if not sampled:
+        stats = group_stats()
     for outer in range(1, config.outer_iters + 1):
         outer_start = time.perf_counter()
         if sampled:
             omega = sample_query_indices(n, config.query_count, rng)
             block = build_sampled_similarity(labels, omega)
             qfeat = features[omega]
+            stats = group_stats()
         if outer == 1:
-            start_obj = objective(forward(model, qfeat)[1], db, block, gamma, weighted)
+            start_obj = objective(forward(model, qfeat)[1], stats, block, gamma)
             history.append(HistoryRecord(1, 0, "init", start_obj, 0.0))
         m = block.query_count
         for inner in range(1, config.inner_iters + 1):
@@ -385,10 +397,7 @@ def train(
             order = rng.permutation(m)
             try:
                 for batch in _batches(order, config.batch_size):
-                    minibatch_step(
-                        model, opt, qfeat, batch, db, block, gamma,
-                        weighted=weighted,
-                    )
+                    minibatch_step(model, opt, qfeat, batch, stats, block, gamma)
                 relaxed = forward(model, qfeat)[1]
             except NonFiniteError as err:
                 raise TrainingDiverged(str(err), snapshot()) from err
@@ -396,7 +405,7 @@ def train(
             history.append(
                 HistoryRecord(
                     outer, inner, "theta",
-                    objective(relaxed, db, block, gamma, weighted), seconds,
+                    objective(relaxed, stats, block, gamma), seconds,
                 )
             )
             phase_start = time.perf_counter()
@@ -405,10 +414,11 @@ def train(
                 weighted=weighted, track_objective=track_objective,
             )
             seconds = time.perf_counter() - phase_start
+            stats = group_stats()
             history.append(
                 HistoryRecord(
                     outer, inner, "v",
-                    objective(relaxed, db, block, gamma, weighted), seconds,
+                    objective(relaxed, stats, block, gamma), seconds,
                 )
             )
         if on_outer_end is not None:

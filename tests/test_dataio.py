@@ -147,6 +147,40 @@ class TestLabelFormat:
         assert labels.ids.tolist() == [2, 5, 0]
         assert labels.offsets.tolist() == [0, 2, 3]
 
+    def test_sorted_unsorted_and_repeated_rows_read_alike(self, tmp_path):
+        # rows already strictly increasing (as write_labels writes them)
+        # skip the re-sort; the same sets shuffled or with repeats must give
+        # the same ids and offsets. The first rows repeat ids across row
+        # boundaries, which the sorted path has to keep.
+        rng = np.random.default_rng(15)
+        sets = [[2], [2], [1, 2], [2, 3], [0, 5, 9]]
+        sets += [
+            sorted(rng.choice(50, int(rng.integers(1, 5)), replace=False).tolist())
+            for _ in range(500)
+        ]
+        forms = {
+            "sorted": sets,
+            "unsorted": [rng.permutation(row).tolist() for row in sets],
+            "repeated": [rng.permutation(row + row[:1]).tolist() for row in sets],
+            "repeated_in_order": [sorted(row + row[:1]) for row in sets],
+        }
+        read = {}
+        for name, rows in forms.items():
+            path = tmp_path / f"{name}.bin"
+            words = [w for row in rows for w in (len(row), *row)]
+            path.write_bytes(
+                LABELS_MAGIC + struct.pack("<Q", len(rows))
+                + struct.pack(f"<{len(words)}I", *words)
+            )
+            read[name] = read_labels(path)
+        want = LabelMatrix(sets)
+        for name, labels in read.items():
+            assert np.array_equal(labels.ids, want.ids), name
+            assert np.array_equal(labels.offsets, want.offsets), name
+        assert [want.ids[a:b].tolist() for a, b in zip(
+            want.offsets[:-1], want.offsets[1:]
+        )] == sets
+
     @pytest.mark.parametrize("big", [2**32, 2**32 + 7])
     def test_id_past_u32_is_rejected_before_writing(self, tmp_path, big):
         path = tmp_path / "labels.bin"

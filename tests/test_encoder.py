@@ -10,6 +10,7 @@ from asymhash.encoder import (
     OptimizerState,
     _apply_gradients,
     _batch_loss_and_grad_z,
+    _group_stats,
     encode_queries,
     forward,
     init_encoder,
@@ -153,6 +154,11 @@ class TestMinibatchStep:
             signs=signs.astype(np.int8), neg_weight=0.5, query_indices=omega
         )
 
+    def step(self, model, opt, feats, batch, db, block, gamma):
+        # unweighted: the terms of the codes at rho = 1
+        stats = _group_stats(db, block, 1.0)
+        return minibatch_step(model, opt, feats, batch, stats, block, gamma)
+
     def test_zero_learning_rate_keeps_model(self):
         rng = np.random.default_rng(2)
         model, feats, signs, db, omega, _, gamma = random_instance(
@@ -160,7 +166,7 @@ class TestMinibatchStep:
         )
         before = copy.deepcopy(model)
         opt = OptimizerState(learning_rate=0.0)
-        minibatch_step(
+        self.step(
             model, opt, feats, [0, 1, 2], db, self.make_block(signs, omega), gamma
         )
         for got, want in zip(model.params(), before.params()):
@@ -182,10 +188,10 @@ class TestMinibatchStep:
         block = self.make_block(signs, omega)
         opt = OptimizerState(learning_rate=1e-3, method="adam")
         batch = np.arange(4)
-        first = minibatch_step(model, opt, feats, batch, db, block, gamma)
+        first = self.step(model, opt, feats, batch, db, block, gamma)
         last = first
         for _ in range(49):
-            last = minibatch_step(model, opt, feats, batch, db, block, gamma)
+            last = self.step(model, opt, feats, batch, db, block, gamma)
         assert last < first
 
     def test_rejects_empty_batch(self):
@@ -194,7 +200,7 @@ class TestMinibatchStep:
             rng, n=4, m=2, c=2, d=3
         )
         with pytest.raises(ValueError, match="non-empty"):
-            minibatch_step(
+            self.step(
                 model,
                 OptimizerState(1e-3),
                 feats,
@@ -211,7 +217,7 @@ class TestMinibatchStep:
         )
         opt = OptimizerState(learning_rate=1e308)
         with pytest.raises(NonFiniteError):
-            minibatch_step(
+            self.step(
                 model, opt, feats, [0, 1], db,
                 self.make_block(signs, omega), gamma,
             )

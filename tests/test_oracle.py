@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asymhash import oracle
+from asymhash.encoder import _group_stats
 from asymhash.hashcore import binarize
 from asymhash.simgraph import SimilarityBlock
 from asymhash.solver import objective, v_step
@@ -57,9 +58,8 @@ class TestNaiveObjective:
                 neg_weight=0.3,
                 query_indices=inst.query_indices,
             )
-            fast = objective(
-                inst.relaxed, inst.db_signs, block, inst.gamma, weighted=True
-            )
+            stats = _group_stats(inst.db_signs, block, block.neg_weight)
+            fast = objective(inst.relaxed, stats, block, inst.gamma)
             slow = oracle.naive_objective(inst)
             assert fast == pytest.approx(slow, rel=1e-9)
 

@@ -56,6 +56,11 @@ def random_setup(rng, n, m, c, with_indices=True):
     return relaxed, db, block
 
 
+def objective_of(relaxed, db, block, gamma, weighted=False):
+    rho = block.neg_weight if weighted else 1.0
+    return objective(relaxed, _group_stats(db, block, rho), block, gamma)
+
+
 def as_tiny(relaxed, db, block, gamma, weighted):
     return oracle.TinyInstance(
         relaxed=relaxed,
@@ -76,7 +81,7 @@ class TestObjective:
             neg_weight=1.0,
             query_indices=np.array([0]),
         )
-        assert objective(relaxed, db, block, gamma=5.0) == pytest.approx(0.0)
+        assert objective_of(relaxed, db, block, gamma=5.0) == pytest.approx(0.0)
 
     def test_hand_computed_value(self):
         relaxed = np.array([[0.5, 0.5]])
@@ -86,13 +91,13 @@ class TestObjective:
             neg_weight=1.0,
             query_indices=np.array([0]),
         )
-        assert objective(relaxed, db, block, gamma=1.0) == pytest.approx(1.5)
+        assert objective_of(relaxed, db, block, gamma=1.0) == pytest.approx(1.5)
 
     def test_linear_in_gamma(self):
         rng = np.random.default_rng(0)
         relaxed, db, block = random_setup(rng, 6, 3, 4)
-        low = objective(relaxed, db, block, gamma=1.0)
-        high = objective(relaxed, db, block, gamma=2.0)
+        low = objective_of(relaxed, db, block, gamma=1.0)
+        high = objective_of(relaxed, db, block, gamma=2.0)
         pull = ((db[block.query_indices] - relaxed) ** 2).sum()
         assert high - low == pytest.approx(pull)
 
@@ -101,7 +106,7 @@ class TestObjective:
         rng = np.random.default_rng(1)
         for _ in range(10):
             relaxed, db, block = random_setup(rng, 7, 3, 3)
-            fast = objective(relaxed, db, block, gamma=3.0, weighted=weighted)
+            fast = objective_of(relaxed, db, block, gamma=3.0, weighted=weighted)
             slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
             assert fast == pytest.approx(slow, rel=1e-9)
 
@@ -115,7 +120,7 @@ class TestObjective:
         assert rho != 1.0 or not weighted
         rows = np.arange(4)
         want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0, weighted)[0]
-        got = objective(relaxed, db, block, gamma=2.0, weighted=weighted)
+        got = objective_of(relaxed, db, block, gamma=2.0, weighted=weighted)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -193,11 +198,11 @@ class TestVStep:
     def test_second_sweep_improves_no_more_than_first(self):
         rng = np.random.default_rng(7)
         relaxed, db, block = random_setup(rng, 20, 4, 6)
-        j0 = objective(relaxed, db, block, 1.0)
+        j0 = objective_of(relaxed, db, block, 1.0)
         v_step(db, relaxed, block, 1.0)
-        j1 = objective(relaxed, db, block, 1.0)
+        j1 = objective_of(relaxed, db, block, 1.0)
         v_step(db, relaxed, block, 1.0)
-        j2 = objective(relaxed, db, block, 1.0)
+        j2 = objective_of(relaxed, db, block, 1.0)
         assert j0 - j1 >= (j1 - j2) - 1e-9
 
     def test_matches_entrywise_reference_bit_for_bit(self):
@@ -246,7 +251,7 @@ class TestVStep:
         trace = []
         for _ in range(2):
             v_step(tracked, relaxed, block, 200.0, weighted, track_objective=trace)
-            final = objective(relaxed, tracked, block, 200.0, weighted)
+            final = objective_of(relaxed, tracked, block, 200.0, weighted)
             assert trace[-1][-1] == final
         assert np.array_equal(tracked, db)
 
@@ -341,6 +346,28 @@ def repeated_column_block(rng, n, m, pool_size, sampled):
     return SimilarityBlock(signs=signs, neg_weight=rho, query_indices=omega)
 
 
+def sized_group_block(rng, sizes, m, sampled):
+    """Hand-built block whose groups have the given row counts, their rows
+    shuffled across the database; about 10% of the signs are positive."""
+    pool = np.where(rng.random((m, len(sizes))) < 0.1, 1, -1)
+    signs = pool[:, rng.permutation(np.repeat(np.arange(len(sizes)), sizes))]
+    pos = int((signs == 1).sum())
+    omega = rng.choice(signs.shape[1], m, replace=False) if sampled else None
+    block = SimilarityBlock(signs, pos / (signs.size - pos), omega)
+    assert sorted(block.group_sizes) == sorted(sizes)  # the pool's columns differ
+    return block
+
+
+def chunk_splits_a_group(block, code_len, rows):
+    """Whether a chunk of the small-group product over ``rows`` query rows
+    (db_count // rows database rows of the groups of at most c rows, group
+    by group) ends inside a group."""
+    sizes = block.group_sizes[block.group_sizes <= code_len]
+    step = max(1, block.db_count // rows)
+    ends = np.arange(step, sizes.sum(), step)
+    return not np.isin(ends, np.cumsum(sizes)).all()
+
+
 def label_block(rng, labels, m, sampled):
     n = len(labels)
     if sampled:
@@ -399,7 +426,7 @@ class TestGroupForm:
                 block = label_block(rng, labels, m, sampled)
             relaxed = rng.uniform(-0.95, 0.95, (m, c))
             db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
-            fast = objective(relaxed, db, block, 3.0, weighted=weighted)
+            fast = objective_of(relaxed, db, block, 3.0, weighted=weighted)
             slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
             assert type(fast) is float
             assert fast == pytest.approx(slow, rel=1e-9)
@@ -409,7 +436,13 @@ class TestGroupForm:
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("kind", ["clusters", "multi_label", "repeated"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "clusters", "multi_label", "repeated",
+            "all_small", "exactly_c", "split_chunk",
+        ],
+    )
     def test_matches_direct_form(self, kind, weighted, sampled):
         rng = np.random.default_rng(32)
         n, m, c = 1500, 120, 16
@@ -418,20 +451,34 @@ class TestGroupForm:
             block = label_block(rng, labels, m, sampled)
         elif kind == "multi_label":
             block = label_block(rng, multi_label_set(rng, n), m, sampled)
-        else:
+        elif kind == "repeated":
             block = repeated_column_block(rng, n, m, 30, sampled)
+        elif kind == "all_small":  # every database row its own group
+            block = sized_group_block(rng, [1] * n, m, sampled)
+        elif kind == "exactly_c":
+            sizes = [c - 1, c, c + 1] * 30 + [2] * 30
+            block = sized_group_block(rng, sizes, m, sampled)
+        else:
+            # 7-row groups and 1498 rows: chunks of 1498 // 50 = 29 and
+            # 1498 // 120 = 12 rows end inside groups
+            block = sized_group_block(rng, [7] * 214, m, sampled)
+        n = block.db_count
         rho = block.neg_weight if weighted else 1.0
         if kind == "multi_label":
             assert_groups_on_both_sides(block, c)
+        elif kind == "all_small":
+            assert (block.group_sizes == 1).all()
+        elif kind == "exactly_c":
+            assert_groups_on_both_sides(block, c)
+            assert (block.group_sizes == c).sum() == 30
+        elif kind == "split_chunk":
+            assert chunk_splits_a_group(block, c, 50)
+            assert chunk_splits_a_group(block, c, m)
         relaxed = rng.uniform(-0.95, 0.95, (m, c))
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         rows = rng.permutation(m)[:50]
-        own = None
-        if block.query_indices is not None:
-            own = db[block.query_indices[rows]]
         loss, grad = _group_loss_and_grad_z(
-            relaxed[rows], block.group_signs[rows] == 1, db, block,
-            _group_stats(db, block, rho), rho, own, 200.0,
+            relaxed[rows], rows, block, _group_stats(db, block, rho), 200.0
         )
         want_loss, want_grad = direct_loss_and_grad_z(
             relaxed[rows], db, block, rows, 200.0, weighted
@@ -440,7 +487,7 @@ class TestGroupForm:
         assert_close_at_scale(grad, want_grad, 1e-12)
         full = np.arange(m)
         want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0, weighted)[0]
-        got = objective(relaxed, db, block, 200.0, weighted=weighted)
+        got = objective_of(relaxed, db, block, 200.0, weighted=weighted)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_group_sums_per_column_equal_per_group(self):
@@ -481,9 +528,10 @@ class TestGroupForm:
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         batch = rng.permutation(100)[:40]
         stepped = copy.deepcopy(model)
+        rho = block.neg_weight if weighted else 1.0
         loss = minibatch_step(
-            stepped, OptimizerState(1.0), features[omega], batch, db, block,
-            50.0, weighted=weighted,
+            stepped, OptimizerState(1.0), features[omega], batch,
+            _group_stats(db, block, rho), block, 50.0,
         )
         _, relaxed, acts = _forward_cached(model, features[omega][batch])
         want_loss, grad_z = direct_loss_and_grad_z(
@@ -572,6 +620,58 @@ def test_train_memory_does_not_grow_with_query_count(dataset):
 
     small, large = peak_bytes(100), peak_bytes(800)
     assert large <= 1.1 * small + per_query_bytes(800)
+
+
+def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
+    # Weighted multi-label training at 2 x 2. The terms are built once per
+    # block and once per V-step, and every objective and minibatch step
+    # reads those of the codes and block it runs on, never stale ones.
+    rng = np.random.default_rng(37)
+    labels = multi_label_set(rng, 600)
+    features = rng.normal(size=(600, 8))
+    tout, tin, code_len = 2, 2, 8
+    codes = []  # train's database codes, which v_step updates in place
+    init_codes = solver._init_db_codes
+
+    def kept(*args):
+        codes.append(init_codes(*args))
+        return codes[0]
+
+    monkeypatch.setattr(solver, "_init_db_codes", kept)
+    group_stats = encoder._group_stats
+    built = []
+
+    def counted(*args):
+        built.append(args[1])
+        return group_stats(*args)
+
+    monkeypatch.setattr(solver, "_group_stats", counted)
+    loss_and_grad = encoder._group_loss_and_grad_z
+    states = []
+
+    def checked(relaxed, rows, block, stats, gamma):
+        assert block is built[-1]
+        assert_groups_on_both_sides(block, code_len)
+        want = group_stats(codes[0], block, block.neg_weight)
+        for field, got, expected in zip(stats._fields, stats, want):
+            if expected is None:
+                assert got is None, field
+            else:
+                assert np.array_equal(got, expected), field
+        states.append(stats.sums.tobytes())
+        return loss_and_grad(relaxed, rows, block, stats, gamma)
+
+    monkeypatch.setattr(encoder, "_group_loss_and_grad_z", checked)
+    monkeypatch.setattr(solver, "_group_loss_and_grad_z", checked)
+    config = TrainConfig(
+        code_len=code_len, query_count=40, outer_iters=tout, inner_iters=tin,
+        batch_size=16, seed=37, hidden_dims=(8,),
+    )
+    train(features, labels, config)
+    assert len(built) == tout * (1 + tin)
+    # 1 + 2 * tout * tin objectives and tout * tin * 3 minibatch steps
+    assert len(states) == 1 + 2 * tout * tin + tout * tin * 3
+    assert len(set(states)) == tout * (1 + tin)  # every V-step moved a code
 
 
 @pytest.fixture(scope="module")
