@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import dataio, evaluate
 from .dataio import FileFormatError
@@ -36,44 +37,63 @@ class ConfigError(Exception):
     """Invalid or unknown configuration input."""
 
 
-# Keys accepted in config files; flags use the same names.
-CONFIG_KEYS = (
-    "seed",
-    "bits",
-    "gamma",
-    "omega",
-    "tout",
-    "tin",
-    "batch",
-    "lr",
-    "mode",
-    "optimizer",
-    "hidden",
-    "weighting",
-    "map_cutoff",
-    "features",
-    "labels",
-    "query_features",
-    "query_labels",
-    "out",
-)
-# train reads every key but the sweep-only MAP cutoff
-_TRAIN_KEYS = tuple(key for key in CONFIG_KEYS if key != "map_cutoff")
+class _Option(NamedTuple):
+    """One train/sweep key: its flag, its config-file entry and its parse."""
 
-TRAIN_DEFAULTS = {
-    "seed": "0",
-    "bits": "16",
-    "gamma": "200.0",
-    "omega": "1000",
-    "tout": "50",
-    "tin": "3",
-    "batch": "128",
-    "lr": "0.001",
-    "mode": "asymmetric_sampled",
-    "optimizer": "sgd",
-    "hidden": "512",
-    "weighting": "on",
+    field: str | None  # the TrainConfig field it sets, if any
+    type: Callable = str  # argparse type; config.txt echoes str(type(flag))
+    default: str | None = None
+    help: str | None = None
+    parse: Callable | None = None  # config string -> field value; type if None
+
+
+def _parse_weighting(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ConfigError(f"weighting must be on/off, got {value!r}")
+
+
+def _parse_hidden(value: str) -> tuple[int, ...]:
+    value = value.strip()
+    if not value or value.lower() == "none":
+        return ()
+    try:
+        return tuple(int(part) for part in value.split(","))
+    except ValueError as err:
+        raise ConfigError(f"hidden must be comma-separated ints: {value!r}") from err
+
+
+# Keys accepted in config files, in flag order; flags use the same names.
+TRAIN_OPTIONS = {
+    "seed": _Option("seed", int, "0"),
+    "gamma": _Option("gamma", float, "200.0"),
+    "omega": _Option("query_count", int, "1000", "sampled query count"),
+    "bits": _Option("code_len", int, "16", "code length"),
+    "tout": _Option("outer_iters", int, "50", "outer iterations"),
+    "tin": _Option("inner_iters", int, "3", "inner iterations"),
+    "batch": _Option("batch_size", int, "128", "minibatch size"),
+    "lr": _Option("learning_rate", float, "0.001", "learning rate"),
+    "mode": _Option("mode", str, "asymmetric_sampled", "training mode"),
+    "optimizer": _Option("optimizer", str, "sgd", "sgd or adam"),
+    "hidden": _Option(
+        "hidden_dims", str, "512", "comma-separated hidden layer sizes", _parse_hidden
+    ),
+    "weighting": _Option(
+        "imbalance_weighting", str, "on", "imbalance weighting on/off", _parse_weighting
+    ),
+    "features": _Option(None, help="database features file"),
+    "labels": _Option(None, help="database labels file"),
+    "query_features": _Option(None),
+    "query_labels": _Option(None),
+    "out": _Option(None, help="output directory"),
+    # sweep only
+    "map_cutoff": _Option(None, int),
 }
+CONFIG_KEYS = tuple(TRAIN_OPTIONS)
+_TRAIN_KEYS = tuple(key for key in CONFIG_KEYS if key != "map_cutoff")
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -97,7 +117,9 @@ def load_config_file(path) -> dict[str, str]:
 
 def _resolve(args, needed: tuple[str, ...]) -> dict[str, str]:
     """defaults <- config file <- explicit CLI flags, restricted to needed."""
-    merged = {k: TRAIN_DEFAULTS[k] for k in needed if k in TRAIN_DEFAULTS}
+    merged = {
+        k: TRAIN_OPTIONS[k].default for k in needed if TRAIN_OPTIONS[k].default
+    }
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             if key in needed:
@@ -109,40 +131,14 @@ def _resolve(args, needed: tuple[str, ...]) -> dict[str, str]:
     return merged
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be on/off, got {value!r}")
-
-
-def _parse_hidden(value: str) -> tuple[int, ...]:
-    value = value.strip()
-    if not value or value.lower() == "none":
-        return ()
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError as err:
-        raise ConfigError(f"hidden must be comma-separated ints: {value!r}") from err
-
-
 def _train_config(values: dict[str, str]) -> TrainConfig:
     try:
         return TrainConfig(
-            code_len=int(values["bits"]),
-            gamma=float(values["gamma"]),
-            query_count=int(values["omega"]),
-            outer_iters=int(values["tout"]),
-            inner_iters=int(values["tin"]),
-            batch_size=int(values["batch"]),
-            learning_rate=float(values["lr"]),
-            seed=int(values["seed"]),
-            mode=values["mode"],
-            imbalance_weighting=_parse_bool(values["weighting"], "weighting"),
-            hidden_dims=_parse_hidden(values["hidden"]),
-            optimizer=values["optimizer"],
+            **{
+                option.field: (option.parse or option.type)(values[key])
+                for key, option in TRAIN_OPTIONS.items()
+                if option.field
+            }
         )
     except (KeyError, ValueError) as err:
         raise ConfigError(f"invalid training configuration: {err}") from err
@@ -159,6 +155,15 @@ def _ensure_outdir(path) -> Path:
 def _echo_config(outdir: Path, values: dict[str, str]) -> None:
     lines = [f"{key} = {values[key]}" for key in sorted(values)]
     (outdir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _echo_args(outdir: Path, args, **overrides) -> None:
+    """Echo every parsed argument of a command that takes no config file."""
+    values = {**vars(args), "out": outdir, **overrides}
+    _echo_config(
+        outdir,
+        {k: str(v) for k, v in values.items() if k not in ("command", "func")},
+    )
 
 
 def _require_paths(values: dict[str, str], keys: tuple[str, ...]) -> None:
@@ -188,11 +193,17 @@ def _check_width(features, features_path, dim: int, dim_path) -> None:
         )
 
 
-def _check_train_inputs(values, features, labels, query_features, query_labels):
-    """Feature and label files must agree before any training work."""
+def _read_train_inputs(values, with_queries: bool):
+    """Read the database features and labels, and with_queries the query
+    ones, and check that they agree before any training work."""
+    features = dataio.read_features(values["features"])
+    labels = dataio.read_labels(values["labels"])
     _check_rows(labels, values["labels"], len(features), values["features"], "feature")
-    if query_features is None:
-        return
+    if not with_queries:
+        return features, labels, None, None
+    _require_paths(values, ("query_features", "query_labels"))
+    query_features = dataio.read_features(values["query_features"])
+    query_labels = dataio.read_labels(values["query_labels"])
     _check_rows(
         query_labels, values["query_labels"],
         len(query_features), values["query_features"], "feature",
@@ -200,6 +211,7 @@ def _check_train_inputs(values, features, labels, query_features, query_labels):
     _check_width(
         query_features, values["query_features"], features.shape[1], values["features"]
     )
+    return features, labels, query_features, query_labels
 
 
 def cmd_gen_data(args) -> int:
@@ -218,19 +230,7 @@ def cmd_gen_data(args) -> int:
             continue
         dataio.write_features(outdir / f"{name}_features.bin", features[indices])
         dataio.write_labels(outdir / f"{name}_labels.bin", labels.subset(indices))
-    _echo_config(
-        outdir,
-        {
-            "clusters": str(args.clusters),
-            "per_cluster": str(args.per_cluster),
-            "dim": str(args.dim),
-            "sigma": str(args.sigma),
-            "seed": str(args.seed),
-            "queries": str(args.queries),
-            "val": str(args.val),
-            "out": str(outdir),
-        },
-    )
+    _echo_args(outdir, args)
     print(f"wrote dataset with {len(labels)} points to {outdir}")
     return EXIT_OK
 
@@ -240,14 +240,9 @@ def cmd_train(args) -> int:
     _require_paths(values, ("features", "labels"))
     config = _train_config(values)
     outdir = _ensure_outdir(values.get("out"))
-    features = dataio.read_features(values["features"])
-    labels = dataio.read_labels(values["labels"])
-    query_features = query_labels = None
-    if config.mode == "asymmetric_separate_queries":
-        _require_paths(values, ("query_features", "query_labels"))
-        query_features = dataio.read_features(values["query_features"])
-        query_labels = dataio.read_labels(values["query_labels"])
-    _check_train_inputs(values, features, labels, query_features, query_labels)
+    features, labels, query_features, query_labels = _read_train_inputs(
+        values, config.mode == "asymmetric_separate_queries"
+    )
     diverged = None
     try:
         if config.mode == "symmetric_baseline":
@@ -357,18 +352,7 @@ def cmd_eval(args) -> int:
     )
     (outdir / "pr_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    _echo_config(
-        outdir,
-        {
-            "query_codes": str(args.query_codes),
-            "db_codes": str(args.db_codes),
-            "query_labels": str(args.query_labels),
-            "db_labels": str(args.db_labels),
-            "map_cutoff": str(args.map_cutoff if args.map_cutoff else "none"),
-            "topk": str(k_max),
-            "out": str(outdir),
-        },
-    )
+    _echo_args(outdir, args, map_cutoff=args.map_cutoff or "none", topk=k_max)
     print(f"map = {metrics.map:.6f} -> {outdir}")
     return EXIT_OK
 
@@ -399,17 +383,7 @@ def cmd_bench(args) -> int:
     (outdir / "bench.csv").write_text(
         "\n".join(slopes + lines) + "\n", encoding="utf-8"
     )
-    _echo_config(
-        outdir,
-        {
-            "sizes": args.sizes,
-            "omega": str(args.omega),
-            "bits": str(args.bits),
-            "modes": args.modes,
-            "seed": str(args.seed),
-            "out": str(outdir),
-        },
-    )
+    _echo_args(outdir, args)
     return EXIT_OK
 
 
@@ -419,11 +393,7 @@ def cmd_sweep(args) -> int:
         values, ("features", "labels", "query_features", "query_labels")
     )
     outdir = _ensure_outdir(values.get("out"))
-    features = dataio.read_features(values["features"])
-    labels = dataio.read_labels(values["labels"])
-    query_features = dataio.read_features(values["query_features"])
-    query_labels = dataio.read_labels(values["query_labels"])
-    _check_train_inputs(values, features, labels, query_features, query_labels)
+    features, labels, query_features, query_labels = _read_train_inputs(values, True)
     if len(query_features) == 0:
         # offset 8 is the row count in the features header
         raise FileFormatError(f"{values['query_features']} has no rows", 8)
@@ -431,45 +401,39 @@ def cmd_sweep(args) -> int:
     omegas = [int(o) for o in args.omegas.split(",")]
     cutoff = int(values["map_cutoff"]) if values.get("map_cutoff") else None
     _check_cutoff(cutoff)
+    # every trial's configuration is checked before the first one trains
+    configs = [
+        _train_config({**values, "gamma": repr(gamma), "omega": str(omega)})
+        for gamma in gammas
+        for omega in omegas
+    ]
     lines = ["gamma,omega,map"]
-    for gamma in gammas:
-        for omega in omegas:
-            trial = dict(values)
-            trial["gamma"] = repr(gamma)
-            trial["omega"] = str(omega)
-            config = _train_config(trial)
-            model, codes, _ = train(features, labels, config)
-            # sweep reports MAP only; k_max = 1 keeps the unused curve small
-            score = evaluate.retrieval_metrics(
-                encode_queries(model, query_features),
-                codes, query_labels, labels, cutoff, 1,
-            ).cutoff_map
-            lines.append(f"{gamma!r},{omega},{score!r}")
-            print(f"gamma={gamma} omega={omega}: map={score:.6f}")
+    for config in configs:
+        model, codes, _ = train(features, labels, config)
+        # sweep reports MAP only; k_max = 1 keeps the unused curve small
+        score = evaluate.retrieval_metrics(
+            encode_queries(model, query_features),
+            codes, query_labels, labels, cutoff, 1,
+        ).cutoff_map
+        gamma, omega = config.gamma, config.query_count
+        lines.append(f"{gamma!r},{omega},{score!r}")
+        print(f"gamma={gamma} omega={omega}: map={score:.6f}")
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _echo_config(outdir, values)
     return EXIT_OK
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
+    option = TRAIN_OPTIONS[key]
+    parser.add_argument(
+        "--" + key.replace("_", "-"), type=option.type, help=option.help
+    )
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--omega", type=int, help="sampled query count")
-    parser.add_argument("--bits", type=int, help="code length")
-    parser.add_argument("--tout", type=int, help="outer iterations")
-    parser.add_argument("--tin", type=int, help="inner iterations")
-    parser.add_argument("--batch", type=int, help="minibatch size")
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--mode", help="training mode")
-    parser.add_argument("--optimizer", help="sgd or adam")
-    parser.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    parser.add_argument("--weighting", help="imbalance weighting on/off")
-    parser.add_argument("--features", help="database features file")
-    parser.add_argument("--labels", help="database labels file")
-    parser.add_argument("--query-features", dest="query_features")
-    parser.add_argument("--query-labels", dest="query_labels")
-    parser.add_argument("--out", help="output directory")
+    for key in _TRAIN_KEYS:
+        _add_flag(parser, key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--gammas", default="200")
     p.add_argument("--omegas", default="1000")
-    p.add_argument("--map-cutoff", dest="map_cutoff", type=int, default=None)
+    _add_flag(p, "map_cutoff")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
-_WORD_BYTES = WORD_BITS // 8
 # Query rows per block of pairwise_hamming.
 CHUNK_ROWS = 64
 
@@ -34,22 +33,18 @@ def _as_sign_matrix(signs) -> np.ndarray:
 
 def _pack_sign_matrix(signs: np.ndarray) -> np.ndarray:
     rows, code_len = signs.shape
-    n_words = words_per_row(code_len)
-    bits = np.zeros((rows, n_words * WORD_BITS), dtype=np.uint8)
-    bits[:, :code_len] = signs == 1
-    raw = np.packbits(bits, axis=1, bitorder="little")
-    # Assemble words byte-by-byte so the layout is host-endianness independent.
-    grouped = raw.reshape(rows, n_words, _WORD_BYTES).astype(np.uint64)
-    shifts = (np.arange(_WORD_BYTES, dtype=np.uint64) * np.uint64(8))[None, None, :]
-    return (grouped << shifts).sum(axis=2, dtype=np.uint64)
+    # "<u8" words keep the layout independent of the host byte order
+    words = np.zeros((rows, words_per_row(code_len)), dtype="<u8")
+    words.view(np.uint8)[:, : (code_len + 7) // 8] = np.packbits(
+        signs == 1, axis=1, bitorder="little"
+    )
+    return words.astype(np.uint64, copy=False)
 
 
 def _unpack_words(words: np.ndarray, code_len: int) -> np.ndarray:
-    rows = words.shape[0]
-    shifts = (np.arange(_WORD_BYTES, dtype=np.uint64) * np.uint64(8))[None, None, :]
-    raw = ((words[:, :, None] >> shifts) & np.uint64(0xFF)).astype(np.uint8)
-    bits = np.unpackbits(raw.reshape(rows, -1), axis=1, bitorder="little")
-    return np.where(bits[:, :code_len].astype(bool), 1, -1).astype(np.int8)
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=code_len, bitorder="little")
+    return np.where(bits == 1, np.int8(1), np.int8(-1))
 
 
 def _pad_mask(code_len: int) -> np.uint64:

@@ -164,7 +164,7 @@ class SimilarityBlock:
         return block
 
     def _init(self, group_pos, row_groups, neg_weight, query_indices):
-        self.group_signs = np.where(group_pos, 1, -1).astype(np.int8)
+        self.group_signs = np.where(group_pos, np.int8(1), np.int8(-1))
         self.row_groups = np.ascontiguousarray(row_groups, dtype=np.int64)
         self.group_sizes = np.bincount(
             self.row_groups, minlength=self.group_signs.shape[1]

@@ -62,6 +62,7 @@ accuracy contrast; it pays a full pass over all database pairs per epoch.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -118,16 +119,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.code_len < 1:
             raise ValueError("code_len must be >= 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
         if not 1 <= self.batch_size <= self.query_count:
             raise ValueError("need 1 <= batch_size <= query_count")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("outer_iters and inner_iters must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):

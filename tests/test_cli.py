@@ -1,10 +1,20 @@
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asymhash import cli, evaluate
-from asymhash.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from asymhash import cli, dataio, evaluate
+from asymhash.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 from asymhash.dataio import (
     CODES_MAGIC,
     FEATURES_MAGIC,
@@ -20,6 +30,9 @@ from asymhash.dataio import (
 )
 from asymhash.encoder import init_encoder
 from asymhash.hashcore import CodeMatrix
+from asymhash.solver import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +257,32 @@ class TestConfigFile:
         assert "seed = 9" in echoed  # flag wins over file
         assert "bits = 12" in echoed
 
+    def test_echoed_config_reruns_the_same_run(self, dataset, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run_train(dataset, first) == EXIT_OK
+        code = main(
+            ["train", "--config", str(first / "config.txt"), "--out", str(second)]
+        )
+        assert code == EXIT_OK
+        assert (
+            (second / "db_codes.bin").read_bytes()
+            == (first / "db_codes.bin").read_bytes()
+        )
+        echoed = (first / "config.txt").read_text()
+        assert f"out = {first}\n" in echoed
+        assert (second / "config.txt").read_text() == echoed.replace(
+            f"out = {first}\n", f"out = {second}\n"
+        )
+
+    def test_option_defaults_are_train_config_defaults(self):
+        defaults = {
+            key: option.default
+            for key, option in cli.TRAIN_OPTIONS.items()
+            if option.default is not None
+        }
+        assert defaults["bits"] == "16"
+        assert cli._train_config(defaults) == TrainConfig(code_len=16)
+
     def test_unknown_key_rejected(self, dataset, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("bogus_key = 1\n", encoding="utf-8")
@@ -303,6 +342,26 @@ class TestExitCodes:
     def test_bad_mode_is_config_error(self, dataset, tmp_path):
         code = run_train(dataset, tmp_path / "run", extra=["--mode", "bogus"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--gamma", "nan"),
+            ("--gamma", "inf"),
+            ("--lr", "nan"),
+            ("--lr", "inf"),
+            ("--lr", "1e309"),
+        ],
+    )
+    def test_non_finite_gamma_or_lr_is_config_error(
+        self, dataset, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # once exit 4 after training started, with an untrained "last good state"
+        monkeypatch.setattr(dataio, "read_features", must_not_run)
+        run = tmp_path / "run"
+        assert run_train(dataset, run, extra=[flag, value]) == EXIT_CONFIG
+        assert "must be finite and >= 0" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_divergence_is_numeric_error(self, dataset, tmp_path):
         run = tmp_path / "run"
@@ -589,6 +648,22 @@ class TestSweep:
         assert "has no rows" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_non_finite_gamma_fails_before_the_first_trial(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "train", must_not_run)
+        argv = ["sweep", "--out", str(tmp_path / "sweep"), "--gammas", "1,nan"]
+        for flag, name in (
+            ("--features", "db_features.bin"),
+            ("--labels", "db_labels.bin"),
+            ("--query-features", "query_features.bin"),
+            ("--query-labels", "query_labels.bin"),
+        ):
+            argv += [flag, str(dataset / name)]
+        assert main(argv) == EXIT_CONFIG
+        assert "gamma must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
     def test_bad_cutoff_fails_before_the_first_trial(
         self, dataset, tmp_path, monkeypatch, capsys
     ):
@@ -603,3 +678,28 @@ class TestSweep:
             argv += [flag, str(dataset / name)]
         assert main(argv) == EXIT_CONFIG
         assert "map_cutoff must be >= 1" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every asymhash command of the README's sh blocks, as an argv."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["asymhash"]:
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_every_command_is_documented(self):
+        documented = {argv[0] for argv in readme_commands()}
+        assert documented == {"gen-data", "train", "encode", "eval", "bench", "sweep"}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_command_parses(self, argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: asymhash {shlex.join(argv)}")

@@ -48,6 +48,13 @@ class TestPacking:
         assert int(matrix.words[0, 0]) == expected
         assert np.array_equal(matrix.to_signs()[0], signs)
 
+    def test_zero_rows_round_trip(self):
+        # read_codes returns such a matrix for a code file with no rows
+        matrix = CodeMatrix.from_signs(np.ones((0, 70), dtype=np.int8))
+        assert matrix.words.shape == (0, 2)
+        signs = matrix.to_signs()
+        assert signs.shape == (0, 70) and signs.dtype == np.int8
+
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
             CodeMatrix.from_signs([[1, 0, -1]])

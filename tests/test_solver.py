@@ -864,6 +864,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="gamma"):
             TrainConfig(code_len=8, gamma=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma", "learning_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(code_len=8, **{field: value})
+
 
 class TestComplexityProbe:
     def test_probe_reports_positive_times_and_slope(self):
