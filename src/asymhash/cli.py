@@ -103,8 +103,9 @@ def load_config_file(path) -> dict[str, str]:
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        # only whole lines are comments: a value, such as a path, may hold "#"
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")

@@ -134,8 +134,9 @@ def _group_stats(db_signs, block, rho: float) -> GroupStats:
     larger group.
 
     A large group is gathered and summed on its own; the small groups are
-    gathered together and summed in one reduceat. Entries are +/-1, so
-    every sum is an exact integer in float64.
+    gathered together, with one mask over the rows in group order, and
+    summed in one reduceat. Entries are +/-1, so every sum and Gram is an
+    exact integer in float64.
     """
     code_len = db_signs.shape[1]
     is_large = block.group_sizes > code_len
@@ -148,19 +149,19 @@ def _group_stats(db_signs, block, rho: float) -> GroupStats:
         sums[g] = codes.sum(axis=0)
         if grams is not None:
             grams[at] = codes.T @ codes
-    gram = db_signs.T @ db_signs if grams is None else grams.sum(axis=0)
     small = np.flatnonzero(~is_large)
-    small_codes = db_signs[block.rows_of(small)]
+    small_rows = block.group_rows[np.repeat(~is_large, block.group_sizes)]
+    small_codes = db_signs[small_rows]
     if small.size:
         starts = np.cumsum(block.group_sizes[small]) - block.group_sizes[small]
         sums[small] = np.add.reduceat(small_codes, starts, axis=0)
-        if grams is not None:
-            gram += small_codes.T @ small_codes
-    small_groups = np.repeat(small, block.group_sizes[small])
     own = None
     if block.query_indices is not None:
         own = db_signs[block.query_indices]
-    return GroupStats(rho, gram, sums, large, grams, small_codes, small_groups, own)
+    return GroupStats(
+        rho, db_signs.T @ db_signs, sums, large, grams,
+        small_codes, block.row_groups[small_rows], own,
+    )
 
 
 def _small_group_shared(relaxed, positive, db_count, stats: GroupStats):
@@ -204,7 +205,7 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
     """
     code_len = relaxed.shape[1]
     rho = stats.rho
-    positive = block.group_signs[rows] == 1
+    positive = block.positive[rows]
     target = (1.0 + rho) * (positive.astype(np.float64) @ stats.sums)
     target -= rho * stats.sums.sum(axis=0)
     quad = rho * (relaxed @ stats.gram)

@@ -1,11 +1,12 @@
 """Pairwise supervision: signed similarity blocks, query sampling, weights.
 
 Two points count as similar when their label sets intersect; LabelMatrix
-finds them through a postings index of ids. A block holds the signs of m
-query-role points against the n database points, plus the positive/negative
-imbalance ratio used to down-weight the (usually far more numerous)
-dissimilar pairs. Database rows with the same sign column form a label-set
-group and are stored once, so a block is m x groups, not m x n.
+finds them through a postings index of ids. A block holds which of m
+query-role points are similar to which of the n database points, plus the
+positive/negative imbalance ratio used to down-weight the (usually far
+more numerous) dissimilar pairs. Database rows with the same column of
+that relation form a label-set group and are stored once, so the block's
+one large array is the m x groups bool relation, not m x n signs.
 """
 
 from __future__ import annotations
@@ -83,10 +84,7 @@ class LabelMatrix:
             for length in np.unique(counts):
                 rows = np.flatnonzero(counts == length)
                 ids = self.ids[_segments(self.offsets[rows], counts[rows])]
-                keys = ids.view(np.dtype((np.void, 8 * int(length))))
-                _, first, inverse = np.unique(
-                    keys, return_index=True, return_inverse=True
-                )
+                first, inverse = _unique_rows(ids.reshape(len(rows), length))
                 row_set[rows] = sum(map(len, firsts)) + inverse
                 firsts.append(rows[first])
             self._distinct = (self.subset(np.concatenate(firsts)), row_set)
@@ -110,6 +108,18 @@ class LabelMatrix:
         return out
 
 
+def _unique_rows(rows: np.ndarray):
+    """(first row of each distinct row, index of each row's distinct row).
+
+    Distinct rows are ordered by their bytes. Each row is one opaque byte
+    string: a 1-D unique is much faster than np.unique(axis=0).
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _group_columns(positive: np.ndarray):
     """Merge identical columns of an m x K "shares a label" matrix.
 
@@ -118,19 +128,17 @@ def _group_columns(positive: np.ndarray):
     block (per database row or per distinct label set) give the same order.
     """
     packed = np.packbits(np.ascontiguousarray(positive.T), axis=1)
-    # one opaque byte string per column: a 1-D unique is much faster than
-    # np.unique(axis=0) over the byte columns
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, column_group = np.unique(keys, return_index=True, return_inverse=True)
+    first, column_group = _unique_rows(packed)
     return positive[:, first], column_group
 
 
 class SimilarityBlock:
     """Signed m x n supervision, stored per label-set group.
 
-    A group is the set of database rows with one sign column, so the block
-    holds the m x G group signs and each database row's group, never the
-    m x n signs, plus each query's count of positive pairs
+    A group is the set of database rows with one column of the "shares a
+    label" relation, so the block holds that relation once per group as
+    the read-only m x G bool ``positive`` and each database row's group,
+    never the m x n signs, plus each query's count of positive pairs
     (``positive_counts``). ``neg_weight`` is the dissimilar-pair weight.
     ``query_indices`` maps each query row to its database row when the
     queries were sampled from the database itself; it is None when the
@@ -149,34 +157,32 @@ class SimilarityBlock:
             raise ValueError("signs must be non-empty")
         if not np.isin(signs, (-1, 1)).all():
             raise ValueError("signs entries must be -1 or +1")
-        group_pos, row_groups = _group_columns(signs == 1)
-        self._init(group_pos, row_groups, neg_weight, query_indices)
+        positive, row_groups = _group_columns(signs == 1)
+        self._init(positive, row_groups, neg_weight, query_indices)
 
     @classmethod
-    def _from_groups(cls, group_pos, row_groups, query_indices=None):
+    def _from_groups(cls, positive, row_groups, query_indices=None):
         """Block of the given groups, weighted by its own pair imbalance."""
         block = cls.__new__(cls)
-        block._init(group_pos, row_groups, 1.0, query_indices)
+        block._init(positive, row_groups, 1.0, query_indices)
         pos = int(block.positive_counts.sum())
         neg = block.query_count * block.db_count - pos
         if pos and neg:
             block.neg_weight = pos / neg
         return block
 
-    def _init(self, group_pos, row_groups, neg_weight, query_indices):
-        self.group_signs = np.where(group_pos, np.int8(1), np.int8(-1))
+    def _init(self, positive, row_groups, neg_weight, query_indices):
+        self.positive = positive
         self.row_groups = np.ascontiguousarray(row_groups, dtype=np.int64)
-        self.group_sizes = np.bincount(
-            self.row_groups, minlength=self.group_signs.shape[1]
-        )
+        self.group_sizes = np.bincount(self.row_groups, minlength=self.group_count)
         # the database rows ordered by group; group g's are
         # group_rows[group_offsets[g]:group_offsets[g + 1]]
         self.group_rows = np.argsort(self.row_groups, kind="stable")
         self.group_offsets = np.concatenate(([0], np.cumsum(self.group_sizes)))
         # (P_g n)_i, the database rows sharing a label with query i; einsum
         # buffers the bool-to-int cast instead of copying the m x G relation
-        self.positive_counts = np.einsum("ig,g->i", group_pos, self.group_sizes)
-        for arr in (self.group_signs, self.row_groups, self.group_sizes,
+        self.positive_counts = np.einsum("ig,g->i", positive, self.group_sizes)
+        for arr in (self.positive, self.row_groups, self.group_sizes,
                     self.group_rows, self.group_offsets, self.positive_counts):
             arr.flags.writeable = False
         if not neg_weight > 0:
@@ -196,7 +202,7 @@ class SimilarityBlock:
 
     @property
     def query_count(self) -> int:
-        return self.group_signs.shape[0]
+        return self.positive.shape[0]
 
     @property
     def db_count(self) -> int:
@@ -204,30 +210,23 @@ class SimilarityBlock:
 
     @property
     def group_count(self) -> int:
-        return self.group_signs.shape[1]
-
-    def rows_of(self, groups) -> np.ndarray:
-        """The database rows of each of ``groups`` in turn, concatenated."""
-        groups = np.asarray(groups, dtype=np.int64)
-        return self.group_rows[
-            _segments(self.group_offsets[groups], self.group_sizes[groups])
-        ]
+        return self.positive.shape[1]
 
     @property
     def signs(self) -> np.ndarray:
         """The m x n int8 signs, expanded on demand."""
-        return self.group_signs[:, self.row_groups]
+        return np.where(self.positive[:, self.row_groups], np.int8(1), np.int8(-1))
 
     def weights(self) -> np.ndarray:
         """Per-pair weights: 1 for similar pairs, neg_weight for dissimilar."""
-        return np.where(self.signs == 1, 1.0, self.neg_weight)
+        return np.where(self.positive[:, self.row_groups], 1.0, self.neg_weight)
 
 
 def _grouped_block(query_labels, db_labels, query_indices=None) -> SimilarityBlock:
     """Block from labels: one shares_label call per distinct database set."""
     distinct, row_set = db_labels.distinct()
-    group_pos, set_group = _group_columns(query_labels.shares_label(distinct))
-    return SimilarityBlock._from_groups(group_pos, set_group[row_set], query_indices)
+    positive, set_group = _group_columns(query_labels.shares_label(distinct))
+    return SimilarityBlock._from_groups(positive, set_group[row_set], query_indices)
 
 
 def build_similarity(

@@ -10,7 +10,7 @@ encoder is trained by minibatch gradient steps against the fixed codes.
 The column update never forms an m x n array. Pair weights take two
 values, w = rho + (1 - rho) * P, where rho is the dissimilar-pair weight
 (1 when unweighted) and P is the 0/1 "shares a label" relation. Database
-rows with identical sign columns (label-set groups) share every weight, so
+rows with identical columns of P (label-set groups) share every weight, so
 with R the m x c relaxed query codes, Gram = R^T R, P_g the m x groups
 relation and B_k = P_g^T (R * r_k), the coefficient of bit k of row j is
 
@@ -20,14 +20,17 @@ relation and B_k = P_g^T (R * r_k), the coefficient of bit k of row j is
 
 with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
 bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
-term vanishes and is skipped.
+term vanishes and is skipped. P_g is the block's bool ``positive``.
 
 Given R, the sweep separates over database rows: coef_j reads only row
-j's own code, its group and its own pull term. Rows with one (group, code)
-get one new code, so a sweep keys each row by its packed code and a tag
-(its group, or a private tag for a sampled row whose pull is live), runs
-over one representative row per key, and writes the result back to every
-row with one gather. Random initial codes are ~all distinct and collapse
+j's own code, its group and its own pull term. The linear terms form one
+table: the G rows of static and, when the pull is live (sampled queries,
+gamma != 0), one row static[g(q_i)] - gamma * r_i per sampled query i.
+Each database row's tag is the table row it reads, its group or its
+query's private row. Rows with one (tag, code) get one new code, so a
+sweep keys each row by its tag and packed code, runs over one
+representative row per key, and writes the result back to every row with
+one gather. Random initial codes are ~all distinct and collapse
 onto a few codes per group during the first sweep, so the key is taken
 afresh on every call; later sweeps cost O(distinct rows * c^2), not
 O(n * c^2).
@@ -187,53 +190,13 @@ def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
     return _group_loss_and_grad_z(relaxed, slice(None), block, stats, gamma)[0]
 
 
-def _prepare_sweep(relaxed, block, code_len, weighted):
-    """Per-sweep terms of the label-group column update (module docstring).
+def _distinct_rows(db, tags):
+    """(one representative row per distinct (tag, code) key, each row's
+    position in those representatives).
 
-    The groups are the block's: database rows with one sign column. For
-    pair weight w = rho + (1 - rho) * P:
-
-      coef_j = rho * (v_j . Gram[:, k] - v_jk * Gram[k, k])
-               + (1 - rho) * (v_j . B_k[g(j)] - v_jk * B_k[g(j), k])
-               + static[g(j), k]  (- gamma * r_ik if j is sampled query i)
-
-    with Gram = R^T R, B_k = P_g^T (R * r_k) and static =
-    -c * ((1 + rho) * P_g^T R - rho * sum_i r_i) = -c * (w * s)_g^T R.
-    Returns (rho, Gram, static, P_g); P_g is None when rho = 1, where the
-    (1 - rho) term that reads it vanishes.
+    Rows with one key get one new code from a sweep. The key is sorted by
+    one lexsort over (code words..., tag).
     """
-    rho = block.neg_weight if weighted else 1.0
-    group_pos = block.group_signs == 1
-    static = -code_len * (np.where(group_pos, 1.0, -rho).T @ relaxed)
-    return (
-        rho, relaxed.T @ relaxed, static,
-        group_pos.astype(np.float64) if rho != 1.0 else None,
-    )
-
-
-class _DistinctRows(NamedTuple):
-    """One representative database row per distinct sweep key."""
-
-    reps: np.ndarray  # the representatives' database rows
-    inverse: np.ndarray  # each database row's position in ``reps``
-    groups: np.ndarray  # each representative's label-set group
-    pulled: np.ndarray  # positions in ``reps`` of rows with a pull term
-    pull: np.ndarray  # gamma * r_i of each of those, in the same order
-
-
-def _distinct_rows(db, relaxed, block, gamma) -> _DistinctRows:
-    """Group the database rows by their key (tag, packed code).
-
-    The tag is the row's label-set group. A sampled row whose pull term is
-    live (gamma != 0) gets a private tag instead, since -gamma * r_i belongs
-    to it alone. Rows with one key get one new code from a sweep. The key
-    is sorted by one lexsort over (code words..., tag).
-    """
-    n_groups = block.group_count
-    tags = block.row_groups
-    if block.query_indices is not None and gamma != 0.0:
-        tags = tags.copy()
-        tags[block.query_indices] = n_groups + np.arange(block.query_count)
     words = _pack_sign_matrix(db).T
     order = np.lexsort((*words, tags))
     new_key = np.empty(len(order), dtype=bool)
@@ -243,26 +206,22 @@ def _distinct_rows(db, relaxed, block, gamma) -> _DistinctRows:
     for word in words:
         sorted_word = word[order]
         new_key[1:] |= sorted_word[1:] != sorted_word[:-1]
-    reps = order[new_key]
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new_key) - 1
-    rep_tags = tags[reps]
-    pulled = np.flatnonzero(rep_tags >= n_groups)
-    pull = gamma * relaxed[rep_tags[pulled] - n_groups]
-    return _DistinctRows(reps, inverse, block.row_groups[reps], pulled, pull)
+    return order[new_key], inverse
 
 
-def _update_column(db, relaxed, sweep, rows: _DistinctRows, k: int) -> None:
+def _update_column(db, k, rho, gram, linear, shared) -> None:
     """Replace column k of the representative rows ``db`` with its exact
-    minimizer; zero coefficient gives -1."""
-    rho, gram, static, group_pos = sweep
+    minimizer; zero coefficient gives -1.
+
+    ``linear`` is each row's static[tag, k] and ``shared`` each row's
+    B_k[g(j)], None when rho = 1 (module docstring).
+    """
     coef = rho * (db @ gram[:, k] - db[:, k] * gram[k, k])
-    if group_pos is not None:
-        shared = (group_pos.T @ (relaxed * relaxed[:, k, None]))[rows.groups]
+    if shared is not None:
         row_dot = np.einsum("jl,jl->j", db, shared)
         coef += (1.0 - rho) * (row_dot - db[:, k] * shared[:, k])
-    linear = static[rows.groups, k]
-    linear[rows.pulled] -= rows.pull[:, k]
     coef += linear
     db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
 
@@ -278,35 +237,55 @@ def v_step(
     """One full sweep over all code columns, each using the latest codes.
 
     Given the relaxed query codes the objective is a sum of independent
-    per-row terms, so a row's new code depends only on its key: its code,
-    its label-set group and, for a sampled row, its own pull term. The
-    sweep runs over one representative row per distinct key and one gather
-    writes the result back to all rows. The key is taken on every call:
-    the first sweep from random codes starts with ~all rows distinct, and
-    they collapse onto few keys only during that sweep.
+    per-row terms, so a row's new code depends only on its key: its code
+    and its tag, the row of the linear-term table it reads (module
+    docstring). The sweep runs over one representative row per distinct
+    key and one gather writes the result back to all rows. The key is
+    taken on every call: the first sweep from random codes starts with
+    ~all rows distinct, and they collapse onto few keys only during that
+    sweep.
 
     When ``track_objective`` is a list, appends one sub-list per sweep
     holding the fully recomputed objective before the first column and
     after every column update.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    sweep = _prepare_sweep(relaxed, block, db_signs.shape[1], weighted)
-    rows = _distinct_rows(db_signs, relaxed, block, gamma)
-    work = db_signs[rows.reps]
+    rho = block.neg_weight if weighted else 1.0
+    gram = relaxed.T @ relaxed
+    static = -db_signs.shape[1] * (np.where(block.positive, 1.0, -rho).T @ relaxed)
+    tags = block.row_groups
+    if block.query_indices is not None and gamma != 0.0:
+        # a sampled row's pull term -gamma * r_i is its own: it reads a
+        # private row of the table
+        static = np.concatenate(
+            (static, static[tags[block.query_indices]] - gamma * relaxed)
+        )
+        tags = tags.copy()
+        tags[block.query_indices] = block.group_count + np.arange(block.query_count)
+    reps, inverse = _distinct_rows(db_signs, tags)
+    tags = tags[reps]  # now per representative; this frees the n-row copy
+    work = db_signs[reps]
+    group_pos = rep_groups = None
+    if rho != 1.0:  # read only by the (1 - rho) term
+        group_pos = block.positive.astype(np.float64)
+        rep_groups = block.row_groups[reps]
     trace = None
     if track_objective is not None:
-        stats = _group_stats(db_signs, block, sweep[0])
+        stats = _group_stats(db_signs, block, rho)
         trace = [objective(relaxed, stats, block, gamma)]
         track_objective.append(trace)
     for k in range(db_signs.shape[1]):
-        _update_column(work, relaxed, sweep, rows, k)
+        shared = None
+        if group_pos is not None:
+            shared = (group_pos.T @ (relaxed * relaxed[:, k, None]))[rep_groups]
+        _update_column(work, k, rho, gram, static[tags, k], shared)
         if trace is not None:
-            db_signs[:, k] = work[rows.inverse, k]
-            stats = _group_stats(db_signs, block, sweep[0])
+            db_signs[:, k] = work[inverse, k]
+            stats = _group_stats(db_signs, block, rho)
             trace.append(objective(relaxed, stats, block, gamma))
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
-    np.take(work, rows.inverse, axis=0, out=db_signs, mode="clip")
+    np.take(work, inverse, axis=0, out=db_signs, mode="clip")
     return db_signs
 
 

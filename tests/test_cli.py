@@ -274,6 +274,21 @@ class TestConfigFile:
             f"out = {first}\n", f"out = {second}\n"
         )
 
+    def test_hash_in_a_path_reads_back(self, dataset, tmp_path):
+        # only whole lines are comments, so an echoed "#" stays in the value
+        run = tmp_path / "h#x" / "run"
+        assert run_train(dataset, run) == EXIT_OK
+        first = (run / "db_codes.bin").read_bytes()
+        (run / "db_codes.bin").unlink()
+        assert main(["train", "--config", str(run / "config.txt")]) == EXIT_OK
+        assert (run / "db_codes.bin").read_bytes() == first
+        assert [path.name for path in tmp_path.iterdir()] == ["h#x"]
+
+    def test_comment_lines_and_inline_hash(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a comment\n  # indented\nseed = 5 # kept\n")
+        assert cli.load_config_file(config) == {"seed": "5 # kept"}
+
     def test_option_defaults_are_train_config_defaults(self):
         defaults = {
             key: option.default
@@ -696,6 +711,53 @@ class TestReadme:
     def test_every_command_is_documented(self):
         documented = {argv[0] for argv in readme_commands()}
         assert documented == {"gen-data", "train", "encode", "eval", "bench", "sweep"}
+
+    def test_config_echo_claim(self, dataset, tmp_path):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        claim = re.search(r"((?:`[a-z-]+`,? )+and `[a-z-]+`) echo their", text)
+        echoing = set(re.findall(r"`([a-z-]+)`", claim.group(1)))
+        assert echoing == {"gen-data", "train", "eval", "bench", "sweep"}
+        assert "`encode` writes only its codes file" in text
+
+        short = ["--tout", "1", "--tin", "1"]
+        outs = {"gen-data": dataset, "train": tmp_path / "run"}
+        assert run_train(dataset, outs["train"], short) == EXIT_OK
+        codes = tmp_path / "codes" / "query_codes.bin"
+        codes.parent.mkdir()
+        assert main(
+            [
+                "encode", "--model", str(outs["train"] / "model.bin"),
+                "--features", str(dataset / "query_features.bin"),
+                "--out", str(codes),
+            ]
+        ) == EXIT_OK
+        assert list(codes.parent.iterdir()) == [codes]
+        outs["eval"] = tmp_path / "metrics"
+        assert main(
+            [
+                "eval", "--query-codes", str(codes),
+                "--db-codes", str(outs["train"] / "db_codes.bin"),
+                "--query-labels", str(dataset / "query_labels.bin"),
+                "--db-labels", str(dataset / "db_labels.bin"),
+                "--out", str(outs["eval"]),
+            ]
+        ) == EXIT_OK
+        outs["bench"] = tmp_path / "bench"
+        assert main(
+            [
+                "bench", "--sizes", "100,200,300", "--omega", "20", "--bits", "8",
+                "--modes", "asymmetric_sampled", "--out", str(outs["bench"]),
+            ]
+        ) == EXIT_OK
+        outs["sweep"] = tmp_path / "sweep"
+        argv = ["sweep", "--out", str(outs["sweep"]), "--gammas", "1", "--omegas", "40"]
+        for flag, name in (
+            ("--features", "db_features"), ("--labels", "db_labels"),
+            ("--query-features", "query_features"), ("--query-labels", "query_labels"),
+        ):
+            argv += [flag, str(dataset / f"{name}.bin")]
+        assert main(argv + ["--batch", "40", *short]) == EXIT_OK
+        assert {cmd for cmd, out in outs.items() if (out / "config.txt").exists()} == echoing
 
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_command_parses(self, argv):

@@ -235,7 +235,7 @@ class TestGroupedBlock:
         # one group per distinct sign column, sized by its row count
         columns = np.unique(want, axis=1)
         assert block.group_count == columns.shape[1]
-        assert np.array_equal(block.group_signs[:, block.row_groups], want)
+        assert np.array_equal(block.positive[:, block.row_groups], want == 1)
         assert block.group_sizes.sum() == 300
         pos = int((want == 1).sum())
         assert block.neg_weight == pos / (want.size - pos)
@@ -262,8 +262,28 @@ class TestGroupedBlock:
         hand = SimilarityBlock(
             signs=built.signs, neg_weight=built.neg_weight, query_indices=omega
         )
-        assert np.array_equal(built.group_signs, hand.group_signs)
+        assert np.array_equal(built.positive, hand.positive)
         assert np.array_equal(built.row_groups, hand.row_groups)
+
+    def test_holds_one_query_by_group_array(self):
+        # the relation is stored once, as bool; every other array is sized
+        # by the rows, the groups or the queries, never by their product
+        rng = np.random.default_rng(24)
+        db = LabelMatrix(
+            [rng.choice(40, int(rng.integers(1, 4)), replace=False) for _ in range(400)]
+        )
+        block = build_sampled_similarity(db, rng.choice(400, 50, replace=False))
+        m, n, groups = block.query_count, block.db_count, block.group_count
+        assert m * groups > 10 * (n + groups + m)
+        assert block.positive.shape == (m, groups)
+        assert block.positive.dtype == bool
+        assert not block.positive.flags.writeable
+        others = [
+            value for name, value in vars(block).items()
+            if isinstance(value, np.ndarray) and name != "positive"
+        ]
+        assert len(others) == 6
+        assert all(arr.size <= n + groups + m for arr in others)
 
     def test_label_sets_are_compared_once_per_distinct_set(self, monkeypatch):
         labels = LabelMatrix.from_ids(np.arange(1000) % 7)
