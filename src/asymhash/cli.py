@@ -285,6 +285,7 @@ def cmd_encode(args) -> int:
     features = dataio.read_features(args.features)
     _check_width(features, args.features, model.feature_dim, args.model)
     codes = encode_queries(model, features)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     dataio.write_codes(args.out, codes)
     print(f"encoded {codes.rows} points at {codes.code_len} bits -> {args.out}")
     return EXIT_OK

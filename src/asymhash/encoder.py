@@ -199,8 +199,9 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
       d loss_i / d r_i = 2 * (q_i - c * h_i)
 
     plus the gamma pull toward the own code when the block's queries are
-    database rows and gamma != 0. The sum in q_i is Q_g r_i over each
-    positive group of more than c rows and a masked product over the rows
+    database rows and gamma != 0. The sum in q_i is (sum_g P_ig Q_g) r_i
+    over the groups of more than c rows, with the rows' summed Grams taken
+    by one product per chunk of rows, plus a masked product over the rows
     of the smaller groups.
     """
     code_len = relaxed.shape[1]
@@ -211,12 +212,16 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
     quad = rho * (relaxed @ stats.gram)
     pairs = rho * float(block.db_count) * len(relaxed)
     if rho != 1.0:
-        shared = np.zeros_like(relaxed)
-        for g, gram in zip(stats.large, stats.grams):
-            hit = positive[:, g]
-            if hit.any():
-                shared[hit] += relaxed[hit] @ gram
-        shared += _small_group_shared(relaxed, positive, block.db_count, stats)
+        # sum_g P_ig Q_g over the large groups, about n entries per chunk
+        grams = stats.grams.reshape(len(stats.large), code_len * code_len)
+        shared = _small_group_shared(relaxed, positive, block.db_count, stats)
+        step = max(1, block.db_count // code_len**2)
+        for start in range(0, len(relaxed), step):
+            at = slice(start, start + step)
+            summed = positive[at, stats.large] @ grams
+            shared[at] += np.einsum(
+                "il,ilk->ik", relaxed[at], summed.reshape(-1, code_len, code_len)
+            )
         quad += (1.0 - rho) * shared
         pairs += (1.0 - rho) * float(block.positive_counts[rows].sum())
     loss = float((relaxed * (quad - 2.0 * code_len * target)).sum())

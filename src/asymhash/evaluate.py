@@ -64,12 +64,12 @@ def relevance_from_labels(
     return query_labels.shares_label(db_labels)
 
 
-def _check_relevance(ranking, relevance):
+def _check_relevance(pairs, relevance):
     relevance = np.asarray(relevance, dtype=bool)
-    if relevance.shape != ranking.shape:
+    if relevance.shape != pairs.shape:
         raise ValueError(
-            f"relevance shape {relevance.shape} does not match "
-            f"ranking shape {ranking.shape}"
+            f"relevance shape {relevance.shape} does not match the "
+            f"{pairs.shape} query/database pair grid"
         )
     return relevance
 
@@ -201,12 +201,7 @@ def precision_recall_by_radius(
     with no relevant points counts as recall 1.0.
     """
     dist = pairwise_hamming(query_codes, db_codes)
-    relevance = np.asarray(relevance, dtype=bool)
-    if relevance.shape != dist.shape:
-        raise ValueError(
-            f"relevance shape {relevance.shape} does not match "
-            f"{dist.shape} query/database pair grid"
-        )
+    relevance = _check_relevance(dist, relevance)
     ranks = _relevant_ranks(_ranked_relevance(relevance, _stable_order(dist)))
     return _precision_recall(*_radius_counts(dist, ranks, query_codes.code_len))
 

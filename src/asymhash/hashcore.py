@@ -19,24 +19,25 @@ def words_per_row(code_len: int) -> int:
     return (code_len + WORD_BITS - 1) // WORD_BITS
 
 
-def _as_sign_matrix(signs) -> np.ndarray:
+def _plus_mask(signs) -> np.ndarray:
+    """Where a 2-D array over {-1, +1} holds +1; rejects any other entry."""
     arr = np.asarray(signs)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D sign array, got ndim={arr.ndim}")
     plus = arr == 1
-    minus = arr == -1
-    if not np.logical_or(plus, minus).all():
-        bad = arr[~np.logical_or(plus, minus)]
-        raise ValueError(f"code entries must be -1 or +1, found {bad.flat[0]!r}")
-    return np.where(plus, 1, -1).astype(np.int8)
+    bad = ~(plus | (arr == -1))
+    if bad.any():
+        raise ValueError(f"code entries must be -1 or +1, found {arr[bad].flat[0]!r}")
+    return plus
 
 
-def _pack_sign_matrix(signs: np.ndarray) -> np.ndarray:
-    rows, code_len = signs.shape
+def _pack_bits(plus: np.ndarray) -> np.ndarray:
+    """One row of uint64 code words per row of the 2-D bool ``plus``."""
+    rows, code_len = plus.shape
     # "<u8" words keep the layout independent of the host byte order
     words = np.zeros((rows, words_per_row(code_len)), dtype="<u8")
     words.view(np.uint8)[:, : (code_len + 7) // 8] = np.packbits(
-        signs == 1, axis=1, bitorder="little"
+        plus, axis=1, bitorder="little"
     )
     return words.astype(np.uint64, copy=False)
 
@@ -81,8 +82,8 @@ class CodeMatrix:
 
     @classmethod
     def from_signs(cls, signs) -> "CodeMatrix":
-        mat = _as_sign_matrix(signs)
-        return cls(_pack_sign_matrix(mat), mat.shape[0], mat.shape[1])
+        plus = _plus_mask(signs)
+        return cls(_pack_bits(plus), *plus.shape)
 
     def to_signs(self) -> np.ndarray:
         """Unpack to an int8 matrix over {-1, +1}."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hashcore import _pack_bits
+
 
 def _segments(starts, counts) -> np.ndarray:
     """Flat positions of the runs ``starts[i] : starts[i] + counts[i]``."""
@@ -74,8 +76,9 @@ class LabelMatrix:
     def distinct(self):
         """(the distinct label sets, index of each row's set); found once.
 
-        Rows of one length are compared as fixed-width byte strings of
-        their sorted ids, one 1-D unique per length.
+        Rows of one length are compared id column by id column, one
+        ``_unique_rows`` per length, so the sets of one length come in the
+        lexsort order of their sorted id columns.
         """
         if self._distinct is None:
             counts = np.diff(self.offsets)
@@ -84,7 +87,7 @@ class LabelMatrix:
             for length in np.unique(counts):
                 rows = np.flatnonzero(counts == length)
                 ids = self.ids[_segments(self.offsets[rows], counts[rows])]
-                first, inverse = _unique_rows(ids.reshape(len(rows), length))
+                first, inverse = _unique_rows(*ids.reshape(len(rows), length).T)
                 row_set[rows] = sum(map(len, firsts)) + inverse
                 firsts.append(rows[first])
             self._distinct = (self.subset(np.concatenate(firsts)), row_set)
@@ -108,27 +111,38 @@ class LabelMatrix:
         return out
 
 
-def _unique_rows(rows: np.ndarray):
-    """(first row of each distinct row, index of each row's distinct row).
+def _unique_rows(*keys):
+    """(first row of each distinct key, index of each row's distinct key).
 
-    Distinct rows are ordered by their bytes. Each row is one opaque byte
-    string: a 1-D unique is much faster than np.unique(axis=0).
+    A row's key is its entry in each 1-D integer column of ``keys``. One
+    stable lexsort orders the rows (the last column is the primary key)
+    and one boundary test per column marks where the key changes, so keys
+    are numbered in lexsort order and each one's first row is its lowest.
+    The columns stay separate: stacking uint64 code words with int64 tags
+    would promote both to float64 and merge distinct words.
     """
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    return first, inverse
+    order = np.lexsort(keys)
+    new_key = np.zeros(len(order), dtype=bool)
+    new_key[:1] = True
+    for key in keys:
+        sorted_key = key[order]
+        new_key[1:] |= sorted_key[1:] != sorted_key[:-1]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new_key) - 1
+    return order[new_key], inverse
 
 
 def _group_columns(positive: np.ndarray):
     """Merge identical columns of an m x K "shares a label" matrix.
 
-    Returns (m x G group positives, group of each column). Groups are
-    ordered by their packed columns, so any two K-column views of the same
-    block (per database row or per distinct label set) give the same order.
+    Returns (m x G group positives, group of each column). The columns
+    are packed into uint64 words and merged by ``_unique_rows`` over them,
+    so groups follow the lexsort order of the packed columns, and any two
+    K-column views of the same block (per database row or per distinct
+    label set) give the same order.
     """
-    packed = np.packbits(np.ascontiguousarray(positive.T), axis=1)
-    first, column_group = _unique_rows(packed)
+    words = _pack_bits(np.ascontiguousarray(positive.T))
+    first, column_group = _unique_rows(*words.T)
     return positive[:, first], column_group
 
 

@@ -28,12 +28,13 @@ table: the G rows of static and, when the pull is live (sampled queries,
 gamma != 0), one row static[g(q_i)] - gamma * r_i per sampled query i.
 Each database row's tag is the table row it reads, its group or its
 query's private row. Rows with one (tag, code) get one new code, so a
-sweep keys each row by its tag and packed code, runs over one
-representative row per key, and writes the result back to every row with
-one gather. Random initial codes are ~all distinct and collapse
-onto a few codes per group during the first sweep, so the key is taken
-afresh on every call; later sweeps cost O(distinct rows * c^2), not
-O(n * c^2).
+sweep keys each row by its tag and packed code words, takes one
+representative row per key from ``simgraph._unique_rows`` (the one
+lexsort helper, which also forms the groups), runs over those rows, and
+writes the result back to every row with one gather. Random initial
+codes are ~all distinct and collapse onto a few codes per group during
+the first sweep, so the key is taken afresh on every call; later sweeps
+cost O(distinct rows * c^2), not O(n * c^2).
 
 The objective and the encoder's gradient use the same groups. With V the
 database codes, Q = V^T V, and u_g, n_g, Q_g = V_g^T V_g the row sum, row
@@ -86,10 +87,11 @@ from .encoder import (
     loss_and_param_grads,
     minibatch_step,
 )
-from .hashcore import CodeMatrix, _pack_sign_matrix
+from .hashcore import CodeMatrix, _pack_bits
 from .simgraph import (
     LabelMatrix,
     SimilarityBlock,
+    _unique_rows,
     build_sampled_similarity,
     build_similarity,
     sample_query_indices,
@@ -190,27 +192,6 @@ def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
     return _group_loss_and_grad_z(relaxed, slice(None), block, stats, gamma)[0]
 
 
-def _distinct_rows(db, tags):
-    """(one representative row per distinct (tag, code) key, each row's
-    position in those representatives).
-
-    Rows with one key get one new code from a sweep. The key is sorted by
-    one lexsort over (code words..., tag).
-    """
-    words = _pack_sign_matrix(db).T
-    order = np.lexsort((*words, tags))
-    new_key = np.empty(len(order), dtype=bool)
-    new_key[:1] = True
-    sorted_tags = tags[order]
-    np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=new_key[1:])
-    for word in words:
-        sorted_word = word[order]
-        new_key[1:] |= sorted_word[1:] != sorted_word[:-1]
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(new_key) - 1
-    return order[new_key], inverse
-
-
 def _update_column(db, k, rho, gram, linear, shared) -> None:
     """Replace column k of the representative rows ``db`` with its exact
     minimizer; zero coefficient gives -1.
@@ -262,7 +243,7 @@ def v_step(
         )
         tags = tags.copy()
         tags[block.query_indices] = block.group_count + np.arange(block.query_count)
-    reps, inverse = _distinct_rows(db_signs, tags)
+    reps, inverse = _unique_rows(*_pack_bits(db_signs > 0).T, tags)
     tags = tags[reps]  # now per representative; this frees the n-row copy
     work = db_signs[reps]
     group_pos = rep_groups = None

@@ -231,6 +231,22 @@ class TestTrainEvalFlow:
         assert code == EXIT_CONFIG
 
 
+    def test_encode_creates_its_output_directory(self, dataset, tmp_path):
+        model = tmp_path / "model.bin"
+        write_model(model, init_encoder((12, 8, 16), 0))
+        codes = tmp_path / "missing" / "deeper" / "query_codes.bin"
+        assert main(
+            [
+                "encode",
+                "--model", str(model),
+                "--features", str(dataset / "query_features.bin"),
+                "--out", str(codes),
+            ]
+        ) == EXIT_OK
+        want = len(read_features(dataset / "query_features.bin"))
+        assert read_codes(codes).rows == want
+
+
 class TestConfigFile:
     def test_file_values_and_flag_overrides(self, dataset, tmp_path):
         config = tmp_path / "run.cfg"

@@ -165,6 +165,14 @@ class TestPrecisionRecallByRadius:
         _, recall = precision_recall_by_radius(queries, database, relevance)
         assert recall[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shape", [(4, 14), (15, 4), (4, 15, 1)])
+    def test_rejects_mis_shaped_relevance(self, shape):
+        rng = np.random.default_rng(3)
+        queries = random_codes(rng, 4, 6)
+        database = random_codes(rng, 15, 6)
+        with pytest.raises(ValueError, match=r"\(4, 15\) query/database pair grid"):
+            precision_recall_by_radius(queries, database, np.ones(shape, dtype=bool))
+
     def test_zero_radius_exact_neighbor(self):
         database = CodeMatrix.from_signs([[1, 1], [1, -1]])
         queries = CodeMatrix.from_signs([[1, 1]])

@@ -5,6 +5,7 @@ from asymhash import oracle
 from asymhash.simgraph import (
     LabelMatrix,
     SimilarityBlock,
+    _unique_rows,
     build_sampled_similarity,
     build_similarity,
     sample_query_indices,
@@ -102,6 +103,30 @@ class TestLabelMatrix:
             own = row_sets(sets)
             for row, at in zip(rows, row_set):
                 assert own[at] == tuple(sorted(set(int(i) for i in row)))
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("rows", [400, 1, 50])
+    def test_matches_a_dict_over_row_tuples(self, rows):
+        # words at and above 2^63 that differ only in their low bits, which
+        # a float64 key would merge, next to int64 tags; 50 rows are all equal
+        rng = np.random.default_rng(26)
+        choices = 1 if rows == 50 else 3
+        top = np.uint64(2**64 - 1)
+        keys = (
+            np.uint64(2**63) + rng.integers(0, choices, rows).astype(np.uint64),
+            top - rng.integers(0, choices, rows).astype(np.uint64),
+            rng.integers(0, choices, rows),
+        )
+        first_of: dict = {}
+        for row, key in enumerate(zip(*(k.tolist() for k in keys))):
+            first_of.setdefault(key, row)
+        first, inverse = _unique_rows(*keys)
+        assert len(first) == len(first_of)
+        assert sorted(first.tolist()) == sorted(first_of.values())
+        # each row maps to the first row of its own key
+        want = [first_of[key] for key in zip(*(k.tolist() for k in keys))]
+        assert first[inverse].tolist() == want
 
 
 class TestBuildSimilarity:

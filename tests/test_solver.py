@@ -220,9 +220,9 @@ class TestVStep:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_sweeps_only_distinct_rows(self, weighted, monkeypatch):
         # small query codes near one code per class, each bit +1 in half
-        # the classes: the static term outweighs the coupling between bits,
-        # so the first sweep from random codes leaves one code per group,
-        # and the sampled rows keep their own keys
+        # the classes: the first sweep from random codes collapses the rows
+        # onto few codes, and the second sweeps exactly one row per
+        # distinct (tag, code) key that the first one left
         _, labels = gen_synthetic_clusters(10, 300, 2, 0.1, seed=15)
         rng = np.random.default_rng(15)
         n, code_len = len(labels), 16
@@ -231,7 +231,7 @@ class TestVStep:
         class_codes = np.array(
             [rng.permutation([1] * 5 + [-1] * 5) for _ in range(code_len)]
         ).T
-        relaxed = 0.1 * class_codes[block.row_groups[omega]]
+        relaxed = 0.1 * class_codes[labels.ids[omega]]  # one label id per row
         relaxed += rng.uniform(-0.02, 0.02, relaxed.shape)
         db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
         tracked = db.copy()
@@ -243,10 +243,14 @@ class TestVStep:
             update(work, *args)
 
         monkeypatch.setattr(solver, "_update_column", recording)
-        for _ in range(2):
-            v_step(db, relaxed, block, 200.0, weighted=weighted)
-        assert len(swept) == 2 * code_len
-        assert max(swept[code_len:]) <= block.group_count + block.query_count
+        v_step(db, relaxed, block, 200.0, weighted=weighted)
+        # gamma != 0: each sampled row reads its own row of the table
+        tags = block.row_groups.copy()
+        tags[omega] = block.group_count + np.arange(len(omega))
+        keys = {(tag, *row) for tag, row in zip(tags.tolist(), db.tolist())}
+        v_step(db, relaxed, block, 200.0, weighted=weighted)
+        assert swept[code_len:] == [len(keys)] * code_len
+        assert len(keys) < n / 10
 
         trace = []
         for _ in range(2):
@@ -620,6 +624,27 @@ def test_train_memory_does_not_grow_with_query_count(dataset):
 
     small, large = peak_bytes(100), peak_bytes(800)
     assert large <= 1.1 * small + per_query_bytes(800)
+
+
+def test_objective_holds_no_query_by_code_squared_array():
+    # Weighted, c = 64, 10 label groups of 400 rows, all larger than c: the
+    # large groups' summed Grams come in chunks of rows, never as one
+    # m x c x c float64 array, which would be as large as 64 m x c arrays
+    _, labels = gen_synthetic_clusters(10, 400, 2, 0.1, seed=38)
+    rng = np.random.default_rng(38)
+    n, m, code_len = len(labels), 500, 64
+    block = build_sampled_similarity(labels, sample_query_indices(n, m, rng))
+    db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
+    stats = _group_stats(db, block, block.neg_weight)
+    assert len(stats.large) == block.group_count == 10
+    relaxed = rng.uniform(-0.95, 0.95, (m, code_len))
+    tracemalloc.start()
+    try:
+        objective(relaxed, stats, block, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * relaxed.nbytes  # the loss's own m x c arrays
 
 
 def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
