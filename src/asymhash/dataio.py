@@ -126,6 +126,28 @@ def write_labels(path, labels: LabelMatrix) -> None:
         fh.write(words.astype("<u4").tobytes())
 
 
+def _row_heads(words: np.ndarray, rows: int) -> np.ndarray:
+    """Word index of the count of each of the first ``rows`` label rows.
+
+    The counts chain row to row: the row after the count at p has its
+    count at p + 1 + words[p]. Pointer doubling follows the chain in
+    O(len(words) * log rows): each round extends the known heads by
+    ``jump`` of each, then squares ``jump``, so round j knows 2**j heads.
+    A head past the words is clipped to ``total``, a fixed point, so the
+    chain stays there and the loop stops; the caller finds which row broke
+    from the heads before it.
+    """
+    total = len(words)
+    jump = np.arange(1, total + 2, dtype=np.int64)
+    jump[:total] += words
+    np.minimum(jump, total, out=jump)
+    heads = np.zeros(min(rows, 1), dtype=np.int64)
+    while len(heads) < rows and heads[-1] < total:
+        heads = np.concatenate((heads, jump[heads]))
+        jump = jump[jump]
+    return heads[:rows]
+
+
 def read_labels(path) -> LabelMatrix:
     with open(path, "rb") as fh:
         reader = _Reader(fh)
@@ -133,25 +155,25 @@ def read_labels(path) -> LabelMatrix:
         rows = reader.u64("row count")
         payload = fh.read()
     words = np.frombuffer(payload, dtype="<u4", count=len(payload) // 4)
-    # the counts chain row to row, so the row starts are found one by one,
-    # over a list of Python ints (indexing numpy scalars is several times
-    # slower)
-    walk, heads, at = words.tolist(), [], 0  # at: index of the row's count
-    total = len(walk)
-    for r in range(rows):
+    total = len(words)
+    heads = _row_heads(words, rows)
+    counts = np.zeros(len(heads), dtype=np.int64)
+    inside = heads < total
+    counts[inside] = words[heads[inside]]
+    bad = heads + counts >= total  # also every head past the words
+    bad |= counts == 0
+    if bad.any():
+        r = int(np.argmax(bad))
+        at, count = int(heads[r]), int(counts[r])  # at: index of the count
         if at >= total:
             left, here = len(payload) - 4 * at, reader.offset + 4 * at
             raise _truncated(f"label count of row {r}", 4, left, here)
-        count = walk[at]
         if count == 0:
             raise FileFormatError(f"label row {r} is empty", reader.offset + 4 * at)
-        if total - at <= count:
-            left, here = len(payload) - 4 * at - 4, reader.offset + 4 * at + 4
-            raise _truncated(f"label ids of row {r}", 4 * count, left, here)
-        heads.append(at)
-        at += 1 + count
-    words = words[:at]
-    return LabelMatrix.from_flat(np.delete(words, heads), words[heads])
+        left, here = len(payload) - 4 * at - 4, reader.offset + 4 * at + 4
+        raise _truncated(f"label ids of row {r}", 4 * count, left, here)
+    end = heads[-1] + 1 + counts[-1] if rows else 0  # trailing bytes are ignored
+    return LabelMatrix.from_flat(np.delete(words[:end], heads), counts)
 
 
 def write_codes(path, codes: CodeMatrix) -> None:

@@ -6,14 +6,18 @@ Conventions for degenerate cases (documented per function) are also
 recorded by the CLI in its output metadata.
 
 ``retrieval_metrics`` computes everything the CLI reports in one pass over
-query chunks, with memory O(chunk * n). It ranks the narrow distances of
-``pairwise_hamming`` as they are and works from the ranks of each query's
-relevant rows. Average precision scatters k / (rank + 1), the precision at
-the k-th relevant rank, into a zeroed row and sums its prefix. The lookup
-curve counts the relevant ranks below each radius's retrieved count. Only
-precision@k (over the first k_max ranks) and that row are float64, and
-the floats equal those of a dense float64 precision at every rank, bit for
-bit. The per-metric functions share its per-query helpers, and every mean
+query chunks, with memory O(chunk * n). It works from the ranks of each
+query's relevant rows and its first k_max ranks, so it ranks only the
+prefix of the stable ranking that holds them: the rows up to the larger of
+the farthest relevant row's distance and the radius that retrieves k_max
+rows, found from each query's distance histogram. A prefix of more than
+half the row ranks the whole row. Average precision scatters
+k / (rank + 1), the precision at the k-th relevant rank, into a zeroed
+full-width row and sums its prefix. The lookup curve counts the relevant
+ranks below each radius's retrieved count. Only precision@k (over the
+first k_max ranks) and that row are float64, and the floats equal those of
+a dense float64 precision at every rank, bit for bit. The per-metric
+functions rank every row and share its per-query helpers, and every mean
 is taken once over the full per-query results, so both routes give
 bit-identical floats.
 """
@@ -31,9 +35,10 @@ from .simgraph import LabelMatrix
 RankingResult = np.ndarray
 
 # Query/database pairs per chunk of retrieval_metrics. A chunk's working set
-# peaks near 21 bytes per pair (tracemalloc, 10 label classes), so this
-# bounds it near 11 MB whatever the query count. When nearly every pair is
-# relevant, shares_label's scatter indices raise the peak to ~44 bytes.
+# peaks near 20 bytes per pair (tracemalloc; 21.5 at 300 bits), in
+# pairwise_hamming's uint64 xor temporaries while the reused ranked-relevance
+# and precision buffers are held, for any share of relevant pairs. This
+# bounds it near 11 MB whatever the query count.
 CHUNK_PAIRS = 1 << 19
 
 
@@ -87,11 +92,10 @@ def _check_k_max(k_max: int, n: int) -> None:
         raise ValueError(f"need 1 <= k_max <= {n}, got {k_max}")
 
 
-def _ranked_relevance(relevance, ranking, out=None) -> np.ndarray:
+def _ranked_relevance(relevance, ranking) -> np.ndarray:
     """relevance[i, ranking[i]] for each row i, by one np.take per row (a
     2-D take_along_axis is several times slower on a bool matrix)."""
-    if out is None:
-        out = np.empty(ranking.shape, dtype=bool)
+    out = np.empty(ranking.shape, dtype=bool)
     for row, order, ranked in zip(relevance, ranking, out):
         np.take(row, order, out=ranked)
     return out
@@ -140,17 +144,57 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
         total += row
 
 
-def _radius_counts(dist, ranks, code_len: int):
-    """Per query and radius 0..code_len: the rows within the radius (a
-    cumulated bincount of the query's distances) and the relevant rows
-    within it. The ranking is sorted by distance, so the latter are the
-    relevant ranks below the former."""
+def _retrieved_counts(dist, code_len: int) -> np.ndarray:
+    """Per query and radius 0..code_len, the rows within the radius: a
+    cumulated bincount of the query's distances."""
     retrieved = np.empty((len(dist), code_len + 1), dtype=np.int64)
-    hits = np.empty_like(retrieved)
-    for row, r, n_ret, n_hit in zip(dist, ranks, retrieved, hits):
+    for row, n_ret in zip(dist, retrieved):
         np.cumsum(np.bincount(row, minlength=code_len + 1), out=n_ret)
+    return retrieved
+
+
+def _hits_within(ranks, retrieved: np.ndarray) -> np.ndarray:
+    """Per query and radius, the relevant rows within the radius. The
+    ranking is sorted by distance, so these are the relevant ranks below
+    the radius's retrieved count."""
+    hits = np.empty_like(retrieved)
+    for r, n_ret, n_hit in zip(ranks, retrieved, hits):
         n_hit[:] = np.searchsorted(r, n_ret)
-    return retrieved, hits
+    return hits
+
+
+def _ranking_prefix(row, far: int, width: int) -> np.ndarray:
+    """The first ``width`` entries of the row's stable ranking, where
+    width counts the rows at distance <= far: those rows, stably sorted.
+    When they are more than half the row, selecting them costs more than
+    it saves, and the whole ranking is returned."""
+    if 2 * width > len(row):
+        return np.argsort(row, kind="stable")
+    prefix = np.flatnonzero(row <= far)
+    return prefix[np.argsort(row[prefix], kind="stable")]
+
+
+def _prefix_relevant_ranks(dist, relevance, retrieved, k_max: int, out):
+    """The relevant ranks of each query, and its first k_max ranked
+    relevances in ``out``, from the ranking prefix that holds every
+    relevant row and the first k_max rows.
+
+    The prefix ends at distance far, the larger of the farthest relevant
+    row and the smallest radius that retrieves k_max rows; it is the
+    retrieved count at far long. Its entries are those of the full stable
+    ranking, so every rank read from it is too.
+    """
+    far = np.maximum(
+        (dist * relevance).max(axis=1), (retrieved < k_max).sum(axis=1)
+    )
+    width = np.take_along_axis(retrieved, far[:, None], axis=1)[:, 0]
+    ranks = []
+    for row, rel, f, w, ranked in zip(dist, relevance, far, width, out):
+        order = _ranking_prefix(row, f, w)
+        ranked = ranked[: len(order)]
+        np.take(rel, order, out=ranked)
+        ranks.append(np.flatnonzero(ranked))
+    return ranks
 
 
 def _precision_recall(retrieved: np.ndarray, hits: np.ndarray):
@@ -203,7 +247,8 @@ def precision_recall_by_radius(
     dist = pairwise_hamming(query_codes, db_codes)
     relevance = _check_relevance(dist, relevance)
     ranks = _relevant_ranks(_ranked_relevance(relevance, _stable_order(dist)))
-    return _precision_recall(*_radius_counts(dist, ranks, query_codes.code_len))
+    retrieved = _retrieved_counts(dist, query_codes.code_len)
+    return _precision_recall(retrieved, _hits_within(ranks, retrieved))
 
 
 def retrieval_metrics(
@@ -218,13 +263,14 @@ def retrieval_metrics(
     precision/recall curve, from one Hamming scan per query chunk.
 
     A chunk holds at most max(1, CHUNK_PAIRS // n) queries. Its narrow
-    distances and its relevance are computed once. The stable ranking of
-    the distances orders the relevance, whose first k_max ranks give
-    top-k, and the relevant ranks give MAP and, with a bincount of each
-    query's distances, the lookup curve. The ranked-relevance and
-    average-precision buffers are allocated once per call. The results
-    equal those of the per-metric functions exactly, with the same
-    conventions. Raises ValueError before any chunk for mismatched inputs,
+    distances and its relevance are computed once, and a bincount of each
+    query's distances gives its retrieved count per radius. Per query, the
+    prefix of the stable ranking that holds every relevant row and the
+    first k_max rows orders the relevance: its first k_max ranks give
+    top-k, and the relevant ranks give MAP and, with the retrieved counts,
+    the lookup curve. The ranked-relevance and average-precision buffers
+    are allocated once per call. The results equal those of the
+    per-metric functions exactly, with the same conventions. Raises ValueError before any chunk for mismatched inputs,
     no queries, a cutoff below 1 or k_max outside 1..n.
     """
     q, n, code_len = query_codes.rows, db_codes.rows, db_codes.code_len
@@ -257,16 +303,18 @@ def retrieval_metrics(
         relevance = relevance_from_labels(
             query_labels.subset(range(start, stop)), db_labels
         )
-        ranked_rel = _ranked_relevance(
-            relevance, _stable_order(dist), ranked_buf[: stop - start]
+        chunk_retrieved = retrieved[start:stop]
+        chunk_retrieved[:] = _retrieved_counts(dist, code_len)
+        ranked_rel = ranked_buf[: stop - start]
+        ranks = _prefix_relevant_ranks(
+            dist, relevance, chunk_retrieved, k_max, ranked_rel
         )
-        del relevance
-        ranks = _relevant_ranks(ranked_rel)
-        retrieved[start:stop], hits[start:stop] = _radius_counts(
-            dist, ranks, code_len
-        )
-        del dist
+        del dist, relevance
+        hits[start:stop] = _hits_within(ranks, chunk_retrieved)
         per_limit = _average_precision(ranks, ap, gained_buf[: stop - start])
+        # 8 bytes per pair when every pair is relevant: kept into the next
+        # chunk's pairwise_hamming, the ranks would raise its peak by that
+        del ranks
         for out, values in zip(ap.values(), per_limit):
             out[start:stop] = values
         _add_rows(topk, _precision_at_ranks(ranked_rel[:, :k_max]))

@@ -103,11 +103,14 @@ class LabelMatrix:
     def shares_label(self, other: "LabelMatrix") -> np.ndarray:
         """Boolean matrix: rows of self x rows of other that intersect."""
         post_ids, post_rows = other._postings()
-        # each id of self matches the postings run [lo, lo + hits)
-        lo = np.searchsorted(post_ids, self.ids, side="left")
-        hits = np.searchsorted(post_ids, self.ids, side="right") - lo
+        # each id of self matches the postings run [lo, hi), a view of the
+        # rows of other that it marks in its own row: nothing per hit is
+        # allocated
+        lo = np.searchsorted(post_ids, self.ids, side="left").tolist()
+        hi = np.searchsorted(post_ids, self.ids, side="right").tolist()
         out = np.zeros((len(self), len(other)), dtype=bool)
-        out[np.repeat(self._id_rows, hits), post_rows[_segments(lo, hits)]] = True
+        for row, start, stop in zip(self._id_rows.tolist(), lo, hi):
+            out[row, post_rows[start:stop]] = True
         return out
 
 

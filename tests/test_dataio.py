@@ -19,6 +19,7 @@ from asymhash.dataio import (
     write_features,
     write_labels,
     write_model,
+    _row_heads,
 )
 from asymhash.encoder import init_encoder
 from asymhash.hashcore import CodeMatrix
@@ -73,6 +74,39 @@ class TestFeatureFormat:
         with pytest.raises(FileFormatError, match="not finite") as info:
             read_features(path)
         assert info.value.offset == 24 + 8 * 4
+
+
+def reference_label_walk(payload: bytes, rows: int):
+    """Label rows found one at a time, as read_labels once walked them.
+
+    Returns the word index of each whole row's count and, at the first
+    row that is empty or cut off, its (message, byte offset); None when
+    all ``rows`` are whole.
+    """
+    words = struct.unpack(f"<{len(payload) // 4}I", payload[: len(payload) // 4 * 4])
+    heads, at = [], 0
+    for r in range(rows):
+        here = len(LABELS_MAGIC) + 8 + 4 * at
+        if at >= len(words):
+            got = len(payload) - 4 * at
+            return heads, (
+                f"truncated file reading label count of row {r}: "
+                f"expected 4 bytes, got {got}",
+                here,
+            )
+        count = words[at]
+        if count == 0:
+            return heads, (f"label row {r} is empty", here)
+        if len(words) - at <= count:
+            got = len(payload) - 4 * at - 4
+            return heads, (
+                f"truncated file reading label ids of row {r}: "
+                f"expected {4 * count} bytes, got {got}",
+                here + 4,
+            )
+        heads.append(at)
+        at += 1 + count
+    return heads, None
 
 
 class TestLabelFormat:
@@ -180,6 +214,51 @@ class TestLabelFormat:
         assert [want.ids[a:b].tolist() for a, b in zip(
             want.offsets[:-1], want.offsets[1:]
         )] == sets
+
+    @pytest.mark.parametrize("corruption", ["empty", "grown", "cut", "rows"])
+    def test_heads_and_errors_match_a_row_by_row_walk(self, tmp_path, corruption):
+        # random files of 1-3 ids per row, each with one corruption at a
+        # random row: a zero count, a count past its ids (the chain after
+        # it reads ids as counts), the file cut inside the row (with 0-3
+        # bytes of a partial word), or a header claiming more rows
+        path = tmp_path / "labels.bin"
+        for seed in range(50):
+            rng = np.random.default_rng([18, seed])
+            counts = rng.integers(1, 4, int(rng.integers(1, 60)))
+            rows = [[len(row), *row] for row in (rng.integers(0, 6, c) for c in counts)]
+            bad = int(rng.integers(len(rows)))
+            claimed = len(rows)
+            if corruption == "empty":
+                rows[bad][0] = 0
+            elif corruption == "grown":
+                rows[bad][0] += int(rng.integers(1, 4))
+            elif corruption == "cut":
+                rows[bad] = rows[bad][: int(rng.integers(0, len(rows[bad])))]
+                rows = rows[: bad + 1]
+            else:
+                claimed += int(rng.integers(1, 4))
+            words = [int(w) for row in rows for w in row]
+            payload = struct.pack(f"<{len(words)}I", *words)
+            if corruption == "cut":
+                payload += bytes(int(rng.integers(0, 4)))
+            path.write_bytes(LABELS_MAGIC + struct.pack("<Q", claimed) + payload)
+
+            heads, error = reference_label_walk(payload, claimed)
+            found = _row_heads(np.array(words, dtype=np.uint32), claimed)
+            assert found[: len(heads)].tolist() == heads, seed
+            if error is None:
+                back = read_labels(path)
+                heads = np.array(heads, dtype=np.int64)
+                want_words = np.array(words[: heads[-1] + 1 + words[heads[-1]]])
+                want = LabelMatrix.from_flat(np.delete(want_words, heads), want_words[heads])
+                assert np.array_equal(back.ids, want.ids), seed
+                assert np.array_equal(back.offsets, want.offsets), seed
+                continue
+            with pytest.raises(FileFormatError) as info:
+                read_labels(path)
+            message, offset = error
+            assert info.value.offset == offset, seed
+            assert str(info.value) == f"{message} (at byte offset {offset})", seed
 
     @pytest.mark.parametrize("big", [2**32, 2**32 + 7])
     def test_id_past_u32_is_rejected_before_writing(self, tmp_path, big):

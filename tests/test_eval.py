@@ -12,7 +12,7 @@ from asymhash.evaluate import (
     retrieval_metrics,
     topk_precision_curve,
 )
-from asymhash.hashcore import CodeMatrix
+from asymhash.hashcore import CodeMatrix, pairwise_hamming
 from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix
 
@@ -450,22 +450,114 @@ class TestDenseReference:
         assert np.array_equal(recall, expected[4])
 
 
-@pytest.mark.parametrize("code_len", [64, 300])
-def test_chunk_working_set_is_bounded_per_pair(code_len):
-    # distances, relevance, the ranking and the reused ranked-relevance and
-    # precision buffers: ~21 bytes per pair of a chunk at 10 label classes,
-    # for any word count (the dense passes took ~35, and 71 at 300 bits)
+def prefix_share(dist_row, relevant_row, k_max):
+    """The share of the row at distance <= max(farthest relevant row, the
+    k_max-th nearest row): the ranking prefix retrieval_metrics needs."""
+    far = max(dist_row[relevant_row].max(initial=0), np.sort(dist_row)[k_max - 1])
+    return (dist_row <= far).mean()
+
+
+class TestPrefixRanking:
+    """retrieval_metrics ranks each query only up to the prefix that holds
+    its relevant rows and its first k_max rows. TestDenseReference uses
+    k_max = n, where every prefix is the whole row; these clustered cases
+    take short prefixes and must still match dense_reference and the
+    per-metric functions bit for bit."""
+
+    CODE_LEN = 16
+    SIZES = (50, 50, 50, 50, 50, 5)  # database rows per class
+    K_MAX = 20
+
+    def instance(self):
+        rng = np.random.default_rng(16)
+        centres = random_codes(rng, len(self.SIZES), self.CODE_LEN).to_signs()
+        classes = np.repeat(np.arange(len(self.SIZES)), self.SIZES)
+        signs = centres[classes].copy()
+        # about half the rows have one bit flipped: distances 0 and 1 from
+        # their centre, so ranks tie within each distance
+        flipped = np.flatnonzero(rng.random(len(classes)) < 0.5)
+        signs[flipped, rng.integers(0, self.CODE_LEN, len(flipped))] *= -1
+        # ten class-1 rows sit at distance 1 from centre 0, tying with class
+        # 0's farthest relevant rows
+        moved = np.flatnonzero(classes == 1)[:10]
+        signs[moved] = centres[0]
+        signs[moved, rng.integers(0, self.CODE_LEN, len(moved))] *= -1
+        database = CodeMatrix.from_signs(signs)
+        # every database row also has id 9, which only query 3 holds
+        db_labels = LabelMatrix([{int(c), 9} for c in classes])
+        queries = CodeMatrix.from_signs(centres[[0, 5, 2, 1, 4]])
+        query_labels = LabelMatrix([{0}, {5}, {7}, {9}, {4}])
+        return queries, database, query_labels, db_labels
+
+    def test_cases_take_the_prefix_they_name(self):
+        queries, database, query_labels, db_labels = self.instance()
+        dist = pairwise_hamming(queries, database).astype(np.int64)
+        relevance = relevance_from_labels(query_labels, db_labels)
+        share = [
+            prefix_share(row, rel, self.K_MAX) for row, rel in zip(dist, relevance)
+        ]
+        # query 0: relevant and irrelevant rows tie at the prefix's end
+        far = dist[0][relevance[0]].max()
+        assert (~relevance[0] & (dist[0] == far)).any() and share[0] < 0.5
+        # query 1: k_max reaches past its 5 relevant rows
+        assert relevance[1].sum() < self.K_MAX and share[1] < 0.5
+        # query 2: no relevant rows, so the prefix is the top k (and ties)
+        assert not relevance[2].any() and share[2] < 0.5
+        # query 3: every row is relevant, so it ranks the whole row
+        assert relevance[3].all() and share[3] == 1.0
+        assert share[4] < 0.5
+
+    @pytest.mark.parametrize("queries_per_chunk", [1, 2, 5])
+    @pytest.mark.parametrize("k_max", [1, K_MAX])
+    @pytest.mark.parametrize("cutoff", [None, 7, 1000])
+    def test_bit_identical(self, monkeypatch, queries_per_chunk, k_max, cutoff):
+        # at 5 queries per chunk one chunk holds short prefixes and the
+        # whole-row query 3
+        queries, database, query_labels, db_labels = self.instance()
+        n = database.rows
+        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", queries_per_chunk * n)
+        relevance = relevance_from_labels(query_labels, db_labels)
+        expected = dense_reference(queries, database, relevance, cutoff, k_max)
+        got = retrieval_metrics(
+            queries, database, query_labels, db_labels, cutoff, k_max
+        )
+        assert got.map == expected[0]
+        assert got.cutoff_map == expected[1]
+        assert np.array_equal(got.topk_precision, expected[2])
+        assert np.array_equal(got.precision, expected[3])
+        assert np.array_equal(got.recall, expected[4])
+
+        ranking = rank_by_hamming(queries, database)
+        assert mean_average_precision(ranking, relevance) == expected[0]
+        assert mean_average_precision(ranking, relevance, cutoff) == expected[1]
+        assert np.array_equal(
+            topk_precision_curve(ranking, relevance, k_max), expected[2]
+        )
+
+
+@pytest.mark.parametrize(
+    "code_len, classes",
+    [(64, 10), (300, 10), (64, 1), (300, 1)],
+    ids=["64", "300", "64-one-class", "300-one-class"],
+)
+def test_chunk_working_set_is_bounded_per_pair(code_len, classes):
+    # the peak sits in pairwise_hamming's xor temporaries while the reused
+    # ranked-relevance and precision buffers are held: ~20-21.5 bytes per
+    # pair of a chunk for any word count (the dense passes took ~35, and 71
+    # at 300 bits). With one label class every pair is relevant, which the
+    # relevance and the relevant ranks must not add to (they once took ~44)
     rng = np.random.default_rng(12)
     n = 20_000
     step = evaluate.CHUNK_PAIRS // n
     q = 2 * step + 3  # two full chunks and a short one
     database = random_codes(rng, n, code_len)
     queries = random_codes(rng, q, code_len)
-    db_labels, query_labels = random_labels(rng, n, 10), random_labels(rng, q, 10)
+    db_labels = random_labels(rng, n, classes)
+    query_labels = random_labels(rng, q, classes)
     tracemalloc.start()
     try:
         retrieval_metrics(queries, database, query_labels, db_labels, 5000, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26 * step * n
+    assert peak <= 23 * step * n
