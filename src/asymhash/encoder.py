@@ -118,9 +118,8 @@ class GroupStats(NamedTuple):
     and every minibatch step of that state read it in place of V.
     """
 
-    rho: float  # the dissimilar-pair weight it was built for
     gram: np.ndarray  # c x c, V^T V
-    sums: np.ndarray  # G x c, u_g = sum of the group's rows
+    target: np.ndarray  # m x c, h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g
     large: np.ndarray  # the groups of more than c rows, ascending
     grams: np.ndarray | None  # len(large) x c x c, their Q_g; None when rho = 1
     small_codes: np.ndarray  # the rows of the groups of at most c rows, group by group
@@ -128,16 +127,19 @@ class GroupStats(NamedTuple):
     own: np.ndarray | None  # m x c, each sampled query's own code
 
 
-def _group_stats(db_signs, block, rho: float) -> GroupStats:
-    """Per-group row sums of the database codes, the rows of the groups of
-    at most c rows and, for rho != 1, the Gram Q_g = V_g^T V_g of each
+def _group_stats(db_signs, block) -> GroupStats:
+    """Each query's linear term h_i from the per-group row sums u_g of the
+    database codes, the rows of the groups of at most c rows and, for
+    rho = ``block.neg_weight`` != 1, the Gram Q_g = V_g^T V_g of each
     larger group.
 
     A large group is gathered and summed on its own; the small groups are
     gathered together, with one mask over the rows in group order, and
-    summed in one reduceat. Entries are +/-1, so every sum and Gram is an
-    exact integer in float64.
+    summed in one reduceat. Entries are +/-1 and P_g is 0/1, so every sum,
+    Gram and P_g u is an exact integer in float64, the same bits for any
+    subset of query rows.
     """
+    rho = block.neg_weight
     code_len = db_signs.shape[1]
     is_large = block.group_sizes > code_len
     large = np.flatnonzero(is_large)
@@ -155,11 +157,13 @@ def _group_stats(db_signs, block, rho: float) -> GroupStats:
     if small.size:
         starts = np.cumsum(block.group_sizes[small]) - block.group_sizes[small]
         sums[small] = np.add.reduceat(small_codes, starts, axis=0)
+    target = (1.0 + rho) * (block.positive.astype(np.float64) @ sums)
+    target -= rho * sums.sum(axis=0)
     own = None
     if block.query_indices is not None:
         own = db_signs[block.query_indices]
     return GroupStats(
-        rho, db_signs.T @ db_signs, sums, large, grams,
+        db_signs.T @ db_signs, target, large, grams,
         small_codes, block.row_groups[small_rows], own,
     )
 
@@ -189,9 +193,10 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
     """``_batch_loss_and_grad_z`` for w = rho + (1 - rho) * P, in group form.
 
     ``relaxed`` holds the relaxed codes of the block's query rows ``rows``
-    (an index array or a slice), and ``stats`` is ``_group_stats`` of the
-    current codes. With P_g the rows' m x G relation and P_i the database
-    rows sharing a label with row i,
+    (an index array or a slice), ``stats`` is ``_group_stats`` of the
+    current codes, and rho is the block's ``neg_weight``. With P_g the
+    rows' m x G relation and P_i the database rows sharing a label with
+    row i,
     q_i = rho * Q r_i + (1 - rho) * sum_{j in P_i} (r_i . v_j) v_j and
     h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g (= sum_j w_ij s_ij v_j):
 
@@ -202,16 +207,15 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
     database rows and gamma != 0. The sum in q_i is (sum_g P_ig Q_g) r_i
     over the groups of more than c rows, with the rows' summed Grams taken
     by one product per chunk of rows, plus a masked product over the rows
-    of the smaller groups.
+    of the smaller groups. At rho = 1 only ``stats.target`` reads P_g.
     """
     code_len = relaxed.shape[1]
-    rho = stats.rho
-    positive = block.positive[rows]
-    target = (1.0 + rho) * (positive.astype(np.float64) @ stats.sums)
-    target -= rho * stats.sums.sum(axis=0)
+    rho = block.neg_weight
+    target = stats.target[rows]
     quad = rho * (relaxed @ stats.gram)
     pairs = rho * float(block.db_count) * len(relaxed)
     if rho != 1.0:
+        positive = block.positive[rows]
         # sum_g P_ig Q_g over the large groups, about n entries per chunk
         grams = stats.grams.reshape(len(stats.large), code_len * code_len)
         shared = _small_group_shared(relaxed, positive, block.db_count, stats)

@@ -270,8 +270,9 @@ def retrieval_metrics(
     top-k, and the relevant ranks give MAP and, with the retrieved counts,
     the lookup curve. The ranked-relevance and average-precision buffers
     are allocated once per call. The results equal those of the
-    per-metric functions exactly, with the same conventions. Raises ValueError before any chunk for mismatched inputs,
-    no queries, a cutoff below 1 or k_max outside 1..n.
+    per-metric functions exactly, with the same conventions. Raises
+    ValueError before any chunk for mismatched inputs, no queries, a cutoff
+    below 1 or k_max outside 1..n.
     """
     q, n, code_len = query_codes.rows, db_codes.rows, db_codes.code_len
     if query_codes.code_len != code_len:

@@ -2,11 +2,12 @@
 
 Two points count as similar when their label sets intersect; LabelMatrix
 finds them through a postings index of ids. A block holds which of m
-query-role points are similar to which of the n database points, plus the
-positive/negative imbalance ratio used to down-weight the (usually far
-more numerous) dissimilar pairs. Database rows with the same column of
-that relation form a label-set group and are stored once, so the block's
-one large array is the m x groups bool relation, not m x n signs.
+query-role points are similar to which of the n database points, plus
+rho, the dissimilar-pair weight training applies: 1, or the pos/neg ratio
+that down-weights the (usually far more numerous) dissimilar pairs.
+Database rows with the same column of that relation form a label-set group
+and are stored once, so the block's one large array is the m x groups bool
+relation, not m x n signs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class LabelMatrix:
             keep = (np.diff(ids, prepend=-1) != 0) | np.concatenate(([True], new_row))
             ids, rows = ids[keep], rows[keep]
         self.ids, self._id_rows = ids, rows  # the row of each id
-        self.offsets = np.searchsorted(self._id_rows, np.arange(len(counts) + 1))
+        self.offsets = np.bincount(rows + 1, minlength=len(counts) + 1).cumsum()
         self.ids.flags.writeable = self.offsets.flags.writeable = False
         self._distinct = self._postings_index = None
         return self
@@ -156,14 +157,15 @@ class SimilarityBlock:
     label" relation, so the block holds that relation once per group as
     the read-only m x G bool ``positive`` and each database row's group,
     never the m x n signs, plus each query's count of positive pairs
-    (``positive_counts``). ``neg_weight`` is the dissimilar-pair weight.
+    (``positive_counts``). ``neg_weight`` is rho, the dissimilar-pair
+    weight that the V-step and the loss apply.
     ``query_indices`` maps each query row to its database row when the
     queries were sampled from the database itself; it is None when the
     query set is separate.
 
     The constructor takes a hand-built m x n ``signs`` array and groups it
     once; ``build_similarity`` and ``build_sampled_similarity`` group by
-    label set without building one.
+    label set without building one, and set rho from ``weighted``.
     """
 
     def __init__(self, signs, neg_weight: float, query_indices=None):
@@ -178,13 +180,13 @@ class SimilarityBlock:
         self._init(positive, row_groups, neg_weight, query_indices)
 
     @classmethod
-    def _from_groups(cls, positive, row_groups, query_indices=None):
-        """Block of the given groups, weighted by its own pair imbalance."""
+    def _from_groups(cls, positive, row_groups, weighted, query_indices=None):
+        """Block of the given groups; rho is their pos/neg ratio if ``weighted``."""
         block = cls.__new__(cls)
         block._init(positive, row_groups, 1.0, query_indices)
         pos = int(block.positive_counts.sum())
         neg = block.query_count * block.db_count - pos
-        if pos and neg:
+        if weighted and pos and neg:
             block.neg_weight = pos / neg
         return block
 
@@ -239,28 +241,29 @@ class SimilarityBlock:
         return np.where(self.positive[:, self.row_groups], 1.0, self.neg_weight)
 
 
-def _grouped_block(query_labels, db_labels, query_indices=None) -> SimilarityBlock:
+def _grouped_block(query_labels, db_labels, weighted, idx=None) -> SimilarityBlock:
     """Block from labels: one shares_label call per distinct database set."""
     distinct, row_set = db_labels.distinct()
     positive, set_group = _group_columns(query_labels.shares_label(distinct))
-    return SimilarityBlock._from_groups(positive, set_group[row_set], query_indices)
+    return SimilarityBlock._from_groups(positive, set_group[row_set], weighted, idx)
 
 
 def build_similarity(
-    query_labels: LabelMatrix, db_labels: LabelMatrix
+    query_labels: LabelMatrix, db_labels: LabelMatrix, weighted: bool = True
 ) -> SimilarityBlock:
-    """Signs are +1 exactly when the label sets share at least one id."""
+    """Signs are +1 exactly when the label sets share at least one id; rho
+    (``neg_weight``) is the pos/neg pair ratio when ``weighted``, else 1."""
     if len(query_labels) == 0 or len(db_labels) == 0:
         raise ValueError("label matrices must be non-empty")
-    return _grouped_block(query_labels, db_labels)
+    return _grouped_block(query_labels, db_labels, weighted)
 
 
 def build_sampled_similarity(
-    db_labels: LabelMatrix, query_indices
+    db_labels: LabelMatrix, query_indices, weighted: bool = True
 ) -> SimilarityBlock:
-    """Block for query rows drawn from the database itself."""
+    """Block for query rows drawn from the database itself; rho as above."""
     idx = np.ascontiguousarray(query_indices, dtype=np.int64)
-    return _grouped_block(db_labels.subset(idx), db_labels, idx)
+    return _grouped_block(db_labels.subset(idx), db_labels, weighted, idx)
 
 
 def sample_query_indices(n: int, m: int, rng_seed) -> np.ndarray:

@@ -8,7 +8,7 @@ columns is coordinate descent and never increases the objective. The
 encoder is trained by minibatch gradient steps against the fixed codes.
 
 The column update never forms an m x n array. Pair weights take two
-values, w = rho + (1 - rho) * P, where rho is the dissimilar-pair weight
+values, w = rho + (1 - rho) * P, where rho is the block's ``neg_weight``
 (1 when unweighted) and P is the 0/1 "shares a label" relation. Database
 rows with identical columns of P (label-set groups) share every weight, so
 with R the m x c relaxed query codes, Gram = R^T R, P_g the m x groups
@@ -54,11 +54,11 @@ g(j) the group of row j, their part of the sum is the masked product
 That is the direct form's n_g * c per query for those rows, but in two
 matrix products and with no pair list; no m x n array is formed.
 
-The loss reads V only through Q, the u_g, the large groups' Q_g, the small
-groups' rows and the sampled queries' own codes. ``train`` builds these
-terms (``_group_stats``) once after each block build and once after each
-V-step, and the objective and every minibatch step of that code state
-read them.
+The loss reads V only through Q, the m x c table of h_i, the large
+groups' Q_g, the small groups' rows and the sampled queries' own codes.
+``train`` builds these terms (``_group_stats``) once after each block
+build and once after each V-step, and the objective and every minibatch
+step of that code state read them.
 
 A symmetric single-network trainer is included only as the scaling and
 accuracy contrast; it pays a full pass over all database pairs per epoch.
@@ -102,6 +102,7 @@ MODES = ("asymmetric_sampled", "asymmetric_separate_queries", "symmetric_baselin
 PROBE_MODES = ("asymmetric_sampled", "symmetric_baseline")
 
 HISTORY_CSV_HEADER = "outer,inner,phase,objective,seconds"
+IMBALANCE_CHUNK = 512  # database rows per shares_label call
 
 
 @dataclass
@@ -182,8 +183,8 @@ class TrainingDiverged(RuntimeError):
 def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
     """Training objective for the current relaxed codes and database codes.
 
-    ``stats`` is ``_group_stats`` of the database codes, the block and its
-    dissimilar-pair weight (1 when unweighted). Pairwise squared residuals
+    ``stats`` is ``_group_stats`` of the database codes and the block, whose
+    ``neg_weight`` weighs the dissimilar pairs. Pairwise squared residuals
     against code_len * sign targets, plus the pull of each sampled query's
     own database code toward its relaxed code (skipped when the query set
     is separate). Computed in label-group form (module docstring).
@@ -212,7 +213,6 @@ def v_step(
     relaxed,
     block: SimilarityBlock,
     gamma,
-    weighted=False,
     track_objective=None,
 ):
     """One full sweep over all code columns, each using the latest codes.
@@ -224,14 +224,14 @@ def v_step(
     key and one gather writes the result back to all rows. The key is
     taken on every call: the first sweep from random codes starts with
     ~all rows distinct, and they collapse onto few keys only during that
-    sweep.
+    sweep. Dissimilar pairs weigh the block's ``neg_weight``.
 
     When ``track_objective`` is a list, appends one sub-list per sweep
     holding the fully recomputed objective before the first column and
     after every column update.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    rho = block.neg_weight if weighted else 1.0
+    rho = block.neg_weight
     gram = relaxed.T @ relaxed
     static = -db_signs.shape[1] * (np.where(block.positive, 1.0, -rho).T @ relaxed)
     tags = block.row_groups
@@ -252,7 +252,7 @@ def v_step(
         rep_groups = block.row_groups[reps]
     trace = None
     if track_objective is not None:
-        stats = _group_stats(db_signs, block, rho)
+        stats = _group_stats(db_signs, block)
         trace = [objective(relaxed, stats, block, gamma)]
         track_objective.append(trace)
     for k in range(db_signs.shape[1]):
@@ -262,7 +262,7 @@ def v_step(
         _update_column(work, k, rho, gram, static[tags, k], shared)
         if trace is not None:
             db_signs[:, k] = work[inverse, k]
-            stats = _group_stats(db_signs, block, rho)
+            stats = _group_stats(db_signs, block)
             trace.append(objective(relaxed, stats, block, gamma))
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
@@ -279,10 +279,6 @@ def _batches(order, batch_size):
         yield order[start : start + batch_size]
 
 
-def _pack(db_signs) -> CodeMatrix:
-    return CodeMatrix.from_signs(db_signs.astype(np.int8))
-
-
 def train(
     features,
     labels: LabelMatrix,
@@ -296,9 +292,10 @@ def train(
 
     In the sampled mode a fresh query index set is drawn each outer
     iteration and its supervision rows are rebuilt from labels. With a
-    separate query set the supervision is fixed and the code-pull term
-    vanishes. ``on_outer_end(outer, seconds, model, db_signs)`` fires after
-    each outer iteration.
+    separate query set the supervision is fixed, and the code-pull term
+    vanishes because the block has no ``query_indices``.
+    ``on_outer_end(outer, seconds, model, db_signs)`` fires after each
+    outer iteration.
     """
     features = np.asarray(features, dtype=np.float64)
     n, dim = features.shape
@@ -312,7 +309,6 @@ def train(
     db = _init_db_codes(rng, n, config.code_len)
     opt = OptimizerState(config.learning_rate, config.optimizer)
     history: list[HistoryRecord] = []
-    weighted = config.imbalance_weighting
 
     sampled = config.mode == "asymmetric_sampled"
     if sampled:
@@ -327,30 +323,26 @@ def train(
                 "query_labels"
             )
         qfeat = np.asarray(query_features, dtype=np.float64)
-        block = build_similarity(query_labels, labels)
-
-    # No database row is tied to a separate query, so the pull term vanishes.
-    gamma = config.gamma if sampled else 0.0
+        block = build_similarity(query_labels, labels, config.imbalance_weighting)
 
     def snapshot() -> TrainResult:
-        return TrainResult(model, _pack(db), history)
+        return TrainResult(model, CodeMatrix.from_signs(db), history)
 
     # the loss reads the codes only through these terms, built once per
     # block and once per V-step
-    def group_stats() -> GroupStats:
-        return _group_stats(db, block, block.neg_weight if weighted else 1.0)
-
     if not sampled:
-        stats = group_stats()
+        stats = _group_stats(db, block)
     for outer in range(1, config.outer_iters + 1):
         outer_start = time.perf_counter()
         if sampled:
             omega = sample_query_indices(n, config.query_count, rng)
-            block = build_sampled_similarity(labels, omega)
+            block = build_sampled_similarity(
+                labels, omega, config.imbalance_weighting
+            )
             qfeat = features[omega]
-            stats = group_stats()
+            stats = _group_stats(db, block)
         if outer == 1:
-            start_obj = objective(forward(model, qfeat)[1], stats, block, gamma)
+            start_obj = objective(forward(model, qfeat)[1], stats, block, config.gamma)
             history.append(HistoryRecord(1, 0, "init", start_obj, 0.0))
         m = block.query_count
         for inner in range(1, config.inner_iters + 1):
@@ -358,7 +350,7 @@ def train(
             order = rng.permutation(m)
             try:
                 for batch in _batches(order, config.batch_size):
-                    minibatch_step(model, opt, qfeat, batch, stats, block, gamma)
+                    minibatch_step(model, opt, qfeat, batch, stats, block, config.gamma)
                 relaxed = forward(model, qfeat)[1]
             except NonFiniteError as err:
                 raise TrainingDiverged(str(err), snapshot()) from err
@@ -366,20 +358,17 @@ def train(
             history.append(
                 HistoryRecord(
                     outer, inner, "theta",
-                    objective(relaxed, stats, block, gamma), seconds,
+                    objective(relaxed, stats, block, config.gamma), seconds,
                 )
             )
             phase_start = time.perf_counter()
-            v_step(
-                db, relaxed, block, gamma,
-                weighted=weighted, track_objective=track_objective,
-            )
+            v_step(db, relaxed, block, config.gamma, track_objective=track_objective)
             seconds = time.perf_counter() - phase_start
-            stats = group_stats()
+            stats = _group_stats(db, block)
             history.append(
                 HistoryRecord(
                     outer, inner, "v",
-                    objective(relaxed, stats, block, gamma), seconds,
+                    objective(relaxed, stats, block, config.gamma), seconds,
                 )
             )
         if on_outer_end is not None:
@@ -387,12 +376,12 @@ def train(
     return snapshot()
 
 
-def _full_pair_imbalance(labels: LabelMatrix, chunk: int = 512) -> float:
+def _full_pair_imbalance(labels: LabelMatrix) -> float:
     """Positive/negative ratio over all ordered database pairs."""
     n = len(labels)
     pos = 0
-    for start in range(0, n, chunk):
-        rows = range(start, min(start + chunk, n))
+    for start in range(0, n, IMBALANCE_CHUNK):
+        rows = range(start, min(start + IMBALANCE_CHUNK, n))
         pos += int(labels.subset(rows).shares_label(labels).sum())
     neg = n * n - pos
     if pos == 0 or neg == 0:

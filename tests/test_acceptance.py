@@ -54,7 +54,7 @@ def random_tiny(rng, gamma, weighted):
     signs = (rng.integers(0, 2, (m, n)) * 2 - 1).astype(np.int8)
     pos = int((signs == 1).sum())
     neg = signs.size - pos
-    rho = pos / neg if pos and neg else 1.0
+    rho = pos / neg if weighted and pos and neg else 1.0
     block = SimilarityBlock(
         signs=signs,
         neg_weight=rho,
@@ -65,7 +65,7 @@ def random_tiny(rng, gamma, weighted):
     inst = oracle.TinyInstance(
         relaxed=relaxed,
         signs=signs.astype(np.float64),
-        weights=block.weights() if weighted else None,
+        weights=block.weights(),
         gamma=gamma,
         db_signs=db,
         query_indices=block.query_indices,
@@ -114,7 +114,7 @@ def test_criterion_1_bit_update_oracle_equivalence():
         weighted = trial % 2 == 0
         inst, block = random_tiny(rng, gamma, weighted)
         old = inst.db_signs
-        new = v_step(old.copy(), inst.relaxed, block, gamma, weighted=weighted)
+        new = v_step(old.copy(), inst.relaxed, block, gamma)
         for k in range(old.shape[1]):
             before = replace(inst, db_signs=np.hstack([new[:, :k], old[:, k:]]))
             after = np.hstack([new[:, : k + 1], old[:, k + 1 :]])
@@ -311,6 +311,8 @@ def test_criterion_7_weighted_and_matrix_paths_agree():
         rho = pos / neg if pos and neg else 1.0
         if weighted and rho == 1.0:
             continue
+        if not weighted:
+            rho = 1.0  # every pair weighs 1
         block = SimilarityBlock(
             signs=signs,
             neg_weight=rho,
@@ -320,10 +322,9 @@ def test_criterion_7_weighted_and_matrix_paths_agree():
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         gamma = float(rng.choice([0.0, 200.0]))
         reference = oracle.entrywise_v_step(
-            relaxed, signs, block.weights() if weighted else None, gamma, db,
-            block.query_indices,
+            relaxed, signs, block.weights(), gamma, db, block.query_indices
         )
-        v_step(db, relaxed, block, gamma, weighted=weighted)
+        v_step(db, relaxed, block, gamma)
         assert np.array_equal(db, reference)
         agreed[weighted] += 1
     report(

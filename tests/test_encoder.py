@@ -151,12 +151,12 @@ class TestLossGradZ:
 class TestMinibatchStep:
     def make_block(self, signs, omega):
         return SimilarityBlock(
-            signs=signs.astype(np.int8), neg_weight=0.5, query_indices=omega
+            signs=signs.astype(np.int8), neg_weight=1.0, query_indices=omega
         )
 
     def step(self, model, opt, feats, batch, db, block, gamma):
-        # unweighted: the terms of the codes at rho = 1
-        stats = _group_stats(db, block, 1.0)
+        # unweighted: the block's rho is 1
+        stats = _group_stats(db, block)
         return minibatch_step(model, opt, feats, batch, stats, block, gamma)
 
     def test_zero_learning_rate_keeps_model(self):

@@ -58,7 +58,7 @@ class TestNaiveObjective:
                 neg_weight=0.3,
                 query_indices=inst.query_indices,
             )
-            stats = _group_stats(inst.db_signs, block, block.neg_weight)
+            stats = _group_stats(inst.db_signs, block)
             fast = objective(inst.relaxed, stats, block, inst.gamma)
             slow = oracle.naive_objective(inst)
             assert fast == pytest.approx(slow, rel=1e-9)

@@ -209,6 +209,28 @@ class TestPairWeight:
         pos_count = (block.signs == 1).sum()
         assert neg_mass == pytest.approx(pos_count)
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_unweighted_build_weighs_every_pair_one(self, sampled):
+        # the builders decide rho once: 1 when unweighted, with the same
+        # relation and groups as the weighted build
+        rng = np.random.default_rng(4)
+        db = LabelMatrix(
+            [rng.choice(70, int(rng.integers(1, 3)), replace=False) for _ in range(60)]
+        )
+        if sampled:
+            omega = rng.choice(60, 12, replace=False)
+            weighted = build_sampled_similarity(db, omega)
+            unweighted = build_sampled_similarity(db, omega, weighted=False)
+        else:
+            queries = db.subset(rng.choice(60, 12))
+            weighted = build_similarity(queries, db)
+            unweighted = build_similarity(queries, db, weighted=False)
+        assert weighted.neg_weight != 1.0
+        assert unweighted.neg_weight == 1.0
+        assert (unweighted.weights() == 1.0).all()
+        for name in ("positive", "row_groups", "positive_counts"):
+            assert np.array_equal(getattr(unweighted, name), getattr(weighted, name))
+
 
 class TestSimilarityBlockValidation:
     def test_rejects_bad_signs(self):

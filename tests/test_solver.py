@@ -38,34 +38,33 @@ from asymhash.solver import (
 )
 
 
-def random_block(rng, n, m, with_indices=True):
+def random_block(rng, n, m, with_indices=True, weighted=False):
     signs = (rng.integers(0, 2, (m, n)) * 2 - 1).astype(np.int8)
     pos = int((signs == 1).sum())
     neg = signs.size - pos
-    rho = pos / neg if pos and neg else 1.0
+    rho = pos / neg if weighted and pos and neg else 1.0
     omega = (
         rng.choice(n, m, replace=False).astype(np.int64) if with_indices else None
     )
     return SimilarityBlock(signs=signs, neg_weight=rho, query_indices=omega)
 
 
-def random_setup(rng, n, m, c, with_indices=True):
+def random_setup(rng, n, m, c, with_indices=True, weighted=False):
     relaxed = rng.uniform(-0.95, 0.95, (m, c))
     db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
-    block = random_block(rng, n, m, with_indices)
+    block = random_block(rng, n, m, with_indices, weighted)
     return relaxed, db, block
 
 
-def objective_of(relaxed, db, block, gamma, weighted=False):
-    rho = block.neg_weight if weighted else 1.0
-    return objective(relaxed, _group_stats(db, block, rho), block, gamma)
+def objective_of(relaxed, db, block, gamma):
+    return objective(relaxed, _group_stats(db, block), block, gamma)
 
 
-def as_tiny(relaxed, db, block, gamma, weighted):
+def as_tiny(relaxed, db, block, gamma):
     return oracle.TinyInstance(
         relaxed=relaxed,
         signs=block.signs.astype(np.float64),
-        weights=block.weights() if weighted else None,
+        weights=block.weights(),
         gamma=gamma,
         db_signs=db,
         query_indices=block.query_indices,
@@ -105,9 +104,9 @@ class TestObjective:
     def test_matches_naive_triple_loop(self, weighted):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            relaxed, db, block = random_setup(rng, 7, 3, 3)
-            fast = objective_of(relaxed, db, block, gamma=3.0, weighted=weighted)
-            slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
+            relaxed, db, block = random_setup(rng, 7, 3, 3, weighted=weighted)
+            fast = objective_of(relaxed, db, block, gamma=3.0)
+            slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0))
             assert fast == pytest.approx(slow, rel=1e-9)
 
 
@@ -115,12 +114,11 @@ class TestObjective:
     def test_long_codes_on_the_one_path(self, weighted):
         # c = 128 puts c * sign outside int8, and every group is small
         rng = np.random.default_rng(4)
-        relaxed, db, block = random_setup(rng, 10, 4, 128)
-        rho = block.neg_weight if weighted else 1.0
-        assert rho != 1.0 or not weighted
+        relaxed, db, block = random_setup(rng, 10, 4, 128, weighted=weighted)
+        assert block.neg_weight != 1.0 or not weighted
         rows = np.arange(4)
-        want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0, weighted)[0]
-        got = objective_of(relaxed, db, block, gamma=2.0, weighted=weighted)
+        want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0)[0]
+        got = objective_of(relaxed, db, block, gamma=2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -146,17 +144,15 @@ class TestVStepColumn:
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, min(n, 4) + 1))
             c = int(rng.integers(1, 5))
-            relaxed, old, block = random_setup(rng, n, m, c)
-            new = v_step(old.copy(), relaxed, block, gamma, weighted=weighted)
+            relaxed, old, block = random_setup(rng, n, m, c, weighted=weighted)
+            new = v_step(old.copy(), relaxed, block, gamma)
             for k in range(c):
                 before = np.hstack([new[:, :k], old[:, k:]])
                 after = np.hstack([new[:, : k + 1], old[:, k + 1 :]])
                 _, best = oracle.exhaustive_column_min(
-                    as_tiny(relaxed, before, block, gamma, weighted), k
+                    as_tiny(relaxed, before, block, gamma), k
                 )
-                got = oracle.naive_objective(
-                    as_tiny(relaxed, after, block, gamma, weighted)
-                )
+                got = oracle.naive_objective(as_tiny(relaxed, after, block, gamma))
                 assert got == pytest.approx(best, abs=1e-9)
 
     def test_zero_coefficient_gives_minus_one(self):
@@ -173,9 +169,9 @@ class TestVStepColumn:
 class TestVStep:
     def test_objective_never_increases_per_column(self):
         rng = np.random.default_rng(5)
-        relaxed, db, block = random_setup(rng, 30, 6, 8)
+        relaxed, db, block = random_setup(rng, 30, 6, 8, weighted=True)
         trace = []
-        v_step(db, relaxed, block, gamma=10.0, weighted=True, track_objective=trace)
+        v_step(db, relaxed, block, gamma=10.0, track_objective=trace)
         values = trace[0]
         assert len(values) == 9
         for before, after in zip(values, values[1:]):
@@ -209,12 +205,12 @@ class TestVStep:
         rng = np.random.default_rng(9)
         for trial in range(20):
             weighted = trial % 2 == 0
-            relaxed, db, block = random_setup(rng, 15, 4, 5)
+            relaxed, db, block = random_setup(rng, 15, 4, 5, weighted=weighted)
             want = oracle.entrywise_v_step(
-                relaxed, block.signs, block.weights() if weighted else None,
-                50.0, db, block.query_indices,
+                relaxed, block.signs, block.weights(), 50.0, db,
+                block.query_indices,
             )
-            v_step(db, relaxed, block, 50.0, weighted=weighted)
+            v_step(db, relaxed, block, 50.0)
             assert np.array_equal(db, want)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -227,7 +223,7 @@ class TestVStep:
         rng = np.random.default_rng(15)
         n, code_len = len(labels), 16
         omega = sample_query_indices(n, 100, rng)
-        block = build_sampled_similarity(labels, omega)
+        block = build_sampled_similarity(labels, omega, weighted)
         class_codes = np.array(
             [rng.permutation([1] * 5 + [-1] * 5) for _ in range(code_len)]
         ).T
@@ -243,19 +239,19 @@ class TestVStep:
             update(work, *args)
 
         monkeypatch.setattr(solver, "_update_column", recording)
-        v_step(db, relaxed, block, 200.0, weighted=weighted)
+        v_step(db, relaxed, block, 200.0)
         # gamma != 0: each sampled row reads its own row of the table
         tags = block.row_groups.copy()
         tags[omega] = block.group_count + np.arange(len(omega))
         keys = {(tag, *row) for tag, row in zip(tags.tolist(), db.tolist())}
-        v_step(db, relaxed, block, 200.0, weighted=weighted)
+        v_step(db, relaxed, block, 200.0)
         assert swept[code_len:] == [len(keys)] * code_len
         assert len(keys) < n / 10
 
         trace = []
         for _ in range(2):
-            v_step(tracked, relaxed, block, 200.0, weighted, track_objective=trace)
-            final = objective_of(relaxed, tracked, block, 200.0, weighted)
+            v_step(tracked, relaxed, block, 200.0, track_objective=trace)
+            final = objective_of(relaxed, tracked, block, 200.0)
             assert trace[-1][-1] == final
         assert np.array_equal(tracked, db)
 
@@ -266,7 +262,7 @@ class TestVStep:
         rng = np.random.default_rng(16)
         n, code_len = len(labels), 64
         omega = sample_query_indices(n, 200, rng)
-        block = build_sampled_similarity(labels, omega)
+        block = build_sampled_similarity(labels, omega, weighted=False)
         relaxed = rng.uniform(-0.95, 0.95, (200, code_len))
         db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
         assert len(np.unique(db, axis=0)) == n
@@ -312,9 +308,9 @@ class TestVStepOnLabelBlocks:
         n = len(labels)
         omega = sample_query_indices(n, 120, rng)
         if dataset == "separate":
-            block = build_similarity(labels.subset(omega), labels)
+            block = build_similarity(labels.subset(omega), labels, weighted)
         else:
-            block = build_sampled_similarity(labels, omega)
+            block = build_sampled_similarity(labels, omega, weighted)
         groups = np.unique(block.signs, axis=1).shape[1]
         if multi_label:
             assert groups >= 300
@@ -331,33 +327,50 @@ class TestVStepOnLabelBlocks:
             # rows of a group differ only in their last 6 bits, which for
             # c = 70 are all of the second code word
             db[:, :-6] = db[block.row_groups, :-6]
-        weights = block.weights() if weighted else None
+        weights = block.weights()
         for _ in range(2):
             want = oracle.entrywise_v_step(
                 relaxed, block.signs, weights, gamma, db, block.query_indices
             )
-            v_step(db, relaxed, block, gamma, weighted=weighted)
+            v_step(db, relaxed, block, gamma)
             assert np.array_equal(db, want)
 
+    def test_default_block_sweeps_at_its_imbalance_weight(self):
+        # a label-built block is weighted by default, and v_step sweeps at
+        # its neg_weight with no flag of its own
+        _, labels = gen_synthetic_clusters(10, 150, 2, 0.1, seed=17)
+        rng = np.random.default_rng(17)
+        n, code_len = len(labels), 12
+        block = build_sampled_similarity(labels, sample_query_indices(n, 80, rng))
+        assert block.neg_weight != 1.0
+        relaxed = rng.uniform(-0.95, 0.95, (80, code_len))
+        db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
+        want = oracle.entrywise_v_step(
+            relaxed, block.signs, block.weights(), 200.0, db, block.query_indices
+        )
+        v_step(db, relaxed, block, 200.0)
+        assert np.array_equal(db, want)
 
-def repeated_column_block(rng, n, m, pool_size, sampled):
+
+def repeated_column_block(rng, n, m, pool_size, sampled, weighted):
     """Hand-built block whose n sign columns repeat ``pool_size`` columns."""
     pool = rng.integers(0, 2, (m, pool_size)) * 2 - 1
     signs = pool[:, rng.integers(0, pool_size, n)]
     pos = int((signs == 1).sum())
-    rho = pos / (signs.size - pos) if 0 < pos < signs.size else 1.0
+    rho = pos / (signs.size - pos) if weighted and 0 < pos < signs.size else 1.0
     omega = rng.choice(n, m, replace=False) if sampled else None
     return SimilarityBlock(signs=signs, neg_weight=rho, query_indices=omega)
 
 
-def sized_group_block(rng, sizes, m, sampled):
+def sized_group_block(rng, sizes, m, sampled, weighted):
     """Hand-built block whose groups have the given row counts, their rows
     shuffled across the database; about 10% of the signs are positive."""
     pool = np.where(rng.random((m, len(sizes))) < 0.1, 1, -1)
     signs = pool[:, rng.permutation(np.repeat(np.arange(len(sizes)), sizes))]
     pos = int((signs == 1).sum())
     omega = rng.choice(signs.shape[1], m, replace=False) if sampled else None
-    block = SimilarityBlock(signs, pos / (signs.size - pos), omega)
+    rho = pos / (signs.size - pos) if weighted and pos else 1.0
+    block = SimilarityBlock(signs, rho, omega)
     assert sorted(block.group_sizes) == sorted(sizes)  # the pool's columns differ
     return block
 
@@ -372,17 +385,18 @@ def chunk_splits_a_group(block, code_len, rows):
     return not np.isin(ends, np.cumsum(sizes)).all()
 
 
-def label_block(rng, labels, m, sampled):
+def label_block(rng, labels, m, sampled, weighted):
     n = len(labels)
     if sampled:
-        return build_sampled_similarity(labels, rng.choice(n, m, replace=False))
+        omega = rng.choice(n, m, replace=False)
+        return build_sampled_similarity(labels, omega, weighted)
     queries = labels.subset(rng.choice(n, m))
-    return build_similarity(queries, labels)
+    return build_similarity(queries, labels, weighted)
 
 
-def direct_loss_and_grad_z(relaxed, db, block, rows, gamma, weighted):
+def direct_loss_and_grad_z(relaxed, db, block, rows, gamma):
     """The m x n reference: expanded signs and weights of the block's rows."""
-    weights = block.weights()[rows] if weighted else None
+    weights = block.weights()[rows]
     own = None
     if block.query_indices is not None:
         own = db[block.query_indices[rows]]
@@ -420,18 +434,18 @@ class TestGroupForm:
             c = int(rng.integers(1, 7))
             if trial % 2:
                 block = repeated_column_block(
-                    rng, n, m, int(rng.integers(1, 4)), sampled
+                    rng, n, m, int(rng.integers(1, 4)), sampled, weighted
                 )
             else:
                 labels = LabelMatrix(
                     [rng.choice(70, int(rng.integers(1, 3)), replace=False)
                      for _ in range(n)]
                 )
-                block = label_block(rng, labels, m, sampled)
+                block = label_block(rng, labels, m, sampled, weighted)
             relaxed = rng.uniform(-0.95, 0.95, (m, c))
             db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
-            fast = objective_of(relaxed, db, block, 3.0, weighted=weighted)
-            slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0, weighted))
+            fast = objective_of(relaxed, db, block, 3.0)
+            slow = oracle.naive_objective(as_tiny(relaxed, db, block, 3.0))
             assert type(fast) is float
             assert fast == pytest.approx(slow, rel=1e-9)
             sides["gram"] += bool((block.group_sizes > c).any())
@@ -452,22 +466,21 @@ class TestGroupForm:
         n, m, c = 1500, 120, 16
         if kind == "clusters":
             labels = gen_synthetic_clusters(10, 150, 4, 0.1, seed=32)[1]
-            block = label_block(rng, labels, m, sampled)
+            block = label_block(rng, labels, m, sampled, weighted)
         elif kind == "multi_label":
-            block = label_block(rng, multi_label_set(rng, n), m, sampled)
+            block = label_block(rng, multi_label_set(rng, n), m, sampled, weighted)
         elif kind == "repeated":
-            block = repeated_column_block(rng, n, m, 30, sampled)
+            block = repeated_column_block(rng, n, m, 30, sampled, weighted)
         elif kind == "all_small":  # every database row its own group
-            block = sized_group_block(rng, [1] * n, m, sampled)
+            block = sized_group_block(rng, [1] * n, m, sampled, weighted)
         elif kind == "exactly_c":
             sizes = [c - 1, c, c + 1] * 30 + [2] * 30
-            block = sized_group_block(rng, sizes, m, sampled)
+            block = sized_group_block(rng, sizes, m, sampled, weighted)
         else:
             # 7-row groups and 1498 rows: chunks of 1498 // 50 = 29 and
             # 1498 // 120 = 12 rows end inside groups
-            block = sized_group_block(rng, [7] * 214, m, sampled)
+            block = sized_group_block(rng, [7] * 214, m, sampled, weighted)
         n = block.db_count
-        rho = block.neg_weight if weighted else 1.0
         if kind == "multi_label":
             assert_groups_on_both_sides(block, c)
         elif kind == "all_small":
@@ -482,33 +495,38 @@ class TestGroupForm:
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         rows = rng.permutation(m)[:50]
         loss, grad = _group_loss_and_grad_z(
-            relaxed[rows], rows, block, _group_stats(db, block, rho), 200.0
+            relaxed[rows], rows, block, _group_stats(db, block), 200.0
         )
         want_loss, want_grad = direct_loss_and_grad_z(
-            relaxed[rows], db, block, rows, 200.0, weighted
+            relaxed[rows], db, block, rows, 200.0
         )
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert_close_at_scale(grad, want_grad, 1e-12)
         full = np.arange(m)
-        want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0, weighted)[0]
-        got = objective_of(relaxed, db, block, 200.0, weighted=weighted)
+        want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0)[0]
+        got = objective_of(relaxed, db, block, 200.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_group_sums_per_column_equal_per_group(self):
         # groups of more than c rows are summed one at a time, the rest in
-        # one reduceat; both give the per-row sums, and rho != 1 keeps the
-        # Gram V_g^T V_g of each large group
+        # one reduceat; both give the per-row sums behind each query's
+        # linear term, and rho != 1 keeps the Gram V_g^T V_g of each large
+        # group
         rng = np.random.default_rng(36)
-        block = label_block(rng, multi_label_set(rng, 1500), 120, True)
+        block = label_block(rng, multi_label_set(rng, 1500), 120, True, False)
         db = (rng.integers(0, 2, (1500, 8)) * 2 - 1).astype(np.float64)
         assert_groups_on_both_sides(block, 8)
-        unweighted = _group_stats(db, block, 1.0)
-        weighted = _group_stats(db, block, 0.5)
-        want = np.zeros_like(unweighted.sums)
+        halved = SimilarityBlock(block.signs, 0.5, block.query_indices)
+        assert np.array_equal(halved.row_groups, block.row_groups)
+        unweighted = _group_stats(db, block)
+        weighted = _group_stats(db, halved)
+        sums = np.zeros((block.group_count, 8))
         for row, group in zip(db, block.row_groups):
-            want[group] += row
-        assert np.array_equal(unweighted.sums, want)
-        assert np.array_equal(weighted.sums, want)
+            sums[group] += row
+        for rho, stats in ((1.0, unweighted), (0.5, weighted)):
+            want = (1.0 + rho) * (block.positive.astype(np.float64) @ sums)
+            want -= rho * sums.sum(axis=0)
+            assert np.array_equal(stats.target, want)
         assert np.array_equal(unweighted.gram, weighted.gram)
         assert unweighted.grams is None
         assert np.array_equal(weighted.large, np.flatnonzero(block.group_sizes > 8))
@@ -527,20 +545,17 @@ class TestGroupForm:
             features = rng.normal(size=(1500, 8))
         n, c = len(labels), 24
         omega = rng.choice(n, 100, replace=False)
-        block = build_sampled_similarity(labels, omega)
+        block = build_sampled_similarity(labels, omega, weighted)
         model = init_encoder((8, 16, c), rng)
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         batch = rng.permutation(100)[:40]
         stepped = copy.deepcopy(model)
-        rho = block.neg_weight if weighted else 1.0
         loss = minibatch_step(
             stepped, OptimizerState(1.0), features[omega], batch,
-            _group_stats(db, block, rho), block, 50.0,
+            _group_stats(db, block), block, 50.0,
         )
         _, relaxed, acts = _forward_cached(model, features[omega][batch])
-        want_loss, grad_z = direct_loss_and_grad_z(
-            relaxed, db, block, batch, 50.0, weighted
-        )
+        want_loss, grad_z = direct_loss_and_grad_z(relaxed, db, block, batch, 50.0)
         grad_w, grad_b = _backprop(model, acts, grad_z)
         direct = copy.deepcopy(model)
         _apply_gradients(direct, OptimizerState(1.0), grad_w, grad_b)
@@ -635,7 +650,7 @@ def test_objective_holds_no_query_by_code_squared_array():
     n, m, code_len = len(labels), 500, 64
     block = build_sampled_similarity(labels, sample_query_indices(n, m, rng))
     db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
-    stats = _group_stats(db, block, block.neg_weight)
+    stats = _group_stats(db, block)
     assert len(stats.large) == block.group_count == 10
     relaxed = rng.uniform(-0.95, 0.95, (m, code_len))
     tracemalloc.start()
@@ -677,13 +692,13 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
     def checked(relaxed, rows, block, stats, gamma):
         assert block is built[-1]
         assert_groups_on_both_sides(block, code_len)
-        want = group_stats(codes[0], block, block.neg_weight)
+        want = group_stats(codes[0], block)
         for field, got, expected in zip(stats._fields, stats, want):
             if expected is None:
                 assert got is None, field
             else:
                 assert np.array_equal(got, expected), field
-        states.append(stats.sums.tobytes())
+        states.append(stats.target.tobytes())
         return loss_and_grad(relaxed, rows, block, stats, gamma)
 
     monkeypatch.setattr(encoder, "_group_loss_and_grad_z", checked)
@@ -743,7 +758,7 @@ class TestTrain:
             assert np.array_equal(got, want)
         block = build_sampled_similarity(labels, omega)
         relaxed = forward(model, features[omega])[1]
-        v_step(db, relaxed, block, config.gamma, weighted=True)
+        v_step(db, relaxed, block, config.gamma)
         assert np.array_equal(result.codes.to_signs(), db.astype(np.int8))
 
     def test_same_seed_reproduces_codes_and_history(self, small_clustered):
