@@ -36,6 +36,13 @@ codes are ~all distinct and collapse onto a few codes per group during
 the first sweep, so the key is taken afresh on every call; later sweeps
 cost O(distinct rows * c^2), not O(n * c^2).
 
+Since no row reads another, the sweep runs in row blocks: every column
+over one block of representative rows, then the next block. A block is
+``SWEEP_BLOCK_BYTES`` of float64 codes, sized so that the c column passes
+over it stay in a core's L2 cache; column by column over all rows, each
+pass would stream the whole distinct-rows x c array from memory. The
+arithmetic and its order do not change, so neither do the codes.
+
 The objective and the encoder's gradient use the same groups. With V the
 database codes, Q = V^T V, and u_g, n_g, Q_g = V_g^T V_g the row sum, row
 count and Gram of group g:
@@ -103,6 +110,9 @@ PROBE_MODES = ("asymmetric_sampled", "symmetric_baseline")
 
 HISTORY_CSV_HEADER = "outer,inner,phase,objective,seconds"
 IMBALANCE_CHUNK = 512  # database rows per shares_label call
+# bytes of float64 code rows a V-step sweeps through every column at a time,
+# sized to stay in a core's L2 cache (1,024 rows at c = 64)
+SWEEP_BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -198,14 +208,23 @@ def _update_column(db, k, rho, gram, linear, shared) -> None:
     minimizer; zero coefficient gives -1.
 
     ``linear`` is each row's static[tag, k] and ``shared`` each row's
-    B_k[g(j)], None when rho = 1 (module docstring).
+    B_k[g(j)], None when rho = 1 (module docstring). The terms are added
+    in the formula's order; the factor rho = 1 is skipped, which is exact.
     """
-    coef = rho * (db @ gram[:, k] - db[:, k] * gram[k, k])
+    coef = db @ gram[:, k]
+    coef -= db[:, k] * gram[k, k]
+    if rho != 1.0:
+        coef *= rho
     if shared is not None:
         row_dot = np.einsum("jl,jl->j", db, shared)
         coef += (1.0 - rho) * (row_dot - db[:, k] * shared[:, k])
     coef += linear
     db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
+
+
+def _block_rows(code_len):
+    """Float64 code rows that fit in ``SWEEP_BLOCK_BYTES``."""
+    return max(1, SWEEP_BLOCK_BYTES // (8 * code_len))
 
 
 def v_step(
@@ -226,14 +245,23 @@ def v_step(
     ~all rows distinct, and they collapse onto few keys only during that
     sweep. Dissimilar pairs weigh the block's ``neg_weight``.
 
+    The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
+    block gathers its rows and its rows of the linear-term table, reads,
+    when rho != 1, the relation columns of its own groups (one range, as
+    the rows are then ordered by group), then runs every column before
+    the next block starts, so the column passes read a block that fits in
+    L2 (module docstring).
+
     When ``track_objective`` is a list, appends one sub-list per sweep
     holding the fully recomputed objective before the first column and
-    after every column update.
+    after every column update. Such a sweep is one block, since it scores
+    every column over all rows.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     rho = block.neg_weight
+    code_len = db_signs.shape[1]
     gram = relaxed.T @ relaxed
-    static = -db_signs.shape[1] * (np.where(block.positive, 1.0, -rho).T @ relaxed)
+    static = -code_len * (np.where(block.positive, 1.0, -rho).T @ relaxed)
     tags = block.row_groups
     if block.query_indices is not None and gamma != 0.0:
         # a sampled row's pull term -gamma * r_i is its own: it reads a
@@ -243,27 +271,46 @@ def v_step(
         )
         tags = tags.copy()
         tags[block.query_indices] = block.group_count + np.arange(block.query_count)
-    reps, inverse = _unique_rows(*_pack_bits(db_signs > 0).T, tags)
+    keys = [*_pack_bits(db_signs > 0).T, tags]
+    if rho != 1.0:
+        # the (1 - rho) term reads the relation columns of each block's
+        # groups. With the group as the primary key (a tag fixes its
+        # row's group, so the distinct rows stay the same), they are one
+        # range of columns of one cast; per-block copies, a few MB each
+        # and of varying size, left the peak RSS varying from run to run.
+        keys.append(block.row_groups)
+    reps, inverse = _unique_rows(*keys)
     tags = tags[reps]  # now per representative; this frees the n-row copy
-    work = db_signs[reps]
-    group_pos = rep_groups = None
-    if rho != 1.0:  # read only by the (1 - rho) term
-        group_pos = block.positive.astype(np.float64)
+    work = np.empty((len(reps), code_len))
+    rep_groups = group_pos = None
+    if rho != 1.0:
         rep_groups = block.row_groups[reps]
+        group_pos = block.positive.astype(np.float64)
+    rows = _block_rows(code_len)
     trace = None
     if track_objective is not None:
         stats = _group_stats(db_signs, block)
         trace = [objective(relaxed, stats, block, gamma)]
         track_objective.append(trace)
-    for k in range(db_signs.shape[1]):
-        shared = None
-        if group_pos is not None:
-            shared = (group_pos.T @ (relaxed * relaxed[:, k, None]))[rep_groups]
-        _update_column(work, k, rho, gram, static[tags, k], shared)
-        if trace is not None:
-            db_signs[:, k] = work[inverse, k]
-            stats = _group_stats(db_signs, block)
-            trace.append(objective(relaxed, stats, block, gamma))
+        rows = len(reps)  # each column is scored over every row
+    for start in range(0, len(reps), rows):
+        part = slice(start, start + rows)
+        block_work = work[part]
+        np.take(db_signs, reps[part], axis=0, out=block_work)
+        linear = static[tags[part]]
+        if rep_groups is not None:
+            local = rep_groups[part]
+            block_pos = group_pos[:, local[0] : local[-1] + 1]
+            local = local - local[0]
+        for k in range(code_len):
+            shared = None
+            if rep_groups is not None:
+                shared = (block_pos.T @ (relaxed * relaxed[:, k, None]))[local]
+            _update_column(block_work, k, rho, gram, linear[:, k], shared)
+            if trace is not None:
+                db_signs[:, k] = work[inverse, k]
+                stats = _group_stats(db_signs, block)
+                trace.append(objective(relaxed, stats, block, gamma))
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, inverse, axis=0, out=db_signs, mode="clip")
@@ -271,7 +318,20 @@ def v_step(
 
 
 def _init_db_codes(rng, n, code_len):
-    return (rng.integers(0, 2, size=(n, code_len)) * 2 - 1).astype(np.float64)
+    """n x code_len random +/-1 codes, drawn in sweep-sized row blocks.
+
+    Consumes the same stream, and leaves the same generator state, as one
+    ``rng.integers(0, 2, size=(n, code_len))`` call, with no n-row integer
+    temporary.
+    """
+    db = np.empty((n, code_len))
+    rows = _block_rows(code_len)
+    for start in range(0, n, rows):
+        block = db[start : start + rows]
+        block[...] = rng.integers(0, 2, size=block.shape)
+        block *= 2
+        block -= 1
+    return db
 
 
 def _batches(order, batch_size):

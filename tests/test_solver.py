@@ -18,9 +18,11 @@ from asymhash.encoder import (
     init_encoder,
     minibatch_step,
 )
+from asymhash.hashcore import _pack_bits
 from asymhash.simgraph import (
     LabelMatrix,
     SimilarityBlock,
+    _unique_rows,
     build_sampled_similarity,
     build_similarity,
     sample_query_indices,
@@ -234,9 +236,9 @@ class TestVStep:
         swept = []
         update = solver._update_column
 
-        def recording(work, *args):
-            swept.append(len(work))
-            update(work, *args)
+        def recording(work, k, *args):
+            swept.append((k, len(work)))
+            update(work, k, *args)
 
         monkeypatch.setattr(solver, "_update_column", recording)
         v_step(db, relaxed, block, 200.0)
@@ -244,8 +246,14 @@ class TestVStep:
         tags = block.row_groups.copy()
         tags[omega] = block.group_count + np.arange(len(omega))
         keys = {(tag, *row) for tag, row in zip(tags.tolist(), db.tolist())}
+        swept.clear()
         v_step(db, relaxed, block, 200.0)
-        assert swept[code_len:] == [len(keys)] * code_len
+        # a sweep may split the rows into blocks: count each column's rows
+        # over all of them
+        rows_per_column = np.bincount(
+            [k for k, _ in swept], weights=[rows for _, rows in swept]
+        )
+        assert rows_per_column.tolist() == [len(keys)] * code_len
         assert len(keys) < n / 10
 
         trace = []
@@ -272,7 +280,112 @@ class TestVStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * db.nbytes
+        assert peak <= 1.25 * db.nbytes
+
+
+def sweep_block_rows(monkeypatch, rows, code_len):
+    """Make every V-step sweep block hold ``rows`` rows of ``code_len`` bits."""
+    monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", rows * 8 * code_len)
+
+
+class TestVStepBlocks:
+    """A sweep runs every column over one block of representative rows
+    before the next block. Each row's new code reads only its own row, so
+    blocks of any size give the codes of the entrywise reference."""
+
+    CODE_LEN = 10
+    RHO_ONE = ("rho_one", "private_tags_last")
+
+    def block_and_codes(self, case, rng):
+        if case == "multi_label":
+            labels = multi_label_set(rng, 300)
+        else:
+            _, labels = gen_synthetic_clusters(10, 30, 2, 0.1, seed=18)
+        n = len(labels)
+        omega = sample_query_indices(n, 40, rng)
+        block = build_sampled_similarity(labels, omega, case not in self.RHO_ONE)
+        db = (rng.integers(0, 2, (n, self.CODE_LEN)) * 2 - 1).astype(np.float64)
+        if case.startswith("private_tags"):
+            # one code per group: the private-tag rows of the sampled
+            # queries are the only rows apart from their group's
+            db = db[block.row_groups]
+        return block, db
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "case",
+        ["rho_one", "multi_label", "private_tags", "private_tags_last", "gamma_zero"],
+    )
+    def test_matches_entrywise_reference_bit_for_bit(self, case, rows, monkeypatch):
+        sweep_block_rows(monkeypatch, rows, self.CODE_LEN)
+        rng = np.random.default_rng(18)
+        block, db = self.block_and_codes(case, rng)
+        assert (block.neg_weight == 1.0) == (case in self.RHO_ONE)
+        if case == "multi_label":
+            assert block.group_count > 100
+        gamma = 0.0 if case == "gamma_zero" else 200.0
+        relaxed = rng.uniform(-0.95, 0.95, (block.query_count, self.CODE_LEN))
+        if case.startswith("private_tags"):
+            tags = block.row_groups.copy()
+            tags[block.query_indices] = block.group_count + np.arange(
+                block.query_count
+            )
+            keys = [*_pack_bits(db > 0).T, tags]
+            if case == "private_tags":
+                keys.append(block.row_groups)
+            reps, _ = _unique_rows(*keys)
+            private = tags[reps] >= block.group_count
+            assert private.sum() == block.query_count
+            last = private[-block.query_count :].all()
+            if case == "private_tags":
+                # v_step's order when rho != 1: by group, then tag. Each
+                # query's row sits next to its group's row, so blocks mix
+                # private and shared tags and each reads one group range.
+                assert not last
+                assert (np.diff(block.row_groups[reps]) >= 0).all()
+            else:
+                # rho = 1 orders by tag: the private tags fill the last blocks
+                assert last
+            assert len(reps) > 2 * rows
+        weights = block.weights()
+        for _ in range(2):
+            want = oracle.entrywise_v_step(
+                relaxed, block.signs, weights, gamma, db, block.query_indices
+            )
+            v_step(db, relaxed, block, gamma)
+            assert np.array_equal(db, want)
+
+    def test_tracked_sweep_matches_blocked_sweep(self, monkeypatch):
+        sweep_block_rows(monkeypatch, 3, self.CODE_LEN)
+        rng = np.random.default_rng(19)
+        block, db = self.block_and_codes("multi_label", rng)
+        relaxed = rng.uniform(-0.95, 0.95, (block.query_count, self.CODE_LEN))
+        tracked = db.copy()
+        trace = []
+        for _ in range(2):
+            v_step(db, relaxed, block, 200.0)
+            v_step(tracked, relaxed, block, 200.0, track_objective=trace)
+            assert np.array_equal(tracked, db)
+        assert [len(values) for values in trace] == [self.CODE_LEN + 1] * 2
+
+
+@pytest.mark.parametrize(
+    "n, code_len, rows",
+    [(50000, 64, 4096), (20000, 16, 4096), (1001, 17, 100), (5000, 1, 4096),
+     (3000, 63, 7)],
+)
+def test_init_codes_in_blocks_draw_one_stream(n, code_len, rows, monkeypatch):
+    # the blocks draw the stream of one whole-array call and leave the
+    # generator where that call leaves it
+    sweep_block_rows(monkeypatch, rows, code_len)
+    rng = np.random.default_rng(20)
+    whole = np.random.default_rng(20)
+    got = solver._init_db_codes(rng, n, code_len)
+    want = (whole.integers(0, 2, size=(n, code_len)) * 2 - 1).astype(np.float64)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == whole.bit_generator.state
+    assert rng.integers(0, 1 << 62) == whole.integers(0, 1 << 62)
 
 
 def multi_label_set(rng, n, num_ids=80):
