@@ -154,11 +154,12 @@ class SimilarityBlock:
     """Signed m x n supervision, stored per label-set group.
 
     A group is the set of database rows with one column of the "shares a
-    label" relation, so the block holds that relation once per group as
-    the read-only m x G bool ``positive`` and each database row's group,
+    label" relation, so the block holds that relation P_g once per group
+    as the read-only m x G bool ``positive`` and each database row's group,
     never the m x n signs, plus each query's count of positive pairs
     (``positive_counts``). ``neg_weight`` is rho, the dissimilar-pair
-    weight that the V-step and the loss apply.
+    weight that the V-step and the loss apply. They read P_g only through
+    ``relation_t_dot``, ``relation_dot`` and ``relation_mask``.
     ``query_indices`` maps each query row to its database row when the
     queries were sampled from the database itself; it is None when the
     query set is separate.
@@ -204,8 +205,8 @@ class SimilarityBlock:
         for arr in (self.positive, self.row_groups, self.group_sizes,
                     self.group_rows, self.group_offsets, self.positive_counts):
             arr.flags.writeable = False
-        if not neg_weight > 0:
-            raise ValueError("neg_weight must be positive")
+        if not 0 < neg_weight < np.inf:
+            raise ValueError("neg_weight must be positive and finite")
         self.neg_weight = float(neg_weight)
         if query_indices is not None:
             idx = np.ascontiguousarray(query_indices, dtype=np.int64)
@@ -218,6 +219,28 @@ class SimilarityBlock:
             idx.flags.writeable = False
             query_indices = idx
         self.query_indices = query_indices
+        self._relation = None  # P_g as float64, cast once on the first product
+
+    def _float_relation(self) -> np.ndarray:
+        # a cast per product made multi-label training ~30% slower and 13 MB
+        # larger at its peak; P_g is 0/1, so its products with integers are exact
+        if self._relation is None:
+            self._relation = self.positive.astype(np.float64)
+        return self._relation
+
+    def relation_t_dot(self, x, groups=slice(None)) -> np.ndarray:
+        """P_g^T x over a range of groups ``groups`` (a slice)."""
+        return self._float_relation()[:, groups].T @ x
+
+    def relation_dot(self, y, rows=slice(None), groups=slice(None)) -> np.ndarray:
+        """P_g[rows, groups] y; ``rows`` and ``groups`` are index arrays or slices."""
+        if not isinstance(rows, slice) and not isinstance(groups, slice):
+            rows = np.asarray(rows)[:, None]  # their cross product, not pairs
+        return self._float_relation()[rows, groups] @ y
+
+    def relation_mask(self, rows) -> np.ndarray:
+        """The bool P_g of the query rows ``rows`` (an index array or a slice)."""
+        return self.positive[rows]
 
     @property
     def query_count(self) -> int:

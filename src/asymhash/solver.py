@@ -20,7 +20,7 @@ relation and B_k = P_g^T (R * r_k), the coefficient of bit k of row j is
 
 with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
 bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
-term vanishes and is skipped. P_g is the block's bool ``positive``.
+term vanishes and is skipped. P_g^T R and B_k are block products.
 
 Given R, the sweep separates over database rows: coef_j reads only row
 j's own code, its group and its own pull term. The linear terms form one
@@ -73,6 +73,7 @@ accuracy contrast; it pays a full pass over all database pairs per epoch.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -83,12 +84,8 @@ import numpy as np
 from . import dataio
 from .encoder import (
     EncoderModel,
-    GroupStats,
     NonFiniteError,
     OptimizerState,
-    _apply_gradients,
-    _group_loss_and_grad_z,
-    _group_stats,
     forward,
     init_encoder,
     loss_and_param_grads,
@@ -190,6 +187,124 @@ class TrainingDiverged(RuntimeError):
         self.partial = partial
 
 
+class GroupStats(NamedTuple):
+    """All the loss reads of the database codes V, per label-set group.
+
+    ``_group_stats`` builds it once per (block, codes) state; the objective
+    and every minibatch step of that state read it in place of V.
+    """
+
+    gram: np.ndarray  # c x c, V^T V
+    target: np.ndarray  # m x c, h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g
+    large: np.ndarray  # the groups of more than c rows, ascending
+    grams: np.ndarray | None  # len(large) x c x c, their Q_g; None when rho = 1
+    small_codes: np.ndarray  # the rows of the groups of at most c rows, group by group
+    small_groups: np.ndarray  # the group of each of those rows
+    own: np.ndarray | None  # m x c, each sampled query's own code
+
+
+def _group_stats(db_signs, block) -> GroupStats:
+    """Each query's linear term h_i from the per-group row sums u_g of the
+    database codes, the rows of the groups of at most c rows and, for
+    rho = ``block.neg_weight`` != 1, the Gram Q_g = V_g^T V_g of each
+    larger group.
+
+    A large group is gathered and summed on its own; the small groups are
+    gathered together, with one mask over the rows in group order, and
+    summed in one reduceat. Entries are +/-1 and P_g is 0/1, so every sum,
+    Gram and P_g u is an exact integer in float64, the same bits for any
+    subset of query rows.
+    """
+    rho = block.neg_weight
+    code_len = db_signs.shape[1]
+    is_large = block.group_sizes > code_len
+    large = np.flatnonzero(is_large)
+    sums = np.empty((block.group_count, code_len))
+    grams = None if rho == 1.0 else np.empty((len(large), code_len, code_len))
+    for at, g in enumerate(large):
+        rows = block.group_rows[block.group_offsets[g] : block.group_offsets[g + 1]]
+        codes = db_signs[rows]
+        sums[g] = codes.sum(axis=0)
+        if grams is not None:
+            grams[at] = codes.T @ codes
+    small = np.flatnonzero(~is_large)
+    small_rows = block.group_rows[np.repeat(~is_large, block.group_sizes)]
+    small_codes = db_signs[small_rows]
+    if small.size:
+        starts = np.cumsum(block.group_sizes[small]) - block.group_sizes[small]
+        sums[small] = np.add.reduceat(small_codes, starts, axis=0)
+    target = (1.0 + rho) * block.relation_dot(sums)
+    target -= rho * sums.sum(axis=0)
+    own = None
+    if block.query_indices is not None:
+        own = db_signs[block.query_indices]
+    return GroupStats(
+        db_signs.T @ db_signs, target, large, grams,
+        small_codes, block.row_groups[small_rows], own,
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
+    """The direct loss of ``encoder.loss_and_param_grads`` for the weights
+    w = rho + (1 - rho) * P, in group form.
+
+    ``relaxed`` holds the relaxed codes of the block's query rows ``rows``
+    (an index array or a slice), ``stats`` is ``_group_stats`` of the
+    current codes, and rho is the block's ``neg_weight``. With P_g the
+    rows' m x G relation and P_i the database rows sharing a label with
+    row i,
+    q_i = rho * Q r_i + (1 - rho) * sum_{j in P_i} (r_i . v_j) v_j and
+    h_i = (1 + rho) * (P_g u)_i - rho * sum_g u_g (= sum_j w_ij s_ij v_j):
+
+      loss_i = r_i . q_i - 2c * r_i . h_i + c^2 * (rho * n + (1 - rho) * (P_g n)_i)
+      d loss_i / d r_i = 2 * (q_i - c * h_i)
+
+    plus the gamma pull toward the own code when the block's queries are
+    database rows and gamma != 0. The sum in q_i is (sum_g P_ig Q_g) r_i
+    over the groups of more than c rows, with the rows' summed Grams taken
+    by one product per chunk of rows, plus a masked product over the rows
+    of the smaller groups, taken transposed so that each chunk's mask is
+    a row gather of P_g^T. At rho = 1 only ``stats.target`` reads P_g.
+    Returns (loss, d loss / d raw outputs), as ``minibatch_step`` takes.
+    """
+    code_len = relaxed.shape[1]
+    rho = block.neg_weight
+    target = stats.target[rows]
+    quad = rho * (relaxed @ stats.gram)
+    pairs = rho * float(block.db_count) * len(relaxed)
+    if rho != 1.0:
+        # sum_{j in P_i} (r_i . v_j) v_j over the groups of at most c rows
+        shared = np.zeros_like(relaxed)
+        codes, groups = stats.small_codes, stats.small_groups
+        mask_t = np.ascontiguousarray(block.relation_mask(rows).T)
+        step = max(1, block.db_count // len(relaxed))
+        for start in range(0, len(codes), step):
+            chunk = codes[start : start + step]
+            mask = mask_t[groups[start : start + step]]
+            shared += ((chunk @ relaxed.T) * mask).T @ chunk
+        # sum_g P_ig Q_g over the large groups, about n entries per chunk
+        grams = stats.grams.reshape(len(stats.large), code_len * code_len)
+        picked = np.arange(block.query_count)[rows]
+        step = max(1, block.db_count // code_len**2)
+        for start in range(0, len(relaxed), step):
+            at = slice(start, start + step)
+            summed = block.relation_dot(grams, picked[at], stats.large)
+            shared[at] += np.einsum(
+                "il,ilk->ik", relaxed[at], summed.reshape(-1, code_len, code_len)
+            )
+        quad += (1.0 - rho) * shared
+        pairs += (1.0 - rho) * float(block.positive_counts[rows].sum())
+    loss = float((relaxed * (quad - 2.0 * code_len * target)).sum())
+    loss += code_len * code_len * pairs
+    grad = quad - code_len * target
+    if stats.own is not None and gamma != 0.0:
+        diff = relaxed - stats.own[rows]
+        loss += gamma * float((diff * diff).sum())
+        grad = grad + gamma * diff
+    return loss, 2.0 * grad * (1.0 - relaxed**2)
+
+
 def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
     """Training objective for the current relaxed codes and database codes.
 
@@ -246,11 +361,14 @@ def v_step(
     sweep. Dissimilar pairs weigh the block's ``neg_weight``.
 
     The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
-    block gathers its rows and its rows of the linear-term table, reads,
-    when rho != 1, the relation columns of its own groups (one range, as
-    the rows are then ordered by group), then runs every column before
-    the next block starts, so the column passes read a block that fits in
-    L2 (module docstring).
+    block gathers its rows and its rows of the linear-term table, takes,
+    when rho != 1, B_k over its own groups only (one range, as the rows
+    are then ordered by group), then runs every column before the next
+    block starts, so the column passes read a block that fits in L2
+    (module docstring). B_k stays one product per column: taking all c of
+    them as one g x c^2 product per block kept the codes, but raised the
+    multi-label benchmark's peak RSS from 60.7 to 76.8 MB and did not
+    make training faster.
 
     When ``track_objective`` is a list, appends one sub-list per sweep
     holding the fully recomputed objective before the first column and
@@ -261,7 +379,9 @@ def v_step(
     rho = block.neg_weight
     code_len = db_signs.shape[1]
     gram = relaxed.T @ relaxed
-    static = -code_len * (np.where(block.positive, 1.0, -rho).T @ relaxed)
+    static = -code_len * (
+        (1.0 + rho) * block.relation_t_dot(relaxed) - rho * relaxed.sum(axis=0)
+    )
     tags = block.row_groups
     if block.query_indices is not None and gamma != 0.0:
         # a sampled row's pull term -gamma * r_i is its own: it reads a
@@ -276,16 +396,13 @@ def v_step(
         # the (1 - rho) term reads the relation columns of each block's
         # groups. With the group as the primary key (a tag fixes its
         # row's group, so the distinct rows stay the same), they are one
-        # range of columns of one cast; per-block copies, a few MB each
-        # and of varying size, left the peak RSS varying from run to run.
+        # range of columns of the block's one cast; per-block casts, a few
+        # MB each and of varying size, left the peak RSS varying from run
+        # to run.
         keys.append(block.row_groups)
     reps, inverse = _unique_rows(*keys)
     tags = tags[reps]  # now per representative; this frees the n-row copy
     work = np.empty((len(reps), code_len))
-    rep_groups = group_pos = None
-    if rho != 1.0:
-        rep_groups = block.row_groups[reps]
-        group_pos = block.positive.astype(np.float64)
     rows = _block_rows(code_len)
     trace = None
     if track_objective is not None:
@@ -298,14 +415,15 @@ def v_step(
         block_work = work[part]
         np.take(db_signs, reps[part], axis=0, out=block_work)
         linear = static[tags[part]]
-        if rep_groups is not None:
-            local = rep_groups[part]
-            block_pos = group_pos[:, local[0] : local[-1] + 1]
+        if rho != 1.0:
+            local = block.row_groups[reps[part]]
+            groups = slice(local[0], local[-1] + 1)
             local = local - local[0]
         for k in range(code_len):
             shared = None
-            if rep_groups is not None:
-                shared = (block_pos.T @ (relaxed * relaxed[:, k, None]))[local]
+            if rho != 1.0:
+                product = relaxed * relaxed[:, k, None]
+                shared = block.relation_t_dot(product, groups)[local]
             _update_column(block_work, k, rho, gram, linear[:, k], shared)
             if trace is not None:
                 db_signs[:, k] = work[inverse, k]
@@ -371,12 +489,9 @@ def train(
     history: list[HistoryRecord] = []
 
     sampled = config.mode == "asymmetric_sampled"
-    if sampled:
-        if config.query_count > n:
-            raise ValueError("query_count exceeds database size")
-        block = None
-        qfeat = None
-    else:
+    if sampled and config.query_count > n:
+        raise ValueError("query_count exceeds database size")
+    if not sampled:
         if query_features is None or query_labels is None:
             raise ValueError(
                 "asymmetric_separate_queries mode needs query_features and "
@@ -384,14 +499,17 @@ def train(
             )
         qfeat = np.asarray(query_features, dtype=np.float64)
         block = build_similarity(query_labels, labels, config.imbalance_weighting)
+        # the loss reads the codes only through these terms, built once per
+        # block and once per V-step
+        stats = _group_stats(db, block)
 
     def snapshot() -> TrainResult:
         return TrainResult(model, CodeMatrix.from_signs(db), history)
 
-    # the loss reads the codes only through these terms, built once per
-    # block and once per V-step
-    if not sampled:
-        stats = _group_stats(db, block)
+    def record(outer, inner, phase, relaxed, seconds):
+        value = objective(relaxed, stats, block, config.gamma)
+        history.append(HistoryRecord(outer, inner, phase, value, seconds))
+
     for outer in range(1, config.outer_iters + 1):
         outer_start = time.perf_counter()
         if sampled:
@@ -402,35 +520,27 @@ def train(
             qfeat = features[omega]
             stats = _group_stats(db, block)
         if outer == 1:
-            start_obj = objective(forward(model, qfeat)[1], stats, block, config.gamma)
-            history.append(HistoryRecord(1, 0, "init", start_obj, 0.0))
+            record(1, 0, "init", forward(model, qfeat)[1], 0.0)
         m = block.query_count
         for inner in range(1, config.inner_iters + 1):
             phase_start = time.perf_counter()
             order = rng.permutation(m)
             try:
                 for batch in _batches(order, config.batch_size):
-                    minibatch_step(model, opt, qfeat, batch, stats, block, config.gamma)
+                    # unnamed: a kept callback would hold this block's cast
+                    minibatch_step(model, opt, qfeat[batch], functools.partial(
+                        _group_loss_and_grad_z, rows=batch, block=block,
+                        stats=stats, gamma=config.gamma,
+                    ))
                 relaxed = forward(model, qfeat)[1]
             except NonFiniteError as err:
                 raise TrainingDiverged(str(err), snapshot()) from err
-            seconds = time.perf_counter() - phase_start
-            history.append(
-                HistoryRecord(
-                    outer, inner, "theta",
-                    objective(relaxed, stats, block, config.gamma), seconds,
-                )
-            )
+            record(outer, inner, "theta", relaxed, time.perf_counter() - phase_start)
             phase_start = time.perf_counter()
             v_step(db, relaxed, block, config.gamma, track_objective=track_objective)
             seconds = time.perf_counter() - phase_start
             stats = _group_stats(db, block)
-            history.append(
-                HistoryRecord(
-                    outer, inner, "v",
-                    objective(relaxed, stats, block, config.gamma), seconds,
-                )
-            )
+            record(outer, inner, "v", relaxed, seconds)
         if on_outer_end is not None:
             on_outer_end(outer, time.perf_counter() - outer_start, model, db)
     return snapshot()
@@ -493,7 +603,7 @@ def train_symmetric_baseline(
                 )
                 if not np.isfinite(loss):
                     raise NonFiniteError("batch loss is non-finite")
-                _apply_gradients(model, opt, grad_w, grad_b)
+                opt.apply(model, grad_w, grad_b)
                 epoch_loss += loss
         except NonFiniteError as err:
             raise TrainingDiverged(

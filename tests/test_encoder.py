@@ -1,4 +1,5 @@
 import copy
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,7 @@ from asymhash.encoder import (
     EncoderModel,
     NonFiniteError,
     OptimizerState,
-    _apply_gradients,
     _batch_loss_and_grad_z,
-    _group_stats,
     encode_queries,
     forward,
     init_encoder,
@@ -19,6 +18,7 @@ from asymhash.encoder import (
 )
 from asymhash.hashcore import binarize
 from asymhash.simgraph import SimilarityBlock
+from asymhash.solver import _group_loss_and_grad_z, _group_stats
 
 
 def zero_model(dims):
@@ -156,8 +156,12 @@ class TestMinibatchStep:
 
     def step(self, model, opt, feats, batch, db, block, gamma):
         # unweighted: the block's rho is 1
-        stats = _group_stats(db, block)
-        return minibatch_step(model, opt, feats, batch, stats, block, gamma)
+        batch = np.asarray(batch, dtype=np.int64)
+        loss_and_grad = partial(
+            _group_loss_and_grad_z, rows=batch, block=block,
+            stats=_group_stats(db, block), gamma=gamma,
+        )
+        return minibatch_step(model, opt, feats[batch], loss_and_grad)
 
     def test_zero_learning_rate_keeps_model(self):
         rng = np.random.default_rng(2)
@@ -176,7 +180,7 @@ class TestMinibatchStep:
         model = zero_model((1, 1))
         model.weights[0][0, 0] = 3.0
         opt = OptimizerState(learning_rate=0.1)
-        _apply_gradients(model, opt, [np.array([[2.0]])], [np.array([0.5])])
+        opt.apply(model, [np.array([[2.0]])], [np.array([0.5])])
         assert model.weights[0][0, 0] == pytest.approx(3.0 - 0.1 * 2.0)
         assert model.biases[0][0] == pytest.approx(-0.1 * 0.5)
 
@@ -228,7 +232,7 @@ class TestAdam:
         model = zero_model((1, 1))
         model.weights[0][0, 0] = 1.0
         opt = OptimizerState(learning_rate=0.1, method="adam")
-        _apply_gradients(model, opt, [np.array([[4.0]])], [np.array([0.0])])
+        opt.apply(model, [np.array([[4.0]])], [np.array([0.0])])
         # first adam step moves by ~lr regardless of gradient magnitude
         assert model.weights[0][0, 0] == pytest.approx(0.9, abs=1e-6)
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from asymhash import oracle
-from asymhash.encoder import _group_stats
 from asymhash.hashcore import binarize
 from asymhash.simgraph import SimilarityBlock
-from asymhash.solver import objective, v_step
+from asymhash.solver import _group_stats, objective, v_step
 
 
 def tiny(rng, n, m, c, gamma=1.0, weighted=False, with_indices=True):

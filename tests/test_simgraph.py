@@ -241,6 +241,12 @@ class TestSimilarityBlockValidation:
         with pytest.raises(ValueError, match="positive"):
             SimilarityBlock(signs=np.array([[1, -1]]), neg_weight=0.0)
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, weight):
+        # an infinite rho would make every V-step coefficient NaN
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityBlock(signs=np.array([[1, -1]]), neg_weight=weight)
+
     def test_rejects_empty_signs(self):
         with pytest.raises(ValueError, match="non-empty"):
             SimilarityBlock(signs=np.zeros((0, 3), dtype=np.int8), neg_weight=1.0)
@@ -313,8 +319,10 @@ class TestGroupedBlock:
         assert np.array_equal(built.row_groups, hand.row_groups)
 
     def test_holds_one_query_by_group_array(self):
-        # the relation is stored once, as bool; every other array is sized
-        # by the rows, the groups or the queries, never by their product
+        # the relation is stored once, as bool, and the block keeps one
+        # float64 cast of it for its products, made on the first of them;
+        # every other array is sized by the rows, the groups or the
+        # queries, never by their product
         rng = np.random.default_rng(24)
         db = LabelMatrix(
             [rng.choice(40, int(rng.integers(1, 4)), replace=False) for _ in range(400)]
@@ -347,3 +355,67 @@ class TestGroupedBlock:
         build_sampled_similarity(labels, np.arange(50))
         build_similarity(LabelMatrix.from_ids([1, 2]), labels)
         assert calls == [(50, 7), (2, 7)]
+
+
+def dense_relation(block):
+    """The m x G 0/1 relation, read from the expanded signs: one column
+    per group, which every database row of the group must share."""
+    positive = block.signs == 1
+    first = block.group_rows[block.group_offsets[:-1]]
+    assert np.array_equal(positive, positive[:, first][:, block.row_groups])
+    return positive[:, first].astype(np.float64)
+
+
+def product_blocks():
+    rng = np.random.default_rng(25)
+    pool = rng.integers(0, 2, (9, 12)) * 2 - 1
+    yield SimilarityBlock(pool[:, rng.integers(0, 12, 40)], 0.5, None)
+    db = labels_with_offset(rng, 120, 60)
+    yield build_sampled_similarity(db, rng.choice(120, 15, replace=False))
+    yield build_similarity(db.subset(rng.choice(120, 11)), db, weighted=False)
+
+
+class TestBlockProducts:
+    """Each product of the block equals the same product over the dense 0/1
+    relation, exactly: the inputs are integers, so no sum rounds."""
+
+    @pytest.mark.parametrize("block", list(product_blocks()))
+    def test_products_match_the_dense_relation(self, block):
+        rng = np.random.default_rng(26)
+        dense = dense_relation(block)
+        m, groups = dense.shape
+        assert groups >= 3
+        x = rng.integers(-5, 6, (m, 4)).astype(np.float64)
+        y = rng.integers(-5, 6, (groups, 3)).astype(np.float64)
+        ranges = [slice(None), slice(1, groups - 1), slice(groups - 2, groups - 1)]
+        for part in ranges:
+            assert np.array_equal(block.relation_t_dot(x, part), dense[:, part].T @ x)
+        picks = [rng.choice(groups, 3, replace=False), *ranges]
+        for rows in (rng.permutation(m)[: m // 2], slice(None), slice(2, m - 1)):
+            want = dense[rows]
+            assert np.array_equal(block.relation_mask(rows), want == 1)
+            assert block.relation_mask(rows).dtype == bool
+            for part in picks:
+                got = block.relation_dot(y[part], rows, part)
+                assert np.array_equal(got, want[:, part] @ y[part])
+
+    def test_products_share_one_float64_cast(self):
+        block = next(product_blocks())
+
+        def arrays():
+            return {name: value for name, value in vars(block).items()
+                    if isinstance(value, np.ndarray)}
+
+        before = arrays()
+        x = np.ones((block.query_count, 2))
+        block.relation_t_dot(x)
+        after_first = arrays()
+        block.relation_dot(np.ones((block.group_count, 2)), np.arange(3))
+        block.relation_t_dot(x, slice(0, 1))
+        added = [name for name in after_first if name not in before]
+        assert len(added) == 1
+        cast = after_first[added[0]]
+        assert cast.dtype == np.float64
+        assert cast.shape == (block.query_count, block.group_count)
+        assert arrays().keys() == after_first.keys()
+        assert arrays()[added[0]] is cast  # made once, not per product

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +9,9 @@ from asymhash import encoder, oracle, solver
 from asymhash.dataio import gen_synthetic_clusters, split
 from asymhash.encoder import (
     OptimizerState,
-    _apply_gradients,
     _backprop,
     _batch_loss_and_grad_z,
     _forward_cached,
-    _group_loss_and_grad_z,
-    _group_stats,
     forward,
     init_encoder,
     minibatch_step,
@@ -31,6 +29,8 @@ from asymhash.solver import (
     MODES,
     TrainConfig,
     TrainingDiverged,
+    _group_loss_and_grad_z,
+    _group_stats,
     complexity_probe,
     history_to_csv,
     objective,
@@ -664,14 +664,17 @@ class TestGroupForm:
         batch = rng.permutation(100)[:40]
         stepped = copy.deepcopy(model)
         loss = minibatch_step(
-            stepped, OptimizerState(1.0), features[omega], batch,
-            _group_stats(db, block), block, 50.0,
+            stepped, OptimizerState(1.0), features[omega][batch],
+            partial(
+                _group_loss_and_grad_z, rows=batch, block=block,
+                stats=_group_stats(db, block), gamma=50.0,
+            ),
         )
         _, relaxed, acts = _forward_cached(model, features[omega][batch])
         want_loss, grad_z = direct_loss_and_grad_z(relaxed, db, block, batch, 50.0)
         grad_w, grad_b = _backprop(model, acts, grad_z)
         direct = copy.deepcopy(model)
-        _apply_gradients(direct, OptimizerState(1.0), grad_w, grad_b)
+        OptimizerState(1.0).apply(direct, grad_w, grad_b)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         for got, want, start in zip(
             stepped.params(), direct.params(), model.params()
@@ -791,7 +794,7 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
         return codes[0]
 
     monkeypatch.setattr(solver, "_init_db_codes", kept)
-    group_stats = encoder._group_stats
+    group_stats = solver._group_stats
     built = []
 
     def counted(*args):
@@ -799,7 +802,7 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
         return group_stats(*args)
 
     monkeypatch.setattr(solver, "_group_stats", counted)
-    loss_and_grad = encoder._group_loss_and_grad_z
+    loss_and_grad = solver._group_loss_and_grad_z
     states = []
 
     def checked(relaxed, rows, block, stats, gamma):
@@ -814,7 +817,6 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
         states.append(stats.target.tobytes())
         return loss_and_grad(relaxed, rows, block, stats, gamma)
 
-    monkeypatch.setattr(encoder, "_group_loss_and_grad_z", checked)
     monkeypatch.setattr(solver, "_group_loss_and_grad_z", checked)
     config = TrainConfig(
         code_len=code_len, query_count=40, outer_iters=tout, inner_iters=tin,
