@@ -54,7 +54,6 @@ from .solver import (
     history_to_csv,
     objective,
     train,
-    train_symmetric_baseline,
     v_step,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "split",
     "topk_precision_curve",
     "train",
-    "train_symmetric_baseline",
     "v_step",
     "write_codes",
     "write_features",

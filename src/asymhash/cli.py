@@ -24,7 +24,6 @@ from .solver import (
     complexity_probe,
     history_to_csv,
     train,
-    train_symmetric_baseline,
 )
 
 EXIT_OK = 0
@@ -246,17 +245,13 @@ def cmd_train(args) -> int:
     )
     diverged = None
     try:
-        if config.mode == "symmetric_baseline":
-            model, history = train_symmetric_baseline(features, labels, config)
-            codes = None
-        else:
-            model, codes, history = train(
-                features,
-                labels,
-                config,
-                query_features=query_features,
-                query_labels=query_labels,
-            )
+        model, codes, history = train(
+            features,
+            labels,
+            config,
+            query_features=query_features,
+            query_labels=query_labels,
+        )
     except TrainingDiverged as err:
         # keep the last good state on disk before reporting the failure
         diverged = err
@@ -264,7 +259,7 @@ def cmd_train(args) -> int:
     dataio.write_model(outdir / "model.bin", model)
     (outdir / "history.csv").write_text(history_to_csv(history), encoding="utf-8")
     _echo_config(outdir, values)
-    if codes is None:
+    if codes is None:  # a diverged symmetric run keeps only its model
         codes = encode_queries(model, features)
     dataio.write_codes(outdir / "db_codes.bin", codes)
     if diverged is not None:
@@ -391,6 +386,11 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = _resolve(args, CONFIG_KEYS)
+    if values["mode"] != "asymmetric_sampled":
+        raise ConfigError(
+            f"sweep grids gamma and omega, which only mode 'asymmetric_sampled' "
+            f"reads; got mode {values['mode']!r}"
+        )
     _require_paths(
         values, ("features", "labels", "query_features", "query_labels")
     )

@@ -50,16 +50,7 @@ class _Reader:
         self.offset = 0
 
     def exact(self, count: int, what: str) -> bytes:
-        # a size field can claim more than any file holds; check the bytes
-        # left before read() tries to allocate the claim
-        left = os.fstat(self.handle.fileno()).st_size - self.handle.tell()
-        if count > left:
-            raise _truncated(what, count, left, self.offset)
-        data = self.handle.read(count)
-        if len(data) != count:
-            raise _truncated(what, count, len(data), self.offset)
-        self.offset += count
-        return data
+        return self.array("u1", count, what).tobytes()
 
     def magic(self, expected: bytes) -> None:
         got = self.exact(len(expected), "magic")
@@ -80,9 +71,19 @@ class _Reader:
         return struct.unpack("<Q", self.exact(8, what))[0]
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
-        data = self.exact(itemsize * count, what)
-        return np.frombuffer(data, dtype=dtype, count=count)
+        """``count`` items read straight into one writable array."""
+        nbytes = np.dtype(dtype).itemsize * count
+        # a size field can claim more than any file holds; check the bytes
+        # left before allocating the claim
+        left = os.fstat(self.handle.fileno()).st_size - self.handle.tell()
+        if nbytes > left:
+            raise _truncated(what, nbytes, left, self.offset)
+        out = np.empty(count, dtype=dtype)
+        got = self.handle.readinto(out.view(np.uint8))
+        if got != nbytes:
+            raise _truncated(what, nbytes, got, self.offset)
+        self.offset += nbytes
+        return out
 
 
 def write_features(path, features) -> None:
@@ -112,7 +113,8 @@ def read_features(path) -> np.ndarray:
                 f"feature value {bad} of {rows}x{dim} is not finite",
                 start + 8 * bad,
             )
-        return flat.astype(np.float64).reshape(rows, dim)
+        # no copy on a little-endian host
+        return flat.astype(np.float64, copy=False).reshape(rows, dim)
 
 
 def write_labels(path, labels: LabelMatrix) -> None:

@@ -67,8 +67,9 @@ groups' Q_g, the small groups' rows and the sampled queries' own codes.
 build and once after each V-step, and the objective and every minibatch
 step of that code state read them.
 
-A symmetric single-network trainer is included only as the scaling and
-accuracy contrast; it pays a full pass over all database pairs per epoch.
+``train`` with ``mode="symmetric_baseline"`` runs a single-network
+trainer instead, included only as the scaling and accuracy contrast; it
+pays a full pass over all database pairs per epoch.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .encoder import (
     EncoderModel,
     NonFiniteError,
     OptimizerState,
+    encode_queries,
     forward,
     init_encoder,
     loss_and_param_grads,
@@ -466,24 +468,27 @@ def train(
     track_objective=None,
     on_outer_end: Callable | None = None,
 ) -> TrainResult:
-    """Alternating training; returns the encoder, packed codes, and history.
+    """Train in ``config.mode``; returns the encoder, packed codes, and history.
 
     In the sampled mode a fresh query index set is drawn each outer
     iteration and its supervision rows are rebuilt from labels. With a
     separate query set the supervision is fixed, and the code-pull term
-    vanishes because the block has no ``query_indices``.
+    vanishes because the block has no ``query_indices``. The symmetric
+    baseline trains the encoder alone, one epoch per outer iteration, and
+    its codes are ``encode_queries(model, features)``.
     ``on_outer_end(outer, seconds, model, db_signs)`` fires after each
-    outer iteration.
+    outer iteration; the symmetric baseline, which keeps no database
+    codes, passes ``db_signs=None``.
     """
     features = np.asarray(features, dtype=np.float64)
     n, dim = features.shape
     if len(labels) != n:
         raise ValueError("labels must have one row per feature row")
-    if config.mode == "symmetric_baseline":
-        raise ValueError("use train_symmetric_baseline for the symmetric mode")
 
     rng = np.random.default_rng(config.seed)
     model = init_encoder((dim, *config.hidden_dims, config.code_len), rng)
+    if config.mode == "symmetric_baseline":
+        return _train_symmetric(features, labels, config, rng, model, on_outer_end)
     db = _init_db_codes(rng, n, config.code_len)
     opt = OptimizerState(config.learning_rate, config.optimizer)
     history: list[HistoryRecord] = []
@@ -559,26 +564,16 @@ def _full_pair_imbalance(labels: LabelMatrix) -> float:
     return pos / neg
 
 
-def train_symmetric_baseline(
-    features,
-    labels: LabelMatrix,
-    config: TrainConfig,
-    on_epoch_end: Callable | None = None,
-):
+def _train_symmetric(features, labels, config, rng, model, on_outer_end):
     """Single-network contrast trainer: every epoch scans all database
     points and pays the full point-times-database pair cost.
 
     Each epoch freezes the network outputs for the whole database as
     targets, then steps the network minibatch-by-minibatch against them.
-    Returns (model, history); database codes come from encode_queries
-    afterwards.
+    ``model`` is the freshly initialized encoder and ``rng`` the generator
+    that drew it; the codes are ``encode_queries`` of the trained model.
     """
-    features = np.asarray(features, dtype=np.float64)
-    n, dim = features.shape
-    if len(labels) != n:
-        raise ValueError("labels must have one row per feature row")
-    rng = np.random.default_rng(config.seed)
-    model = init_encoder((dim, *config.hidden_dims, config.code_len), rng)
+    n = len(features)
     opt = OptimizerState(config.learning_rate, config.optimizer)
     neg_weight = (
         _full_pair_imbalance(labels) if config.imbalance_weighting else None
@@ -606,14 +601,15 @@ def train_symmetric_baseline(
                 opt.apply(model, grad_w, grad_b)
                 epoch_loss += loss
         except NonFiniteError as err:
+            # no codes: the caller encodes the last model itself
             raise TrainingDiverged(
                 str(err), TrainResult(model, None, history)
             ) from err
         seconds = time.perf_counter() - epoch_start
         history.append(HistoryRecord(epoch, 1, "epoch", epoch_loss, seconds))
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, seconds, model)
-    return model, history
+        if on_outer_end is not None:
+            on_outer_end(epoch, seconds, model, None)
+    return TrainResult(model, encode_queries(model, features), history)
 
 
 @dataclass
@@ -641,8 +637,10 @@ def complexity_probe(
     if mode not in PROBE_MODES:
         raise ValueError(f"probe mode must be one of {PROBE_MODES}, got {mode!r}")
     n_values = [int(n) for n in n_values]
-    if len(n_values) < 3:
-        raise ValueError("need at least 3 database sizes")
+    if len(set(n_values)) < 3:
+        raise ValueError(
+            f"need at least 3 distinct database sizes, got {n_values}"
+        )
     sizes, secs = [], []
     for n in n_values:
         feats, labels = dataio.gen_synthetic_clusters(10, -(-n // 10), 32, 0.1, seed)
@@ -657,18 +655,13 @@ def complexity_probe(
             seed=seed,
             hidden_dims=(64,),
             optimizer="adam",
+            mode=mode,
         )
         times: list[float] = []
-        if mode == "symmetric_baseline":
-            train_symmetric_baseline(
-                feats, labels, config,
-                on_epoch_end=lambda e, s, _m: times.append(s),
-            )
-        else:
-            train(
-                feats, labels, config,
-                on_outer_end=lambda o, s, _m, _v: times.append(s),
-            )
+        train(
+            feats, labels, config,
+            on_outer_end=lambda o, s, _m, _v: times.append(s),
+        )
         sizes.append(n)
         secs.append(float(np.mean(times[1:])))  # after the warm-up
     slope = float(np.polyfit(np.log(sizes), np.log(secs), 1)[0])

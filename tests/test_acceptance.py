@@ -37,7 +37,6 @@ from asymhash.solver import (
     TrainConfig,
     complexity_probe,
     train,
-    train_symmetric_baseline,
     v_step,
 )
 
@@ -264,18 +263,20 @@ def test_criterion_6_asymmetric_advantage_at_equal_budget():
     class BudgetReached(Exception):
         pass
 
-    def on_epoch(_epoch, seconds, model):
+    def on_epoch(_epoch, seconds, model, _db):
         sym_clock[0] += seconds
         sym_points.append((sym_clock[0], map_of(model, encode_queries(model, db_feats))))
         if sym_clock[0] >= budget:
             raise BudgetReached
 
     try:
-        train_symmetric_baseline(
+        train(
             db_feats,
             db_labels,
-            benchmark_config(outer_iters=60, inner_iters=1, seed=1),
-            on_epoch_end=on_epoch,
+            benchmark_config(
+                outer_iters=60, inner_iters=1, seed=1, mode="symmetric_baseline"
+            ),
+            on_outer_end=on_epoch,
         )
     except BudgetReached:
         pass

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asymhash import cli, dataio, evaluate
+from asymhash import cli, dataio, evaluate, solver
 from asymhash.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -601,6 +601,14 @@ class TestBench:
         )
         assert code == EXIT_CONFIG
 
+    def test_repeated_sizes_are_config_error(self, tmp_path, monkeypatch):
+        # three sizes of which two are distinct fit no slope
+        monkeypatch.setattr(solver, "train", must_not_run)
+        out = tmp_path / "bench"
+        code = main(["bench", "--sizes", "100,100,200", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "bench.csv").exists()
+
 
 class TestSweep:
     def test_grid_produces_metric_rows(self, dataset, tmp_path):
@@ -694,6 +702,28 @@ class TestSweep:
         assert main(argv) == EXIT_CONFIG
         assert "gamma must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mode", ["symmetric_baseline", "asymmetric_separate_queries"]
+    )
+    def test_mode_without_the_grid_fails_before_any_input_is_read(
+        self, dataset, tmp_path, monkeypatch, capsys, mode
+    ):
+        # gamma and omega are read by asymmetric_sampled only; a missing
+        # features file would be a data error (3) if it were opened
+        monkeypatch.setattr(cli, "train", must_not_run)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--out", str(out), "--mode", mode]
+        for flag, path in (
+            ("--features", tmp_path / "missing.bin"),
+            ("--labels", dataset / "db_labels.bin"),
+            ("--query-features", dataset / "query_features.bin"),
+            ("--query-labels", dataset / "query_labels.bin"),
+        ):
+            argv += [flag, str(path)]
+        assert main(argv) == EXIT_CONFIG
+        assert repr(mode) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_cutoff_fails_before_the_first_trial(
         self, dataset, tmp_path, monkeypatch, capsys

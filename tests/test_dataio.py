@@ -38,6 +38,20 @@ class TestFeatureFormat:
             back.view(np.uint64), features.view(np.uint64)
         )
 
+    def test_read_holds_the_matrix_once(self, tmp_path):
+        features = np.random.default_rng(1).normal(0, 1, (5000, 32))
+        path = tmp_path / "features.bin"
+        write_features(path, features)
+        tracemalloc.start()
+        try:
+            back = read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * features.nbytes
+        assert back.flags.writeable
+        assert np.array_equal(back, features)
+
     def test_truncation_names_expected_and_actual(self, tmp_path):
         path = tmp_path / "features.bin"
         write_features(path, np.zeros((4, 3)))

@@ -12,6 +12,7 @@ from asymhash.encoder import (
     _backprop,
     _batch_loss_and_grad_z,
     _forward_cached,
+    encode_queries,
     forward,
     init_encoder,
     minibatch_step,
@@ -35,7 +36,6 @@ from asymhash.solver import (
     history_to_csv,
     objective,
     train,
-    train_symmetric_baseline,
     v_step,
 )
 
@@ -943,11 +943,21 @@ class TestTrain:
         partial = info.value.partial
         assert partial.codes.rows == features.shape[0]
 
-    def test_rejects_symmetric_mode(self, small_clustered):
+    def test_symmetric_mode_encodes_the_database(self, small_clustered):
         features, labels = small_clustered
         config = self.small_config(mode="symmetric_baseline")
-        with pytest.raises(ValueError, match="train_symmetric_baseline"):
-            train(features, labels, config)
+        seen = []
+        model, codes, history = train(
+            features, labels, config,
+            on_outer_end=lambda *args: seen.append(args),
+        )
+        assert codes == encode_queries(model, features)
+        assert [(r.outer, r.inner, r.phase) for r in history] == [
+            (epoch, 1, "epoch") for epoch in range(1, config.outer_iters + 1)
+        ]
+        assert [(o, m, v) for o, _s, m, v in seen] == [
+            (epoch, model, None) for epoch in range(1, config.outer_iters + 1)
+        ]
 
 
 class TestSymmetricBaseline:
@@ -963,11 +973,9 @@ class TestSymmetricBaseline:
             seed=0,
             optimizer="adam",
             hidden_dims=(16,),
+            mode="symmetric_baseline",
         )
-        model, history = train_symmetric_baseline(features, labels, config)
-        from asymhash.encoder import encode_queries
-
-        codes = encode_queries(model, features)
+        model, codes, history = train(features, labels, config)
         assert codes.rows == 200
         assert set(np.unique(codes.to_signs())) <= {-1, 1}
         assert len(history) == 2
@@ -984,9 +992,10 @@ class TestSymmetricBaseline:
             seed=5,
             optimizer="adam",
             hidden_dims=(8,),
+            mode="symmetric_baseline",
         )
-        first = train_symmetric_baseline(features, labels, config)[1]
-        second = train_symmetric_baseline(features, labels, config)[1]
+        first = train(features, labels, config).history
+        second = train(features, labels, config).history
         assert [r.objective for r in first] == [r.objective for r in second]
 
     def test_divergence_raises(self):
@@ -1001,9 +1010,10 @@ class TestSymmetricBaseline:
             seed=0,
             optimizer="sgd",
             hidden_dims=(4,),
+            mode="symmetric_baseline",
         )
         with pytest.raises(TrainingDiverged):
-            train_symmetric_baseline(features, labels, config)
+            train(features, labels, config)
 
 
 class TestTrainConfig:
@@ -1033,13 +1043,15 @@ class TestComplexityProbe:
         assert all(s > 0 for s in result.seconds)
         assert np.isfinite(result.slope)
 
-    def test_rejects_too_few_sizes(self):
-        with pytest.raises(ValueError, match="3"):
-            complexity_probe([100, 200], query_count=10, code_len=4)
+    def test_rejects_too_few_sizes(self, monkeypatch):
+        # repeated sizes fit no slope: they are rejected before any training
+        monkeypatch.setattr(solver, "train", None)
+        for sizes in ([100, 200], [100, 100, 100], [100, 200, 100]):
+            with pytest.raises(ValueError, match="3"):
+                complexity_probe(sizes, query_count=10, code_len=4)
 
     def test_rejects_unknown_mode_before_training(self, monkeypatch):
         monkeypatch.setattr(solver, "train", None)
-        monkeypatch.setattr(solver, "train_symmetric_baseline", None)
         with pytest.raises(ValueError, match="symetric_baseline"):
             complexity_probe(
                 [100, 200, 400], query_count=10, code_len=4, mode="symetric_baseline"

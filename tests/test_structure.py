@@ -3,7 +3,9 @@
 The ADSH objective lives in ``solver`` beside the V-step; ``encoder`` is
 the query network and knows nothing of similarity blocks; and only
 ``simgraph`` reads a block's stored relation, so a change of how the
-block holds it stays inside ``simgraph``.
+block holds it stays inside ``simgraph``. ``solver.train`` is the one
+trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
+caller dispatches on the mode.
 """
 
 import ast
@@ -57,3 +59,70 @@ def test_encoder_knows_no_similarity_block():
         if isinstance(node, (ast.Name, ast.arg))
     }
     assert not names & {"SimilarityBlock", "GroupStats", "block"}
+
+
+def solver_functions():
+    """The module-level functions of ``solver``, by name."""
+    return {
+        node.name: node
+        for node in tree("solver.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def trainers():
+    """The functions of ``solver`` that take (features, labels, config)."""
+    return {
+        name
+        for name, node in solver_functions().items()
+        if [a.arg for a in node.args.args[:3]] == ["features", "labels", "config"]
+    }
+
+
+def names_in(name):
+    """Every identifier the module ``name`` uses, defines or spells out."""
+    found = set()
+    for node in ast.walk(tree(name)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def called_by(function):
+    """The plain names the syntax tree ``function`` calls."""
+    return [
+        call.func.id
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    ]
+
+
+def test_train_is_the_one_public_trainer():
+    found = trainers()
+    assert "train" in found
+    assert all(name.startswith("_") for name in found - {"train"})
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "solver.py")
+)
+def test_only_solver_names_a_trainer_but_train(name):
+    assert not names_in(name) & (trainers() - {"train"})
+
+
+def test_only_train_calls_the_other_trainers():
+    found = trainers()
+    functions = solver_functions()
+    for name, node in functions.items():
+        if name != "train":
+            assert not set(called_by(node)) & (found - {"train"}), name
+    probe_calls = called_by(functions["complexity_probe"])
+    assert [c for c in probe_calls if c in found] == ["train"]
