@@ -305,13 +305,14 @@ def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
         )
 
 
-def _check_cutoff(cutoff) -> None:
-    if cutoff is not None and cutoff < 1:
-        raise ConfigError(f"map_cutoff must be >= 1, got {cutoff}")
+def _check_positive(**values) -> None:
+    for name, value in values.items():
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def cmd_eval(args) -> int:
-    _check_cutoff(args.map_cutoff)
+    _check_positive(map_cutoff=args.map_cutoff, topk=args.topk)
     outdir = _ensure_outdir(args.out)
     query_codes = dataio.read_codes(args.query_codes)
     db_codes = dataio.read_codes(args.db_codes)
@@ -394,21 +395,21 @@ def cmd_sweep(args) -> int:
     _require_paths(
         values, ("features", "labels", "query_features", "query_labels")
     )
-    outdir = _ensure_outdir(values.get("out"))
-    features, labels, query_features, query_labels = _read_train_inputs(values, True)
-    if len(query_features) == 0:
-        # offset 8 is the row count in the features header
-        raise FileFormatError(f"{values['query_features']} has no rows", 8)
     gammas = [float(g) for g in args.gammas.split(",")]
     omegas = [int(o) for o in args.omegas.split(",")]
     cutoff = int(values["map_cutoff"]) if values.get("map_cutoff") else None
-    _check_cutoff(cutoff)
-    # every trial's configuration is checked before the first one trains
+    _check_positive(map_cutoff=cutoff)
+    # every trial's configuration is checked before any input is read
     configs = [
         _train_config({**values, "gamma": repr(gamma), "omega": str(omega)})
         for gamma in gammas
         for omega in omegas
     ]
+    outdir = _ensure_outdir(values.get("out"))
+    features, labels, query_features, query_labels = _read_train_inputs(values, True)
+    if len(query_features) == 0:
+        # offset 8 is the row count in the features header
+        raise FileFormatError(f"{values['query_features']} has no rows", 8)
     lines = ["gamma,omega,map"]
     for config in configs:
         model, codes, _ = train(features, labels, config)

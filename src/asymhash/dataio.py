@@ -86,16 +86,23 @@ class _Reader:
         return out
 
 
+def _write(path, magic: bytes, header: bytes, dtype: str, payloads) -> None:
+    """The magic, the packed header, then each array as ``dtype``, written
+    from its own buffer: an array that is already C-contiguous ``dtype``
+    is not copied."""
+    with open(path, "wb") as fh:
+        fh.write(magic + header)
+        for payload in payloads:
+            fh.write(np.ascontiguousarray(payload, dtype=dtype).data)
+
+
 def write_features(path, features) -> None:
     arr = np.ascontiguousarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise ValueError("features must be a 2-D matrix with dim >= 1")
     if not np.isfinite(arr).all():
         raise ValueError("features must be finite")
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f8").tobytes())
+    _write(path, FEATURES_MAGIC, struct.pack("<QQ", *arr.shape), "<f8", [arr])
 
 
 def read_features(path) -> np.ndarray:
@@ -122,10 +129,7 @@ def write_labels(path, labels: LabelMatrix) -> None:
         raise ValueError(f"label id {labels.ids.max()} does not fit the u32 format")
     # each row's count goes right before its ids
     words = np.insert(labels.ids, labels.offsets[:-1], np.diff(labels.offsets))
-    with open(path, "wb") as fh:
-        fh.write(LABELS_MAGIC)
-        fh.write(struct.pack("<Q", len(labels)))
-        fh.write(words.astype("<u4").tobytes())
+    _write(path, LABELS_MAGIC, struct.pack("<Q", len(labels)), "<u4", [words])
 
 
 def _row_heads(words: np.ndarray, rows: int) -> np.ndarray:
@@ -179,10 +183,8 @@ def read_labels(path) -> LabelMatrix:
 
 
 def write_codes(path, codes: CodeMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CODES_MAGIC)
-        fh.write(struct.pack("<QI", codes.rows, codes.code_len))
-        fh.write(codes.words.astype("<u8").tobytes())
+    header = struct.pack("<QI", codes.rows, codes.code_len)
+    _write(path, CODES_MAGIC, header, "<u8", [codes.words])
 
 
 def read_codes(path) -> CodeMatrix:
@@ -195,22 +197,18 @@ def read_codes(path) -> CodeMatrix:
             raise FileFormatError("code length must be >= 1", reader.offset - 4)
         n_words = words_per_row(code_len)
         words = reader.array("<u8", rows * n_words, "packed code words")
+        words = words.astype(np.uint64, copy=False).reshape(rows, n_words)
         try:
-            return CodeMatrix(
-                words.astype(np.uint64).reshape(rows, n_words), rows, code_len
-            )
+            return CodeMatrix(words, rows, code_len)
         except ValueError as err:
             raise FileFormatError(str(err), len(CODES_MAGIC) + 12) from err
 
 
 def write_model(path, model: EncoderModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(model.layer_dims)))
-        fh.write(struct.pack(f"<{len(model.layer_dims)}Q", *model.layer_dims))
-        for weights, biases in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(biases, dtype="<f8").tobytes())
+    dims = model.layer_dims
+    header = struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+    layers = [p for pair in zip(model.weights, model.biases) for p in pair]
+    _write(path, MODEL_MAGIC, header, "<f8", layers)
 
 
 def read_model(path) -> EncoderModel:
@@ -228,10 +226,11 @@ def read_model(path) -> EncoderModel:
             flat = reader.array(
                 "<f8", fan_in * fan_out, f"{fan_in}x{fan_out} weights"
             )
-            weights.append(flat.astype(np.float64).reshape(fan_in, fan_out))
-            biases.append(
-                reader.array("<f8", fan_out, f"{fan_out} biases").astype(np.float64)
+            weights.append(
+                flat.astype(np.float64, copy=False).reshape(fan_in, fan_out)
             )
+            flat = reader.array("<f8", fan_out, f"{fan_out} biases")
+            biases.append(flat.astype(np.float64, copy=False))
         return EncoderModel(layer_dims=dims, weights=weights, biases=biases)
 
 
@@ -245,8 +244,8 @@ def gen_synthetic_clusters(
     """
     if num_clusters < 1 or per_cluster < 1 or dim < 1:
         raise ValueError("num_clusters, per_cluster, and dim must be >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise ValueError("noise must be finite and >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-1.0, 1.0, size=(num_clusters, dim))
     points = np.repeat(centers, per_cluster, axis=0)

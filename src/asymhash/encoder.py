@@ -2,10 +2,10 @@
 
 A feed-forward network over precomputed feature vectors: tanh hidden
 layers, a linear output of width code_len, and a final tanh producing the
-relaxed code in (-1, 1). ``minibatch_step`` steps it along any loss of
-the relaxed codes, given as a callback; the ADSH loss lives in ``solver``.
-``loss_and_param_grads`` takes the direct pairwise loss over explicit
-sign rows, for the symmetric baseline and the finite-difference check.
+relaxed code in (-1, 1). The network holds no loss: ``param_grads``
+backpropagates any loss of the relaxed codes, given as a callback, and
+``minibatch_step`` steps along it. Both trainers, and every ADSH loss
+form, live in ``solver`` and step through ``minibatch_step``.
 
 forward and encode_queries only read the model and may run concurrently;
 minibatch_step mutates model and optimizer state and needs a single
@@ -93,23 +93,6 @@ def forward(model: EncoderModel, features):
     return raw, relaxed
 
 
-# A diverging run overflows here; the callers' isfinite checks turn that
-# into NonFiniteError, so numpy's warnings would only be noise.
-@np.errstate(over="ignore", invalid="ignore")
-def _batch_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma):
-    """Summed loss over a batch of query rows and its gradient wrt raw outputs."""
-    code_len = db_signs.shape[1]
-    resid = relaxed @ db_signs.T - code_len * sign_rows
-    weighted = resid if weight_rows is None else weight_rows * resid
-    loss = float((weighted * resid).sum())
-    grad = weighted @ db_signs
-    if own_codes is not None:
-        diff = relaxed - own_codes
-        loss += gamma * float((diff * diff).sum())
-        grad = grad + gamma * diff
-    return loss, 2.0 * grad * (1.0 - relaxed**2)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _backprop(model: EncoderModel, acts, grad_raw):
     grad_w = [None] * len(model.weights)
@@ -121,19 +104,6 @@ def _backprop(model: EncoderModel, acts, grad_raw):
         if layer:
             delta = (delta @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
     return grad_w, grad_b
-
-
-def loss_and_param_grads(
-    model, features, db_signs, sign_rows, weight_rows, own_codes, gamma
-):
-    """Batch loss plus its analytic gradient for every weight and bias."""
-    arr = np.asarray(features, dtype=np.float64)
-    _, relaxed, acts = _forward_cached(model, arr)
-    loss, grad_raw = _batch_loss_and_grad_z(
-        relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma
-    )
-    grad_w, grad_b = _backprop(model, acts, grad_raw)
-    return loss, grad_w, grad_b
 
 
 @dataclass
@@ -189,11 +159,12 @@ class OptimizerState:
         self.step += 1
 
 
-def minibatch_step(model, optimizer, features, loss_and_grad):
-    """One gradient step on a batch of feature rows; returns its loss.
+def param_grads(model, features, loss_and_grad):
+    """A batch's loss and its gradient for every weight and bias.
 
     ``loss_and_grad(relaxed)`` maps the batch's relaxed codes to the
-    batch-summed loss and its gradient wrt the raw outputs.
+    batch-summed loss and its gradient wrt the raw outputs. Returns
+    (loss, weight gradients, bias gradients).
     """
     features = np.asarray(features, dtype=np.float64)
     if len(features) == 0:
@@ -201,6 +172,16 @@ def minibatch_step(model, optimizer, features, loss_and_grad):
     _, relaxed, acts = _forward_cached(model, features)
     loss, grad_raw = loss_and_grad(relaxed)
     grad_w, grad_b = _backprop(model, acts, grad_raw)
+    return loss, grad_w, grad_b
+
+
+def minibatch_step(model, optimizer, features, loss_and_grad):
+    """One gradient step on a batch of feature rows; returns its loss.
+
+    ``loss_and_grad`` is as for ``param_grads``. NonFiniteError, with the
+    model unchanged, if the loss or a gradient is NaN or infinite.
+    """
+    loss, grad_w, grad_b = param_grads(model, features, loss_and_grad)
     if not np.isfinite(loss):
         raise NonFiniteError("batch loss is non-finite")
     for g in grad_w + grad_b:

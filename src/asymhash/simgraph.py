@@ -17,6 +17,12 @@ import numpy as np
 from .hashcore import _pack_bits
 
 
+def pair_weight(pos: int, neg: int, weighted: bool) -> float:
+    """rho for ``pos`` similar and ``neg`` dissimilar pairs: their ratio
+    when ``weighted`` and both are non-zero, else 1."""
+    return pos / neg if weighted and pos and neg else 1.0
+
+
 def _segments(starts, counts) -> np.ndarray:
     """Flat positions of the runs ``starts[i] : starts[i] + counts[i]``."""
     shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
@@ -182,13 +188,12 @@ class SimilarityBlock:
 
     @classmethod
     def _from_groups(cls, positive, row_groups, weighted, query_indices=None):
-        """Block of the given groups; rho is their pos/neg ratio if ``weighted``."""
+        """Block of the given groups; rho is ``pair_weight`` of their pairs."""
         block = cls.__new__(cls)
         block._init(positive, row_groups, 1.0, query_indices)
         pos = int(block.positive_counts.sum())
         neg = block.query_count * block.db_count - pos
-        if weighted and pos and neg:
-            block.neg_weight = pos / neg
+        block.neg_weight = pair_weight(pos, neg, weighted)
         return block
 
     def _init(self, positive, row_groups, neg_weight, query_indices):

@@ -90,7 +90,6 @@ from .encoder import (
     encode_queries,
     forward,
     init_encoder,
-    loss_and_param_grads,
     minibatch_step,
 )
 from .hashcore import CodeMatrix, _pack_bits
@@ -100,6 +99,7 @@ from .simgraph import (
     _unique_rows,
     build_sampled_similarity,
     build_similarity,
+    pair_weight,
     sample_query_indices,
 )
 
@@ -149,6 +149,8 @@ class TrainConfig:
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_dims}")
 
 
 @dataclass
@@ -246,9 +248,26 @@ def _group_stats(db_signs, block) -> GroupStats:
     )
 
 
+# A diverging run overflows here; minibatch_step's isfinite checks turn
+# that into NonFiniteError, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
+def _pair_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma):
+    """Summed loss over a batch of query rows and its gradient wrt raw outputs."""
+    code_len = db_signs.shape[1]
+    resid = relaxed @ db_signs.T - code_len * sign_rows
+    weighted = resid if weight_rows is None else weight_rows * resid
+    loss = float((weighted * resid).sum())
+    grad = weighted @ db_signs
+    if own_codes is not None:
+        diff = relaxed - own_codes
+        loss += gamma * float((diff * diff).sum())
+        grad = grad + gamma * diff
+    return loss, 2.0 * grad * (1.0 - relaxed**2)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
-    """The direct loss of ``encoder.loss_and_param_grads`` for the weights
+    """The direct loss ``_pair_loss_and_grad_z`` for the weights
     w = rho + (1 - rho) * P, in group form.
 
     ``relaxed`` holds the relaxed codes of the block's query rows ``rows``
@@ -551,17 +570,15 @@ def train(
     return snapshot()
 
 
-def _full_pair_imbalance(labels: LabelMatrix) -> float:
-    """Positive/negative ratio over all ordered database pairs."""
+def _full_pair_weight(labels: LabelMatrix, weighted: bool) -> float:
+    """rho of all ordered database pairs, counted only if ``weighted``."""
     n = len(labels)
     pos = 0
-    for start in range(0, n, IMBALANCE_CHUNK):
-        rows = range(start, min(start + IMBALANCE_CHUNK, n))
-        pos += int(labels.subset(rows).shares_label(labels).sum())
-    neg = n * n - pos
-    if pos == 0 or neg == 0:
-        return 1.0
-    return pos / neg
+    if weighted:
+        for start in range(0, n, IMBALANCE_CHUNK):
+            rows = range(start, min(start + IMBALANCE_CHUNK, n))
+            pos += int(labels.subset(rows).shares_label(labels).sum())
+    return pair_weight(pos, n * n - pos, weighted)
 
 
 def _train_symmetric(features, labels, config, rng, model, on_outer_end):
@@ -575,9 +592,7 @@ def _train_symmetric(features, labels, config, rng, model, on_outer_end):
     """
     n = len(features)
     opt = OptimizerState(config.learning_rate, config.optimizer)
-    neg_weight = (
-        _full_pair_imbalance(labels) if config.imbalance_weighting else None
-    )
+    rho = _full_pair_weight(labels, config.imbalance_weighting)
     history: list[HistoryRecord] = []
     for epoch in range(1, config.outer_iters + 1):
         epoch_start = time.perf_counter()
@@ -590,16 +605,13 @@ def _train_symmetric(features, labels, config, rng, model, on_outer_end):
                     labels.subset(batch).shares_label(labels), 1.0, -1.0
                 )
                 weight_rows = None
-                if neg_weight is not None:
-                    weight_rows = np.where(sign_rows == 1.0, 1.0, neg_weight)
-                loss, grad_w, grad_b = loss_and_param_grads(
-                    model, features[batch], targets, sign_rows, weight_rows,
-                    None, 0.0,
+                if rho != 1.0:
+                    weight_rows = np.where(sign_rows == 1.0, 1.0, rho)
+                loss_and_grad = functools.partial(
+                    _pair_loss_and_grad_z, db_signs=targets, sign_rows=sign_rows,
+                    weight_rows=weight_rows, own_codes=None, gamma=0.0,
                 )
-                if not np.isfinite(loss):
-                    raise NonFiniteError("batch loss is non-finite")
-                opt.apply(model, grad_w, grad_b)
-                epoch_loss += loss
+                epoch_loss += minibatch_step(model, opt, features[batch], loss_and_grad)
         except NonFiniteError as err:
             # no codes: the caller encodes the last model itself
             raise TrainingDiverged(

@@ -6,6 +6,7 @@ lines; the whole suite is also part of the default pytest run.
 
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from asymhash.dataio import (
     write_labels,
     write_model,
 )
-from asymhash.encoder import encode_queries, init_encoder, loss_and_param_grads
+from asymhash.encoder import encode_queries, init_encoder, param_grads
 from asymhash.evaluate import (
     mean_average_precision,
     precision_recall_by_radius,
@@ -35,6 +36,7 @@ from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix, SimilarityBlock
 from asymhash.solver import (
     TrainConfig,
+    _pair_loss_and_grad_z,
     complexity_probe,
     train,
     v_step,
@@ -159,9 +161,10 @@ def test_criterion_2_gradient_matches_finite_differences():
         weights = np.where(signs == 1, 1.0, 0.4) if weighted else None
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         own = db[rng.choice(n, m, replace=False)]
-        _, grad_w, grad_b = loss_and_param_grads(
-            model, feats, db, signs, weights, own, gamma
-        )
+        _, grad_w, grad_b = param_grads(model, feats, partial(
+            _pair_loss_and_grad_z, db_signs=db, sign_rows=signs,
+            weight_rows=weights, own_codes=own, gamma=gamma,
+        ))
 
         def closure():
             from asymhash.encoder import forward

@@ -344,6 +344,34 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    INPUT_FLAGS = {
+        "train": ("--features", "--labels"),
+        "eval": ("--query-codes", "--db-codes", "--query-labels", "--db-labels"),
+        "sweep": ("--features", "--labels", "--query-features", "--query-labels"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--hidden", "0"),
+            ("train", "--hidden", "-3"),
+            ("eval", "--topk", "0"),
+            ("sweep", "--gammas", "abc"),
+            ("sweep", "--omegas", "0"),
+        ],
+    )
+    def test_config_error_comes_before_any_input_is_read(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # every input path is missing: opening one would be a data error (3)
+        out = tmp_path / "out"
+        argv = [command, flag, value, "--out", str(out)]
+        for name in self.INPUT_FLAGS[command]:
+            argv += [name, str(tmp_path / f"missing{name}.bin")]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [
@@ -659,7 +687,9 @@ class TestSweep:
                 dataset, tmp_path, "query_features.bin"
             )
         out = tmp_path / "sweep"
+        # a valid configuration (batch <= omega): only the inputs are at fault
         argv = ["sweep", "--out", str(out), "--gammas", "1", "--omegas", "40"]
+        argv += ["--batch", "40"]
         for flag, path in inputs.items():
             argv += [flag, str(path)]
         assert main(argv) == EXIT_DATA
@@ -675,7 +705,9 @@ class TestSweep:
             LABELS_MAGIC + struct.pack("<Q", 0)
         )
         out = tmp_path / "sweep"
+        # a valid configuration (batch <= omega): only the inputs are at fault
         argv = ["sweep", "--out", str(out), "--gammas", "1", "--omegas", "40"]
+        argv += ["--batch", "40"]
         for flag, path in (
             ("--features", dataset / "db_features.bin"),
             ("--labels", dataset / "db_labels.bin"),

@@ -26,6 +26,16 @@ from asymhash.hashcore import CodeMatrix
 from asymhash.simgraph import LabelMatrix
 
 
+def traced_peak(call, *args):
+    """(result, tracemalloc peak in bytes) of ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFeatureFormat:
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -51,6 +61,13 @@ class TestFeatureFormat:
         assert peak <= 1.25 * features.nbytes
         assert back.flags.writeable
         assert np.array_equal(back, features)
+
+    def test_write_copies_no_payload(self, tmp_path):
+        features = np.random.default_rng(1).normal(0, 1, (5000, 32))
+        path = tmp_path / "features.bin"
+        _, peak = traced_peak(write_features, path, features)
+        assert peak <= 0.25 * features.nbytes
+        assert np.array_equal(read_features(path), features)
 
     def test_truncation_names_expected_and_actual(self, tmp_path):
         path = tmp_path / "features.bin"
@@ -333,6 +350,16 @@ class TestCodeFormat:
         with pytest.raises(FileFormatError, match="expected 32 bytes, got 28"):
             read_codes(path)
 
+    def test_read_and_write_hold_the_words_once(self, tmp_path):
+        rng = np.random.default_rng(2)
+        codes = CodeMatrix.from_signs(rng.integers(0, 2, (5000, 64)) * 2 - 1)
+        path = tmp_path / "codes.bin"
+        _, write_peak = traced_peak(write_codes, path, codes)
+        back, read_peak = traced_peak(read_codes, path)
+        assert write_peak <= 0.25 * codes.words.nbytes
+        assert read_peak <= 1.25 * codes.words.nbytes
+        assert back == codes
+
 
 class TestModelFormat:
     def test_round_trip_is_bitwise(self, tmp_path):
@@ -351,6 +378,17 @@ class TestModelFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError, match="truncated"):
             read_model(path)
+
+    def test_read_and_write_hold_each_layer_once(self, tmp_path):
+        model = init_encoder((32, 512, 64), rng_seed=4)
+        payload = sum(p.nbytes for p in model.params())
+        path = tmp_path / "model.bin"
+        _, write_peak = traced_peak(write_model, path, model)
+        back, read_peak = traced_peak(read_model, path)
+        assert write_peak <= 0.25 * payload
+        assert read_peak <= 1.25 * payload
+        for got, want in zip(back.params(), model.params()):
+            assert np.array_equal(got, want)
 
 
 class TestSyntheticClusters:
@@ -377,8 +415,10 @@ class TestSyntheticClusters:
         assert a.tobytes() == b.tobytes()
 
     def test_rejects_negative_noise(self):
-        with pytest.raises(ValueError, match="noise"):
-            gen_synthetic_clusters(2, 2, 2, -0.1, seed=0)
+        # nan once gave all-NaN features, inf non-finite ones
+        for noise in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+                gen_synthetic_clusters(2, 2, 2, noise, seed=0)
 
 
 class TestSplit:

@@ -9,16 +9,19 @@ from asymhash.encoder import (
     EncoderModel,
     NonFiniteError,
     OptimizerState,
-    _batch_loss_and_grad_z,
     encode_queries,
     forward,
     init_encoder,
-    loss_and_param_grads,
     minibatch_step,
+    param_grads,
 )
 from asymhash.hashcore import binarize
 from asymhash.simgraph import SimilarityBlock
-from asymhash.solver import _group_loss_and_grad_z, _group_stats
+from asymhash.solver import (
+    _group_loss_and_grad_z,
+    _group_stats,
+    _pair_loss_and_grad_z,
+)
 
 
 def zero_model(dims):
@@ -83,7 +86,7 @@ class TestForward:
 def grad_z_one_row(relaxed, db_signs, sign_row, own_code, gamma):
     """The batch loss gradient wrt raw outputs for a batch of one row."""
     own = None if own_code is None else np.asarray(own_code)[None, :]
-    _, grad = _batch_loss_and_grad_z(
+    _, grad = _pair_loss_and_grad_z(
         np.asarray(relaxed)[None, :], db_signs, np.asarray(sign_row)[None, :],
         None, own, gamma,
     )
@@ -132,9 +135,10 @@ class TestLossGradZ:
                 rng, n=5, m=3, c=3, d=4, weighted=True
             )
             own = db[omega]
-            _, grad_w, grad_b = loss_and_param_grads(
-                model, feats, db, signs, weights, own, gamma
-            )
+            _, grad_w, grad_b = param_grads(model, feats, partial(
+                _pair_loss_and_grad_z, db_signs=db, sign_rows=signs,
+                weight_rows=weights, own_codes=own, gamma=gamma,
+            ))
 
             def closure():
                 _, relaxed = forward(model, feats)

@@ -5,12 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from asymhash import encoder, oracle, solver
+from asymhash import oracle, solver
 from asymhash.dataio import gen_synthetic_clusters, split
 from asymhash.encoder import (
     OptimizerState,
     _backprop,
-    _batch_loss_and_grad_z,
     _forward_cached,
     encode_queries,
     forward,
@@ -32,6 +31,7 @@ from asymhash.solver import (
     TrainingDiverged,
     _group_loss_and_grad_z,
     _group_stats,
+    _pair_loss_and_grad_z,
     complexity_probe,
     history_to_csv,
     objective,
@@ -513,7 +513,7 @@ def direct_loss_and_grad_z(relaxed, db, block, rows, gamma):
     own = None
     if block.query_indices is not None:
         own = db[block.query_indices[rows]]
-    return _batch_loss_and_grad_z(
+    return _pair_loss_and_grad_z(
         relaxed, db, block.signs[rows].astype(np.float64), weights, own, gamma
     )
 
@@ -706,7 +706,7 @@ class TestGroupForm:
 
         monkeypatch.setattr(SimilarityBlock, "signs", property(expanded))
         monkeypatch.setattr(SimilarityBlock, "weights", expanded)
-        monkeypatch.setattr(encoder, "_batch_loss_and_grad_z", expanded)
+        monkeypatch.setattr(solver, "_pair_loss_and_grad_z", expanded)
         config = TrainConfig(
             code_len=8, query_count=30, outer_iters=2, inner_iters=2,
             batch_size=16, seed=34, mode=mode, hidden_dims=(8,),

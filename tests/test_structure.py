@@ -1,7 +1,8 @@
 """Module boundaries of the package, read from its syntax trees.
 
 The ADSH objective lives in ``solver`` beside the V-step; ``encoder`` is
-the query network and knows nothing of similarity blocks; and only
+the query network alone, with no loss and one step that both trainers
+take, and knows nothing of similarity blocks; and only
 ``simgraph`` reads a block's stored relation, so a change of how the
 block holds it stays inside ``simgraph``. ``solver.train`` is the one
 trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
@@ -59,6 +60,32 @@ def test_encoder_knows_no_similarity_block():
         if isinstance(node, (ast.Name, ast.arg))
     }
     assert not names & {"SimilarityBlock", "GroupStats", "block"}
+
+
+def test_encoder_holds_no_loss():
+    names = names_in("encoder.py") | {
+        node.arg for node in ast.walk(tree("encoder.py")) if isinstance(node, ast.arg)
+    }
+    assert not names & {"sign_rows", "weight_rows", "own_codes", "db_signs", "gamma"}
+
+
+def test_only_minibatch_step_applies_an_update():
+    callers = {
+        (path.name, function.name)
+        for path in PACKAGE.glob("*.py")
+        for function in ast.walk(tree(path.name))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "apply"
+    }
+    assert callers == {("encoder.py", "minibatch_step")}
+
+
+def test_one_gradient_entry():
+    for path in PACKAGE.glob("*.py"):
+        assert "loss_and_param_grads" not in path.read_text(), path.name
 
 
 def solver_functions():
