@@ -10,16 +10,18 @@ query chunks, with memory O(chunk * n). It works from the ranks of each
 query's relevant rows and its first k_max ranks, so it ranks only the
 prefix of the stable ranking that holds them: the rows up to the larger of
 the farthest relevant row's distance and the radius that retrieves k_max
-rows, found from each query's distance histogram. A prefix of more than
-half the row ranks the whole row. Average precision scatters
-k / (rank + 1), the precision at the k-th relevant rank, into a zeroed
-full-width row and sums its prefix. The lookup curve counts the relevant
-ranks below each radius's retrieved count. Only precision@k (over the
-first k_max ranks) and that row are float64, and the floats equal those of
-a dense float64 precision at every rank, bit for bit. The per-metric
-functions rank every row and share its per-query helpers, and every mean
-is taken once over the full per-query results, so both routes give
-bit-identical floats.
+rows, found from each query's distance histogram. The histogram runs over
+the distinct database codes, each weighted by the rows holding it: learned
+database codes collapse onto few values, so that is O(distinct codes) per
+query rather than O(n). A prefix of more than half the row ranks the whole
+row. Average precision scatters k / (rank + 1), the precision at the k-th
+relevant rank, into a zeroed full-width row and sums its prefix. The
+lookup curve counts the relevant ranks below each radius's retrieved
+count. Only precision@k (over the first k_max ranks) and that row are
+float64, and the floats equal those of a dense float64 precision at every
+rank, bit for bit. The per-metric functions rank every row and share its
+per-query helpers, and every mean is taken once over the full per-query
+results, so both routes give bit-identical floats.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .hashcore import CodeMatrix, pairwise_hamming
-from .simgraph import LabelMatrix
+from .simgraph import LabelMatrix, _unique_rows
 
 # Per-query list of database indices by ascending Hamming distance.
 RankingResult = np.ndarray
 
 # Query/database pairs per chunk of retrieval_metrics. A chunk's working set
-# peaks near 20 bytes per pair (tracemalloc; 21.5 at 300 bits), in
+# peaks near 20.4 bytes per pair (tracemalloc; 22.1 at 300 bits), in
 # pairwise_hamming's uint64 xor temporaries while the reused ranked-relevance
-# and precision buffers are held, for any share of relevant pairs. This
-# bounds it near 11 MB whatever the query count.
+# and precision buffers are held, for any share of relevant pairs. Those
+# figures are for all-distinct database codes, whose per-code rows and
+# weights add 16 bytes per database row; at 50 distinct codes they are 19.7
+# and 21.5. This bounds it near 11 MB whatever the query count.
 CHUNK_PAIRS = 1 << 19
 
 
@@ -144,12 +148,26 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
         total += row
 
 
-def _retrieved_counts(dist, code_len: int) -> np.ndarray:
+def _distinct_codes(codes: CodeMatrix):
+    """(a row holding each distinct code, how many rows hold it).
+
+    ``_unique_rows`` compares every packed word. The counts are float64,
+    the type bincount takes its weights in, and exact below 2**53 rows."""
+    reps, code_of_row = _unique_rows(*codes.words.T)
+    rows_per_code = np.bincount(code_of_row, minlength=len(reps))
+    return reps, rows_per_code.astype(np.float64)
+
+
+def _retrieved_counts(dist, distinct, code_len: int) -> np.ndarray:
     """Per query and radius 0..code_len, the rows within the radius: a
-    cumulated bincount of the query's distances."""
+    cumulated histogram of the query's distances to the distinct database
+    codes ``distinct`` (from ``_distinct_codes``), each weighted by the
+    rows holding it. That is O(distinct codes) per query, not O(n)."""
+    reps, rows_per_code = distinct
     retrieved = np.empty((len(dist), code_len + 1), dtype=np.int64)
     for row, n_ret in zip(dist, retrieved):
-        np.cumsum(np.bincount(row, minlength=code_len + 1), out=n_ret)
+        hist = np.bincount(row[reps], weights=rows_per_code, minlength=code_len + 1)
+        np.cumsum(hist, out=n_ret)
     return retrieved
 
 
@@ -247,7 +265,9 @@ def precision_recall_by_radius(
     dist = pairwise_hamming(query_codes, db_codes)
     relevance = _check_relevance(dist, relevance)
     ranks = _relevant_ranks(_ranked_relevance(relevance, _stable_order(dist)))
-    retrieved = _retrieved_counts(dist, query_codes.code_len)
+    retrieved = _retrieved_counts(
+        dist, _distinct_codes(db_codes), query_codes.code_len
+    )
     return _precision_recall(retrieved, _hits_within(ranks, retrieved))
 
 
@@ -263,16 +283,17 @@ def retrieval_metrics(
     precision/recall curve, from one Hamming scan per query chunk.
 
     A chunk holds at most max(1, CHUNK_PAIRS // n) queries. Its narrow
-    distances and its relevance are computed once, and a bincount of each
-    query's distances gives its retrieved count per radius. Per query, the
-    prefix of the stable ranking that holds every relevant row and the
-    first k_max rows orders the relevance: its first k_max ranks give
-    top-k, and the relevant ranks give MAP and, with the retrieved counts,
-    the lookup curve. The ranked-relevance and average-precision buffers
-    are allocated once per call. The results equal those of the
-    per-metric functions exactly, with the same conventions. Raises
-    ValueError before any chunk for mismatched inputs, no queries, a cutoff
-    below 1 or k_max outside 1..n.
+    distances and its relevance are computed once. The distinct database
+    codes are found once per call; a bincount of each query's distances to
+    them, weighted by the rows holding each, gives its retrieved count per
+    radius. Per query, the prefix of the stable ranking that holds every
+    relevant row and the first k_max rows orders the relevance: its first
+    k_max ranks give top-k, and the relevant ranks give MAP and, with the
+    retrieved counts, the lookup curve. The ranked-relevance and
+    average-precision buffers are allocated once per call. The results
+    equal those of the per-metric functions exactly, with the same
+    conventions. Raises ValueError before any chunk for mismatched inputs,
+    no queries, a cutoff below 1 or k_max outside 1..n.
     """
     q, n, code_len = query_codes.rows, db_codes.rows, db_codes.code_len
     if query_codes.code_len != code_len:
@@ -293,6 +314,7 @@ def retrieval_metrics(
     topk = np.zeros(k_max)
     retrieved = np.empty((q, code_len + 1), dtype=np.int64)
     hits = np.empty_like(retrieved)
+    distinct = _distinct_codes(db_codes)
     step = max(1, CHUNK_PAIRS // n)
     # reused by every chunk; gained is zero between chunks
     ranked_buf = np.empty((min(step, q), n), dtype=bool)
@@ -305,7 +327,7 @@ def retrieval_metrics(
             query_labels.subset(range(start, stop)), db_labels
         )
         chunk_retrieved = retrieved[start:stop]
-        chunk_retrieved[:] = _retrieved_counts(dist, code_len)
+        chunk_retrieved[:] = _retrieved_counts(dist, distinct, code_len)
         ranked_rel = ranked_buf[: stop - start]
         ranks = _prefix_relevant_ranks(
             dist, relevance, chunk_retrieved, k_max, ranked_rel

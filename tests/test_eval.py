@@ -415,7 +415,6 @@ class TestDenseReference:
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("cutoff", [None, 7, 1000])
     def test_bit_identical(self, monkeypatch, code_len, ties, cutoff):
-        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * self.DB_ROWS)
         rng = np.random.default_rng([code_len, ties, cutoff or 0])
         n, q = self.DB_ROWS, self.QUERIES
         queries = random_codes(rng, q, code_len)
@@ -423,6 +422,37 @@ class TestDenseReference:
         if ties:  # every database row takes one of 3 codes
             signs = random_codes(rng, 3, code_len).to_signs()
             database = CodeMatrix.from_signs(signs[rng.integers(0, 3, n)])
+        self.check(monkeypatch, rng, queries, database, cutoff)
+
+    @pytest.mark.parametrize("case", ["one-code", "last-word", "all-distinct"])
+    @pytest.mark.parametrize("cutoff", [None, 7])
+    def test_code_multiplicity(self, monkeypatch, case, cutoff):
+        # the radius histograms run over the distinct database codes, each
+        # weighted by the rows holding it
+        rng = np.random.default_rng([len(case), cutoff or 0])
+        n = self.DB_ROWS
+        code_len = 300 if case == "last-word" else 64
+        if case == "one-code":
+            codes, rows = random_codes(rng, 1, 64).to_signs(), np.zeros(n, int)
+        elif case == "last-word":
+            # 3 codes that agree on words 0..3 and differ in word 4 alone
+            codes = np.repeat(random_codes(rng, 1, 300).to_signs(), 3, axis=0)
+            codes[:, 256:] = random_codes(rng, 3, 44).to_signs()
+            rows = rng.integers(0, 3, n)
+        else:
+            codes, rows = random_codes(rng, n, 64).to_signs(), np.arange(n)
+        database = CodeMatrix.from_signs(codes[rows])
+        held = {tuple(row) for row in database.words.tolist()}
+        assert len(held) == len(codes)
+        assert len({words[0] for words in held}) == (n if case == "all-distinct" else 1)
+        queries = random_codes(rng, self.QUERIES, code_len)
+        self.check(monkeypatch, rng, queries, database, cutoff)
+
+    def check(self, monkeypatch, rng, queries, database, cutoff):
+        """retrieval_metrics over chunks of 3 queries and the per-metric
+        functions both equal dense_reference, bit for bit."""
+        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * self.DB_ROWS)
+        n, q = self.DB_ROWS, self.QUERIES
         # database rows: one id of 0..3 and the shared id 9; query 0 has
         # the shared id (all relevant), query 1 an unused id (none relevant)
         db_labels = LabelMatrix([{int(i), 9} for i in rng.integers(0, 4, n)])
@@ -536,21 +566,41 @@ class TestPrefixRanking:
 
 
 @pytest.mark.parametrize(
-    "code_len, classes",
-    [(64, 10), (300, 10), (64, 1), (300, 1)],
-    ids=["64", "300", "64-one-class", "300-one-class"],
+    "code_len, classes, codes",
+    [
+        (64, 10, None),
+        (300, 10, None),
+        (64, 1, None),
+        (300, 1, None),
+        (64, 10, 50),
+        (300, 1, 50),
+    ],
+    ids=[
+        "64",
+        "300",
+        "64-one-class",
+        "300-one-class",
+        "64-50-codes",
+        "300-one-class-50-codes",
+    ],
 )
-def test_chunk_working_set_is_bounded_per_pair(code_len, classes):
+def test_chunk_working_set_is_bounded_per_pair(code_len, classes, codes):
     # the peak sits in pairwise_hamming's xor temporaries while the reused
-    # ranked-relevance and precision buffers are held: ~20-21.5 bytes per
+    # ranked-relevance and precision buffers are held: ~20-22 bytes per
     # pair of a chunk for any word count (the dense passes took ~35, and 71
     # at 300 bits). With one label class every pair is relevant, which the
-    # relevance and the relevant ranks must not add to (they once took ~44)
+    # relevance and the relevant ranks must not add to (they once took ~44).
+    # Random rows are all distinct codes, the most the radius histograms'
+    # per-code rows and weights can hold; trained databases hold few codes
     rng = np.random.default_rng(12)
     n = 20_000
     step = evaluate.CHUNK_PAIRS // n
     q = 2 * step + 3  # two full chunks and a short one
-    database = random_codes(rng, n, code_len)
+    if codes is None:
+        database = random_codes(rng, n, code_len)
+    else:
+        signs = random_codes(rng, codes, code_len).to_signs()
+        database = CodeMatrix.from_signs(signs[rng.integers(0, codes, n)])
     queries = random_codes(rng, q, code_len)
     db_labels = random_labels(rng, n, classes)
     query_labels = random_labels(rng, q, classes)

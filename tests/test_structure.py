@@ -4,7 +4,9 @@ The ADSH objective lives in ``solver`` beside the V-step; ``encoder`` is
 the query network alone, with no loss and one step that both trainers
 take, and knows nothing of similarity blocks; and only
 ``simgraph`` reads a block's stored relation, so a change of how the
-block holds it stays inside ``simgraph``. ``solver.train`` is the one
+block holds it stays inside ``simgraph``. ``simgraph._unique_rows`` is
+the one finder of distinct rows, for the V-step's representative rows and
+evaluation's distinct database codes alike. ``solver.train`` is the one
 trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
 caller dispatches on the mode.
 """
@@ -45,6 +47,24 @@ def test_only_simgraph_reads_the_stored_relation(name):
         if isinstance(node, ast.Attribute) and node.attr == "positive"
     ]
     assert not readers, f"{name} reads .positive on lines {readers}"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "simgraph.py")
+)
+def test_only_simgraph_finds_distinct_rows(name):
+    finders = [
+        node.lineno
+        for node in ast.walk(tree(name))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (
+            node.func.attr == "lexsort"
+            or node.func.attr == "unique"
+            and {k.arg for k in node.keywords} & {"axis", "return_inverse"}
+        )
+    ]
+    assert not finders, f"{name} finds distinct rows itself on lines {finders}"
 
 
 def test_solver_imports_no_private_encoder_name():
