@@ -29,14 +29,7 @@ from .encoder import (
     init_encoder,
     minibatch_step,
 )
-from .evaluate import (
-    mean_average_precision,
-    precision_recall_by_radius,
-    rank_by_hamming,
-    relevance_from_labels,
-    retrieval_metrics,
-    topk_precision_curve,
-)
+from .evaluate import relevance_from_labels, retrieval_metrics
 from .hashcore import CodeMatrix, binarize, pairwise_hamming
 from .simgraph import (
     LabelMatrix,
@@ -79,12 +72,9 @@ __all__ = [
     "gen_synthetic_clusters",
     "history_to_csv",
     "init_encoder",
-    "mean_average_precision",
     "minibatch_step",
     "objective",
     "pairwise_hamming",
-    "precision_recall_by_radius",
-    "rank_by_hamming",
     "read_codes",
     "read_features",
     "read_labels",
@@ -93,7 +83,6 @@ __all__ = [
     "retrieval_metrics",
     "sample_query_indices",
     "split",
-    "topk_precision_curve",
     "train",
     "v_step",
     "write_codes",

@@ -215,11 +215,11 @@ def _read_train_inputs(values, with_queries: bool):
 
 
 def cmd_gen_data(args) -> int:
-    outdir = _ensure_outdir(args.out)
     features, labels = dataio.gen_synthetic_clusters(
         args.clusters, args.per_cluster, args.dim, args.sigma, args.seed
     )
     parts = dataio.split(len(labels), args.queries, args.val, args.seed)
+    outdir = _ensure_outdir(args.out)
     groups = [
         ("db", parts.db_indices),
         ("query", parts.query_indices),
@@ -356,7 +356,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    outdir = _ensure_outdir(args.out)
     sizes = [int(s) for s in args.sizes.split(",")]
     modes = []
     for mode in args.modes.split(","):
@@ -378,6 +377,7 @@ def cmd_bench(args) -> int:
             lines.append(f"{mode},{n},{secs!r}")
         slopes.append(f"# slope {mode} = {result.slope!r}")
         print(f"{mode}: slope {result.slope:.3f}")
+    outdir = _ensure_outdir(args.out)
     (outdir / "bench.csv").write_text(
         "\n".join(slopes + lines) + "\n", encoding="utf-8"
     )

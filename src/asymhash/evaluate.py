@@ -1,9 +1,9 @@
 """Retrieval evaluation over Hamming rankings.
 
-All functions are pure and deterministic: rankings break distance ties by
-ascending database index, so every metric has a single well-defined value.
-Conventions for degenerate cases (documented per function) are also
-recorded by the CLI in its output metadata.
+Evaluation is deterministic: rankings break distance ties by ascending
+database index, so every metric has a single well-defined value.
+Conventions for degenerate cases (documented per stage) are also recorded
+by the CLI in its output metadata.
 
 ``retrieval_metrics`` computes everything the CLI reports in one pass over
 query chunks, with memory O(chunk * n). It works from the ranks of each
@@ -19,9 +19,13 @@ relevant rank, into a zeroed full-width row and sums its prefix. The
 lookup curve counts the relevant ranks below each radius's retrieved
 count. Only precision@k (over the first k_max ranks) and that row are
 float64, and the floats equal those of a dense float64 precision at every
-rank, bit for bit. The per-metric functions rank every row and share its
-per-query helpers, and every mean is taken once over the full per-query
-results, so both routes give bit-identical floats.
+rank, bit for bit.
+
+Each stage of a chunk is a module-level function that ``retrieval_metrics``
+looks up by name: ``pairwise_hamming``, ``relevance_from_labels``,
+``rank_by_hamming``, ``mean_average_precision`` and
+``topk_precision_curve``, then ``precision_recall_by_radius`` once over
+every query's counts. So each can be timed from outside.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ import numpy as np
 
 from .hashcore import CodeMatrix, pairwise_hamming
 from .simgraph import LabelMatrix, _unique_rows
-
-# Per-query list of database indices by ascending Hamming distance.
-RankingResult = np.ndarray
 
 # Query/database pairs per chunk of retrieval_metrics. A chunk's working set
 # peaks near 20.4 bytes per pair (tracemalloc; 22.1 at 300 bits), in
@@ -56,16 +57,6 @@ class RetrievalMetrics(NamedTuple):
     recall: np.ndarray  # lookup recall per Hamming radius 0..code_len
 
 
-def _stable_order(dist: np.ndarray) -> RankingResult:
-    """Row-wise stable argsort; numpy radix-sorts the narrow distances."""
-    return np.argsort(dist, axis=1, kind="stable")
-
-
-def rank_by_hamming(query_codes: CodeMatrix, db_codes: CodeMatrix) -> RankingResult:
-    """Full ranking per query; equal distances order by database index."""
-    return _stable_order(pairwise_hamming(query_codes, db_codes))
-
-
 def relevance_from_labels(
     query_labels: LabelMatrix, db_labels: LabelMatrix
 ) -> np.ndarray:
@@ -73,53 +64,12 @@ def relevance_from_labels(
     return query_labels.shares_label(db_labels)
 
 
-def _check_relevance(pairs, relevance):
-    relevance = np.asarray(relevance, dtype=bool)
-    if relevance.shape != pairs.shape:
-        raise ValueError(
-            f"relevance shape {relevance.shape} does not match the "
-            f"{pairs.shape} query/database pair grid"
-        )
-    return relevance
-
-
-def _check_cutoff(cutoff: int | None, n: int) -> int:
-    if cutoff is None:
-        return n
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    return min(cutoff, n)
-
-
-def _check_k_max(k_max: int, n: int) -> None:
-    if not 1 <= k_max <= n:
-        raise ValueError(f"need 1 <= k_max <= {n}, got {k_max}")
-
-
-def _ranked_relevance(relevance, ranking) -> np.ndarray:
-    """relevance[i, ranking[i]] for each row i, by one np.take per row (a
-    2-D take_along_axis is several times slower on a bool matrix)."""
-    out = np.empty(ranking.shape, dtype=bool)
-    for row, order, ranked in zip(relevance, ranking, out):
-        np.take(row, order, out=ranked)
-    return out
-
-
-def _relevant_ranks(ranked_rel: np.ndarray) -> list[np.ndarray]:
-    """The 0-based ranks of each query's relevant rows, ascending."""
-    return [np.flatnonzero(row) for row in ranked_rel]
-
-
-def _precision_at_ranks(ranked_rel: np.ndarray) -> np.ndarray:
-    """precision@r of each ranked relevance row at every rank r = 1..width."""
-    hits = np.cumsum(ranked_rel, axis=1, dtype=np.float64)
-    return hits / np.arange(1, ranked_rel.shape[1] + 1, dtype=np.float64)
-
-
-def _average_precision(ranks, limits, gained: np.ndarray) -> list[np.ndarray]:
+def mean_average_precision(ranks, limits, gained: np.ndarray) -> list[np.ndarray]:
     """Per-query AP for each rank limit: precision summed over relevant ranks
     <= limit, divided by min(#relevant, limit); 0 for a query with no
-    relevant rows.
+    relevant rows, which stays in the mean. The caller takes each mean once,
+    over every query's AP, so a chunked run matches an unchunked one bit for
+    bit.
 
     ``gained`` is a zero float64 buffer of one full-width row per query, and
     is zero again on return. The k-th relevant rank r gets precision
@@ -141,10 +91,12 @@ def _average_precision(ranks, limits, gained: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
-    """Adds rows into total one at a time, in order. That is the order of
-    numpy's ``mean(axis=0)``, so chunked sums match an unchunked mean."""
-    for row in rows:
+def topk_precision_curve(total: np.ndarray, ranked_rel: np.ndarray) -> None:
+    """Adds precision@k of each ranked relevance row, for k = 1..width, into
+    total one row at a time, in order. That is the order of numpy's
+    ``mean(axis=0)``, so chunked sums match an unchunked mean."""
+    hits = np.cumsum(ranked_rel, axis=1, dtype=np.float64)
+    for row in hits / np.arange(1, ranked_rel.shape[1] + 1, dtype=np.float64):
         total += row
 
 
@@ -192,10 +144,11 @@ def _ranking_prefix(row, far: int, width: int) -> np.ndarray:
     return prefix[np.argsort(row[prefix], kind="stable")]
 
 
-def _prefix_relevant_ranks(dist, relevance, retrieved, k_max: int, out):
+def rank_by_hamming(dist, relevance, retrieved, k_max: int, out) -> list[np.ndarray]:
     """The relevant ranks of each query, and its first k_max ranked
-    relevances in ``out``, from the ranking prefix that holds every
-    relevant row and the first k_max rows.
+    relevances in ``out``, from the prefix of its stable Hamming ranking
+    (equal distances in database index order) that holds every relevant
+    row and the first k_max rows.
 
     The prefix ends at distance far, the larger of the farthest relevant
     row and the smallest radius that retrieves k_max rows; it is the
@@ -215,8 +168,14 @@ def _prefix_relevant_ranks(dist, relevance, retrieved, k_max: int, out):
     return ranks
 
 
-def _precision_recall(retrieved: np.ndarray, hits: np.ndarray):
-    """Query-averaged precision and recall per radius from per-query counts."""
+def precision_recall_by_radius(retrieved: np.ndarray, hits: np.ndarray):
+    """Lookup-style curve: retrieve everything within each Hamming radius.
+
+    From per-query retrieved and relevant-hit counts per radius
+    0..code_len, the (precision, recall) arrays averaged over queries. An
+    empty retrieved set counts as precision 1.0; a query with no relevant
+    points counts as recall 1.0.
+    """
     n_rel = hits[:, -1]  # the largest radius retrieves every row
     precisions, recalls = [], []
     for n_ret, n_hit in zip(retrieved.T, hits.T):
@@ -225,50 +184,6 @@ def _precision_recall(retrieved: np.ndarray, hits: np.ndarray):
         precisions.append(prec.mean())
         recalls.append(rec.mean())
     return np.array(precisions), np.array(recalls)
-
-
-def mean_average_precision(
-    ranking: RankingResult, relevance, cutoff: int | None = None
-) -> float:
-    """MAP with optional rank cutoff.
-
-    Average precision per query sums precision-at-r over relevant ranks
-    r <= cutoff and divides by min(#relevant, cutoff). Queries with no
-    relevant points contribute 0 and stay in the mean.
-    """
-    relevance = _check_relevance(ranking, relevance)
-    cutoff = _check_cutoff(cutoff, ranking.shape[1])
-    ranks = _relevant_ranks(_ranked_relevance(relevance, ranking))
-    (ap,) = _average_precision(ranks, (cutoff,), np.zeros(ranking.shape))
-    return float(ap.mean())
-
-
-def topk_precision_curve(ranking: RankingResult, relevance, k_max: int) -> np.ndarray:
-    """precision@k averaged over queries, for k = 1..k_max."""
-    relevance = _check_relevance(ranking, relevance)
-    _check_k_max(k_max, ranking.shape[1])
-    ranked_rel = _ranked_relevance(relevance, ranking[:, :k_max])
-    total = np.zeros(k_max)
-    _add_rows(total, _precision_at_ranks(ranked_rel))
-    return total / len(ranking)
-
-
-def precision_recall_by_radius(
-    query_codes: CodeMatrix, db_codes: CodeMatrix, relevance
-):
-    """Lookup-style curve: retrieve everything within each Hamming radius.
-
-    Returns (precision, recall) arrays over radius 0..code_len, averaged
-    over queries. An empty retrieved set counts as precision 1.0; a query
-    with no relevant points counts as recall 1.0.
-    """
-    dist = pairwise_hamming(query_codes, db_codes)
-    relevance = _check_relevance(dist, relevance)
-    ranks = _relevant_ranks(_ranked_relevance(relevance, _stable_order(dist)))
-    retrieved = _retrieved_counts(
-        dist, _distinct_codes(db_codes), query_codes.code_len
-    )
-    return _precision_recall(retrieved, _hits_within(ranks, retrieved))
 
 
 def retrieval_metrics(
@@ -290,10 +205,10 @@ def retrieval_metrics(
     relevant row and the first k_max rows orders the relevance: its first
     k_max ranks give top-k, and the relevant ranks give MAP and, with the
     retrieved counts, the lookup curve. The ranked-relevance and
-    average-precision buffers are allocated once per call. The results
-    equal those of the per-metric functions exactly, with the same
-    conventions. Raises ValueError before any chunk for mismatched inputs,
-    no queries, a cutoff below 1 or k_max outside 1..n.
+    average-precision buffers are allocated once per call. Each stage's
+    conventions are in its docstring. Raises ValueError before any chunk
+    for mismatched inputs, no queries, a cutoff below 1 or k_max outside
+    1..n.
     """
     q, n, code_len = query_codes.rows, db_codes.rows, db_codes.code_len
     if query_codes.code_len != code_len:
@@ -307,8 +222,11 @@ def retrieval_metrics(
         )
     if q == 0:
         raise ValueError("need at least one query")
-    cutoff = _check_cutoff(map_cutoff, n)
-    _check_k_max(k_max, n)
+    if map_cutoff is not None and map_cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    if not 1 <= k_max <= n:
+        raise ValueError(f"need 1 <= k_max <= {n}, got {k_max}")
+    cutoff = n if map_cutoff is None else min(map_cutoff, n)
 
     ap = {n: np.empty(q), cutoff: np.empty(q)}  # one array when cutoff >= n
     topk = np.zeros(k_max)
@@ -329,19 +247,17 @@ def retrieval_metrics(
         chunk_retrieved = retrieved[start:stop]
         chunk_retrieved[:] = _retrieved_counts(dist, distinct, code_len)
         ranked_rel = ranked_buf[: stop - start]
-        ranks = _prefix_relevant_ranks(
-            dist, relevance, chunk_retrieved, k_max, ranked_rel
-        )
+        ranks = rank_by_hamming(dist, relevance, chunk_retrieved, k_max, ranked_rel)
         del dist, relevance
         hits[start:stop] = _hits_within(ranks, chunk_retrieved)
-        per_limit = _average_precision(ranks, ap, gained_buf[: stop - start])
+        per_limit = mean_average_precision(ranks, ap, gained_buf[: stop - start])
         # 8 bytes per pair when every pair is relevant: kept into the next
         # chunk's pairwise_hamming, the ranks would raise its peak by that
         del ranks
         for out, values in zip(ap.values(), per_limit):
             out[start:stop] = values
-        _add_rows(topk, _precision_at_ranks(ranked_rel[:, :k_max]))
-    precision_curve, recall_curve = _precision_recall(retrieved, hits)
+        topk_precision_curve(topk, ranked_rel[:, :k_max])
+    precision_curve, recall_curve = precision_recall_by_radius(retrieved, hits)
     return RetrievalMetrics(
         map=float(ap[n].mean()),
         cutoff_map=float(ap[cutoff].mean()),

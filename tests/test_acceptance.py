@@ -24,13 +24,7 @@ from asymhash.dataio import (
     write_model,
 )
 from asymhash.encoder import encode_queries, init_encoder, param_grads
-from asymhash.evaluate import (
-    mean_average_precision,
-    precision_recall_by_radius,
-    rank_by_hamming,
-    relevance_from_labels,
-    topk_precision_curve,
-)
+from asymhash.evaluate import retrieval_metrics
 from asymhash.hashcore import CodeMatrix
 from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix, SimilarityBlock
@@ -205,9 +199,7 @@ def test_criterion_4_end_to_end_synthetic_retrieval():
     model, codes, _ = train(db_feats, db_labels, benchmark_config())
     elapsed = time.perf_counter() - started
     query_codes = encode_queries(model, q_feats)
-    ranking = rank_by_hamming(query_codes, codes)
-    relevance = relevance_from_labels(q_labels, db_labels)
-    score = mean_average_precision(ranking, relevance)
+    score = retrieval_metrics(query_codes, codes, q_labels, db_labels, None, 1).map
     report(
         4,
         score >= 0.95 and elapsed < 120.0,
@@ -236,13 +228,11 @@ def test_criterion_6_asymmetric_advantage_at_equal_budget():
     parts = split(20000, 200, 0, seed=6)
     db_feats, db_labels = features[parts.db_indices], labels.subset(parts.db_indices)
     q_feats = features[parts.query_indices]
-    relevance = relevance_from_labels(
-        labels.subset(parts.query_indices), db_labels
-    )
+    q_labels = labels.subset(parts.query_indices)
 
     def map_of(model, codes):
-        ranking = rank_by_hamming(encode_queries(model, q_feats), codes)
-        return mean_average_precision(ranking, relevance)
+        query_codes = encode_queries(model, q_feats)
+        return retrieval_metrics(query_codes, codes, q_labels, db_labels, None, 1).map
 
     asym_points = []
     clock = [0.0]
@@ -349,6 +339,34 @@ def _naive_ap(ranked_rel, total_rel, cutoff):
     return total / denom if denom else 0.0
 
 
+def _naive_ranking(queries, database):
+    """Each query's database rows by Hamming distance, then by index."""
+    return np.array(
+        [
+            sorted(
+                range(database.rows),
+                key=lambda j: (hamming_distance(query, database.words[j]), j),
+            )
+            for query in queries.words
+        ]
+    )
+
+
+def _metrics_of_relevance(queries, database, relevance, cutoff, k_max):
+    """retrieval_metrics where relevance is given as a matrix: each relevant
+    (query, row) pair shares one private label id, and each row of either
+    side holds one more private id."""
+    m, n = relevance.shape
+    pair_ids = np.arange(m * n).reshape(m, n)
+    query_labels = LabelMatrix(
+        [[*pair_ids[i][relevance[i]], m * n + i] for i in range(m)]
+    )
+    db_labels = LabelMatrix(
+        [[*pair_ids[:, j][relevance[:, j]], m * n + m + j] for j in range(n)]
+    )
+    return retrieval_metrics(queries, database, query_labels, db_labels, cutoff, k_max)
+
+
 def test_criterion_8_metric_oracle_equivalence():
     rng = np.random.default_rng(808)
     worst = 0.0
@@ -360,30 +378,29 @@ def test_criterion_8_metric_oracle_equivalence():
         queries = CodeMatrix.from_signs(rng.integers(0, 2, (m, c)) * 2 - 1)
         database = CodeMatrix.from_signs(rng.integers(0, 2, (n, c)) * 2 - 1)
         relevance = rng.random((m, n)) < 0.35
-        ranking = rank_by_hamming(queries, database)
+        ranking = _naive_ranking(queries, database)
         cutoff = int(rng.integers(1, n + 1))
+        got = _metrics_of_relevance(queries, database, relevance, cutoff, n)
 
-        expected_map = np.mean(
-            [
-                _naive_ap(
-                    relevance[i, ranking[i]].tolist(),
-                    int(relevance[i].sum()),
-                    cutoff,
-                )
-                for i in range(m)
-            ]
-        )
-        got_map = mean_average_precision(ranking, relevance, cutoff)
-        worst = max(worst, abs(got_map - expected_map))
+        for limit, got_map in ((n, got.map), (cutoff, got.cutoff_map)):
+            expected_map = np.mean(
+                [
+                    _naive_ap(
+                        relevance[i, ranking[i]].tolist(),
+                        int(relevance[i].sum()),
+                        limit,
+                    )
+                    for i in range(m)
+                ]
+            )
+            worst = max(worst, abs(got_map - expected_map))
 
-        curve = topk_precision_curve(ranking, relevance, n)
         for k in range(1, n + 1):
             expected_p = np.mean(
                 [relevance[i, ranking[i, :k]].sum() / k for i in range(m)]
             )
-            worst = max(worst, abs(curve[k - 1] - expected_p))
+            worst = max(worst, abs(got.topk_precision[k - 1] - expected_p))
 
-        precision, recall = precision_recall_by_radius(queries, database, relevance)
         for radius in range(c + 1):
             precs, recs = [], []
             for i in range(m):
@@ -396,13 +413,18 @@ def test_criterion_8_metric_oracle_equivalence():
                 n_rel = int(relevance[i].sum())
                 precs.append(hit / len(retrieved) if retrieved else 1.0)
                 recs.append(hit / n_rel if n_rel else 1.0)
-            worst = max(worst, abs(precision[radius] - np.mean(precs)))
-            worst = max(worst, abs(recall[radius] - np.mean(recs)))
+            worst = max(worst, abs(got.precision[radius] - np.mean(precs)))
+            worst = max(worst, abs(got.recall[radius] - np.mean(recs)))
         cases += 1
 
-    alternating = mean_average_precision(
-        np.array([[0, 1, 2]]), np.array([[True, False, True]])
-    )
+    # database rows at distances 0, 1 and 2, relevant, not, relevant
+    alternating = _metrics_of_relevance(
+        CodeMatrix.from_signs([[1, 1]]),
+        CodeMatrix.from_signs([[1, 1], [-1, 1], [-1, -1]]),
+        np.array([[True, False, True]]),
+        None,
+        3,
+    ).map
     worst = max(worst, abs(alternating - 5 / 6))
     report(
         8,

@@ -348,6 +348,8 @@ class TestExitCodes:
         "train": ("--features", "--labels"),
         "eval": ("--query-codes", "--db-codes", "--query-labels", "--db-labels"),
         "sweep": ("--features", "--labels", "--query-features", "--query-labels"),
+        "bench": (),
+        "gen-data": (),
     }
 
     @pytest.mark.parametrize(
@@ -358,6 +360,10 @@ class TestExitCodes:
             ("eval", "--topk", "0"),
             ("sweep", "--gammas", "abc"),
             ("sweep", "--omegas", "0"),
+            ("bench", "--modes", "bogus"),
+            ("bench", "--sizes", "100,x,200"),
+            ("gen-data", "--clusters", "0"),
+            ("gen-data", "--queries", "5000"),  # of the default 2,000 points
         ],
     )
     def test_config_error_comes_before_any_input_is_read(
@@ -635,7 +641,7 @@ class TestBench:
         out = tmp_path / "bench"
         code = main(["bench", "--sizes", "100,100,200", "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert not (out / "bench.csv").exists()
+        assert not out.exists()
 
 
 class TestSweep:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from asymhash import evaluate
-from asymhash.evaluate import (
-    mean_average_precision,
-    precision_recall_by_radius,
-    rank_by_hamming,
-    relevance_from_labels,
-    retrieval_metrics,
-    topk_precision_curve,
-)
+from asymhash.evaluate import relevance_from_labels, retrieval_metrics
 from asymhash.hashcore import CodeMatrix, pairwise_hamming
 from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix
@@ -19,6 +12,45 @@ from asymhash.simgraph import LabelMatrix
 
 def random_codes(rng, rows, code_len):
     return CodeMatrix.from_signs(rng.integers(0, 2, (rows, code_len)) * 2 - 1)
+
+
+def labels_for(relevance):
+    """Query and database labels whose "shares a label" relation is
+    ``relevance``: each relevant (query, row) pair has one private id, and
+    each row of either side one more, so that no label row is empty."""
+    q, n = relevance.shape
+    pair_ids = np.arange(q * n).reshape(q, n)
+    own_id = q * n  # the first private row id
+    query_rows = [[*pair_ids[i][relevance[i]], own_id + i] for i in range(q)]
+    db_rows = [[*pair_ids[:, j][relevance[:, j]], own_id + q + j] for j in range(n)]
+    return LabelMatrix(query_rows), LabelMatrix(db_rows)
+
+
+def metrics(queries, database, relevance, cutoff=None, k_max=None):
+    """retrieval_metrics over a relevance matrix; k_max defaults to n."""
+    relevance = np.array(relevance, dtype=bool)
+    return retrieval_metrics(
+        queries, database, *labels_for(relevance), cutoff, k_max or database.rows
+    )
+
+
+def ranked(relevance, cutoff=None, k_max=None):
+    """metrics for queries whose stable ranking is the database order:
+    database row j sits at Hamming distance j from every query."""
+    q, n = np.shape(relevance)
+    code_len = max(n - 1, 1)
+    database = CodeMatrix.from_signs(
+        np.where(np.arange(code_len) < np.arange(n)[:, None], -1, 1)
+    )
+    queries = CodeMatrix.from_signs(np.ones((q, code_len)))
+    return metrics(queries, database, relevance, cutoff, k_max)
+
+
+def rank_of(query, database, row):
+    """The 0-based rank of database ``row`` in the stable ranking of the one
+    query: with ``row`` its only relevant row, AP is 1 / (rank + 1)."""
+    relevance = np.arange(database.rows) == row
+    return round(1 / metrics(query, database, relevance[None]).map) - 1
 
 
 def naive_ranking(queries, database):
@@ -47,105 +79,88 @@ class TestRanking:
     def test_exact_match_ranks_first(self):
         db = CodeMatrix.from_signs([[1, 1, 1], [1, -1, 1], [-1, -1, -1]])
         query = CodeMatrix.from_signs([[1, -1, 1]])
-        assert rank_by_hamming(query, db)[0, 0] == 1
+        assert rank_of(query, db, 1) == 0
 
     def test_ties_break_by_database_index(self):
         db = CodeMatrix.from_signs([[1, -1], [-1, 1], [1, 1]])
         query = CodeMatrix.from_signs([[1, 1]])
         # rows 0 and 1 are both at distance 1; row 2 at distance 0
-        assert rank_by_hamming(query, db)[0].tolist() == [2, 0, 1]
+        assert [rank_of(query, db, j) for j in range(3)] == [1, 2, 0]
 
     def test_matches_naive_sort(self):
         rng = np.random.default_rng(0)
         queries = random_codes(rng, 6, 10)
         database = random_codes(rng, 25, 10)
-        assert np.array_equal(
-            rank_by_hamming(queries, database), naive_ranking(queries, database)
-        )
+        for i, order in enumerate(naive_ranking(queries, database)):
+            query = CodeMatrix(queries.words[i : i + 1], 1, queries.code_len)
+            ranks = [rank_of(query, database, j) for j in range(database.rows)]
+            assert np.array_equal(np.argsort(ranks), order)
 
     def test_rejects_code_len_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            rank_by_hamming(
-                CodeMatrix.from_signs([[1, 1]]), CodeMatrix.from_signs([[1]])
+            metrics(
+                CodeMatrix.from_signs([[1, 1]]), CodeMatrix.from_signs([[1]]), [[True]]
             )
 
 
 class TestMeanAveragePrecision:
     def test_perfect_ranking(self):
-        ranking = np.array([[0, 1, 2, 3]])
-        relevance = np.array([[True, True, False, False]])
-        assert mean_average_precision(ranking, relevance) == pytest.approx(1.0)
+        relevance = [[True, True, False, False]]
+        assert ranked(relevance).map == pytest.approx(1.0)
 
     def test_alternating_relevance_case(self):
-        ranking = np.array([[0, 1, 2]])
-        relevance = np.array([[True, False, True]])
-        assert mean_average_precision(ranking, relevance) == pytest.approx(5 / 6)
+        assert ranked([[True, False, True]]).map == pytest.approx(5 / 6)
 
     def test_zero_relevant_counts_as_zero(self):
-        ranking = np.array([[0, 1], [0, 1]])
-        relevance = np.array([[False, False], [True, False]])
-        assert mean_average_precision(ranking, relevance) == pytest.approx(0.5)
+        relevance = [[False, False], [True, False]]
+        assert ranked(relevance).map == pytest.approx(0.5)
 
     def test_cutoff_normalizes_by_min(self):
         # 3 relevant, cutoff 2, both top slots relevant -> AP 1.0
-        ranking = np.array([[0, 1, 2, 3]])
-        relevance = np.array([[True, True, True, False]])
-        assert mean_average_precision(
-            ranking, relevance, cutoff=2
-        ) == pytest.approx(1.0)
-
-    def test_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            mean_average_precision(
-                np.array([[0]]), np.array([[True]]), cutoff=0
-            )
+        relevance = [[True, True, True, False]]
+        assert ranked(relevance, cutoff=2).cutoff_map == pytest.approx(1.0)
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             n = int(rng.integers(3, 30))
             m = int(rng.integers(1, 6))
-            ranking = np.stack([rng.permutation(n) for _ in range(m)])
+            queries = random_codes(rng, m, 6)
+            database = random_codes(rng, n, 6)
+            ranking = naive_ranking(queries, database)
             relevance = rng.random((m, n)) < 0.3
             cutoff = int(rng.integers(1, n + 1))
-            expected = float(
-                np.mean(
+            got = metrics(queries, database, relevance, cutoff)
+            for limit, value in ((n, got.map), (cutoff, got.cutoff_map)):
+                expected = np.mean(
                     [
                         naive_average_precision(
                             relevance[i, ranking[i]].tolist(),
                             int(relevance[i].sum()),
-                            cutoff,
+                            limit,
                         )
                         for i in range(m)
                     ]
                 )
-            )
-            got = mean_average_precision(ranking, relevance, cutoff)
-            assert got == pytest.approx(expected, abs=1e-12)
+                assert value == pytest.approx(expected, abs=1e-12)
 
 
 class TestTopKCurve:
     def test_all_relevant_prefix(self):
-        ranking = np.array([[0, 1, 2]])
-        relevance = np.array([[True, True, True]])
-        assert topk_precision_curve(ranking, relevance, 3).tolist() == [
+        assert ranked([[True, True, True]]).topk_precision.tolist() == [
             1.0, 1.0, 1.0,
         ]
 
     def test_half_relevant(self):
-        ranking = np.array([[0, 1]])
-        relevance = np.array([[True, False]])
-        assert topk_precision_curve(ranking, relevance, 2).tolist() == [1.0, 0.5]
-
-    def test_rejects_k_beyond_database(self):
-        with pytest.raises(ValueError, match="k_max"):
-            topk_precision_curve(np.array([[0]]), np.array([[True]]), 2)
+        assert ranked([[True, False]]).topk_precision.tolist() == [1.0, 0.5]
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(2)
-        ranking = np.stack([rng.permutation(12) for _ in range(4)])
+        queries = random_codes(rng, 4, 5)
+        database = random_codes(rng, 12, 5)
+        ranking = naive_ranking(queries, database)
         relevance = rng.random((4, 12)) < 0.4
-        curve = topk_precision_curve(ranking, relevance, 12)
+        curve = metrics(queries, database, relevance).topk_precision
         for k in range(1, 13):
             expected = np.mean(
                 [
@@ -162,31 +177,22 @@ class TestPrecisionRecallByRadius:
         queries = random_codes(rng, 4, 6)
         database = random_codes(rng, 15, 6)
         relevance = rng.random((4, 15)) < 0.5
-        _, recall = precision_recall_by_radius(queries, database, relevance)
-        assert recall[-1] == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("shape", [(4, 14), (15, 4), (4, 15, 1)])
-    def test_rejects_mis_shaped_relevance(self, shape):
-        rng = np.random.default_rng(3)
-        queries = random_codes(rng, 4, 6)
-        database = random_codes(rng, 15, 6)
-        with pytest.raises(ValueError, match=r"\(4, 15\) query/database pair grid"):
-            precision_recall_by_radius(queries, database, np.ones(shape, dtype=bool))
+        assert metrics(queries, database, relevance).recall[-1] == pytest.approx(1.0)
 
     def test_zero_radius_exact_neighbor(self):
         database = CodeMatrix.from_signs([[1, 1], [1, -1]])
         queries = CodeMatrix.from_signs([[1, 1]])
-        relevance = np.array([[True, False]])
-        precision, recall = precision_recall_by_radius(queries, database, relevance)
-        assert precision[0] == pytest.approx(1.0)
-        assert recall[0] == pytest.approx(1.0)
+        got = metrics(queries, database, [[True, False]])
+        assert got.precision[0] == pytest.approx(1.0)
+        assert got.recall[0] == pytest.approx(1.0)
 
     def test_recall_is_monotone(self):
         rng = np.random.default_rng(4)
         queries = random_codes(rng, 5, 8)
         database = random_codes(rng, 20, 8)
         relevance = rng.random((5, 20)) < 0.3
-        precision, recall = precision_recall_by_radius(queries, database, relevance)
+        got = metrics(queries, database, relevance)
+        precision, recall = got.precision, got.recall
         assert np.all(np.diff(recall) >= -1e-12)
         assert np.all((0.0 <= precision) & (precision <= 1.0))
         assert np.all((0.0 <= recall) & (recall <= 1.0))
@@ -196,7 +202,7 @@ class TestPrecisionRecallByRadius:
         queries = random_codes(rng, 3, 5)
         database = random_codes(rng, 12, 5)
         relevance = rng.random((3, 12)) < 0.4
-        precision, recall = precision_recall_by_radius(queries, database, relevance)
+        got = metrics(queries, database, relevance)
         for radius in range(6):
             precisions, recalls = [], []
             for i in range(3):
@@ -209,8 +215,8 @@ class TestPrecisionRecallByRadius:
                 n_rel = int(relevance[i].sum())
                 precisions.append(hit / len(retrieved) if retrieved else 1.0)
                 recalls.append(hit / n_rel if n_rel else 1.0)
-            assert precision[radius] == pytest.approx(np.mean(precisions), abs=1e-12)
-            assert recall[radius] == pytest.approx(np.mean(recalls), abs=1e-12)
+            assert got.precision[radius] == pytest.approx(np.mean(precisions), abs=1e-12)
+            assert got.recall[radius] == pytest.approx(np.mean(recalls), abs=1e-12)
 
 
 def test_metrics_ignore_order_within_equal_relevance_tie_groups():
@@ -228,14 +234,10 @@ def test_metrics_ignore_order_within_equal_relevance_tie_groups():
     swapped_rel = relevance.copy()
     swapped_rel[:, [4, 7]] = swapped_rel[:, [7, 4]]
 
-    base_rank = rank_by_hamming(query, CodeMatrix.from_signs(signs))
-    swap_rank = rank_by_hamming(query, CodeMatrix.from_signs(swapped))
-    assert mean_average_precision(base_rank, relevance) == pytest.approx(
-        mean_average_precision(swap_rank, swapped_rel), abs=1e-15
-    )
-    assert topk_precision_curve(base_rank, relevance, 10) == pytest.approx(
-        topk_precision_curve(swap_rank, swapped_rel, 10), abs=1e-15
-    )
+    base = metrics(query, CodeMatrix.from_signs(signs), relevance)
+    swap = metrics(query, CodeMatrix.from_signs(swapped), swapped_rel)
+    assert base.map == pytest.approx(swap.map, abs=1e-15)
+    assert base.topk_precision == pytest.approx(swap.topk_precision, abs=1e-15)
 
 
 def test_relevance_from_labels_matches_similarity_rule():
@@ -263,6 +265,8 @@ class TestRetrievalMetrics:
     @pytest.mark.parametrize("code_len", [1, 64, 65])
     @pytest.mark.parametrize("cutoff", [None, 7, 1000])
     def test_equals_per_metric_functions(self, q, code_len, cutoff):
+        # at every chunk boundary, each metric equals its dense formula in
+        # dense_reference, bit for bit
         rng = np.random.default_rng([q, code_len, cutoff or 0])
         n = self.DB_ROWS
         queries = random_codes(rng, q, code_len)
@@ -272,16 +276,13 @@ class TestRetrievalMetrics:
         db_labels = random_labels(rng, n, 4)
         got = retrieval_metrics(queries, database, query_labels, db_labels, cutoff, n)
 
-        ranking = rank_by_hamming(queries, database)
         relevance = relevance_from_labels(query_labels, db_labels)
-        assert got.map == mean_average_precision(ranking, relevance)
-        assert got.cutoff_map == mean_average_precision(ranking, relevance, cutoff)
-        assert np.array_equal(
-            got.topk_precision, topk_precision_curve(ranking, relevance, n)
-        )
-        precision, recall = precision_recall_by_radius(queries, database, relevance)
-        assert np.array_equal(got.precision, precision)
-        assert np.array_equal(got.recall, recall)
+        expected = dense_reference(queries, database, relevance, cutoff, n)
+        assert got.map == expected[0]
+        assert got.cutoff_map == expected[1]
+        assert np.array_equal(got.topk_precision, expected[2])
+        assert np.array_equal(got.precision, expected[3])
+        assert np.array_equal(got.recall, expected[4])
 
     @pytest.mark.parametrize(
         "cutoff, k_max, match",
@@ -334,9 +335,9 @@ def test_radius_histograms_match_threshold_passes():
         n_hit = (retrieved & relevance).sum(axis=1)
         expected_p.append(np.where(n_ret > 0, n_hit / np.maximum(n_ret, 1), 1.0).mean())
         expected_r.append(np.where(n_rel > 0, n_hit / np.maximum(n_rel, 1), 1.0).mean())
-    precision, recall = precision_recall_by_radius(queries, database, relevance)
-    assert precision.tolist() == expected_p
-    assert recall.tolist() == expected_r
+    got = metrics(queries, database, relevance)
+    assert got.precision.tolist() == expected_p
+    assert got.recall.tolist() == expected_r
 
 
 def test_streamed_memory_does_not_grow_with_query_count():
@@ -449,8 +450,8 @@ class TestDenseReference:
         self.check(monkeypatch, rng, queries, database, cutoff)
 
     def check(self, monkeypatch, rng, queries, database, cutoff):
-        """retrieval_metrics over chunks of 3 queries and the per-metric
-        functions both equal dense_reference, bit for bit."""
+        """retrieval_metrics over chunks of 3 queries equals
+        dense_reference, bit for bit."""
         monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * self.DB_ROWS)
         n, q = self.DB_ROWS, self.QUERIES
         # database rows: one id of 0..3 and the shared id 9; query 0 has
@@ -469,16 +470,6 @@ class TestDenseReference:
         assert np.array_equal(got.precision, expected[3])
         assert np.array_equal(got.recall, expected[4])
 
-        ranking = rank_by_hamming(queries, database)
-        assert mean_average_precision(ranking, relevance) == expected[0]
-        assert mean_average_precision(ranking, relevance, cutoff) == expected[1]
-        assert np.array_equal(
-            topk_precision_curve(ranking, relevance, n), expected[2]
-        )
-        precision, recall = precision_recall_by_radius(queries, database, relevance)
-        assert np.array_equal(precision, expected[3])
-        assert np.array_equal(recall, expected[4])
-
 
 def prefix_share(dist_row, relevant_row, k_max):
     """The share of the row at distance <= max(farthest relevant row, the
@@ -491,8 +482,8 @@ class TestPrefixRanking:
     """retrieval_metrics ranks each query only up to the prefix that holds
     its relevant rows and its first k_max rows. TestDenseReference uses
     k_max = n, where every prefix is the whole row; these clustered cases
-    take short prefixes and must still match dense_reference and the
-    per-metric functions bit for bit."""
+    take short prefixes and must still match dense_reference bit for
+    bit."""
 
     CODE_LEN = 16
     SIZES = (50, 50, 50, 50, 50, 5)  # database rows per class
@@ -556,13 +547,6 @@ class TestPrefixRanking:
         assert np.array_equal(got.topk_precision, expected[2])
         assert np.array_equal(got.precision, expected[3])
         assert np.array_equal(got.recall, expected[4])
-
-        ranking = rank_by_hamming(queries, database)
-        assert mean_average_precision(ranking, relevance) == expected[0]
-        assert mean_average_precision(ranking, relevance, cutoff) == expected[1]
-        assert np.array_equal(
-            topk_precision_curve(ranking, relevance, k_max), expected[2]
-        )
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,19 @@
 """The benchmark's traced names must exist, so that renaming or removing a
 traced function fails here and not only in a ``--trace 1`` benchmark run.
-Their call counts in a small run are pinned too, so the per-layer figures
-stay comparable from one version to the next."""
+Their call counts in a small train and a small evaluation are pinned too,
+so the per-layer figures stay comparable from one version to the next and
+a refactor that bypasses a traced stage fails here."""
 
 import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+
+from asymhash import evaluate
 from asymhash.dataio import gen_synthetic_clusters
+from asymhash.hashcore import CodeMatrix
+from asymhash.simgraph import LabelMatrix
 from asymhash.solver import TrainConfig, train
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -52,3 +58,32 @@ def test_span_call_counts_of_a_small_train():
     assert counts["encoder.minibatch_step.calls"] == tout * tin * math.ceil(m / batch)
     assert counts["solver.v_step.calls"] == tout * tin
     assert counts["simgraph.build_sampled_similarity.calls"] == tout
+
+
+def test_span_call_counts_of_a_small_retrieval_metrics(monkeypatch):
+    # each chunk runs every per-chunk stage once; the lookup curve is taken
+    # once over all queries
+    spans = load_spans()
+    rng = np.random.default_rng(39)
+    q, n, chunks = 7, 20, 3
+    monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * n)  # chunks of 3, 3 and 1
+    queries = CodeMatrix.from_signs(rng.integers(0, 2, (q, 8)) * 2 - 1)
+    database = CodeMatrix.from_signs(rng.integers(0, 2, (n, 8)) * 2 - 1)
+    query_labels = LabelMatrix.from_ids(rng.integers(0, 3, q))
+    db_labels = LabelMatrix.from_ids(rng.integers(0, 3, n))
+    recorder = spans.SpanRecorder()
+    undo = spans.install(recorder)
+    try:
+        evaluate.retrieval_metrics(queries, database, query_labels, db_labels, None, 5)
+    finally:
+        spans.uninstall(undo)
+    counts = recorder.summary()
+    for stage in (
+        "hashcore.pairwise_hamming",
+        "evaluate.relevance_from_labels",
+        "evaluate.rank_by_hamming",
+        "evaluate.mean_average_precision",
+        "evaluate.topk_precision_curve",
+    ):
+        assert counts.get(f"{stage}.calls", 0) == chunks, stage
+    assert counts.get("evaluate.precision_recall_by_radius.calls", 0) == 1

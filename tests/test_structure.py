@@ -8,7 +8,8 @@ block holds it stays inside ``simgraph``. ``simgraph._unique_rows`` is
 the one finder of distinct rows, for the V-step's representative rows and
 evaluation's distinct database codes alike. ``solver.train`` is the one
 trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
-caller dispatches on the mode.
+caller dispatches on the mode. ``evaluate`` ranks in one place: the
+stable prefix ranking that its ``rank_by_hamming`` stage takes.
 """
 
 import ast
@@ -173,3 +174,27 @@ def test_only_train_calls_the_other_trainers():
             assert not set(called_by(node)) & (found - {"train"}), name
     probe_calls = called_by(functions["complexity_probe"])
     assert [c for c in probe_calls if c in found] == ["train"]
+
+
+def argsort_calls(node):
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "argsort"
+    ]
+
+
+def test_evaluate_ranks_in_one_place():
+    module = tree("evaluate.py")
+    functions = {
+        node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)
+    }
+    ranker = functions["_ranking_prefix"]
+    assert argsort_calls(ranker)
+    assert len(argsort_calls(module)) == len(argsort_calls(ranker))
+    callers = {
+        name for name, node in functions.items() if "_ranking_prefix" in called_by(node)
+    }
+    assert callers == {"rank_by_hamming"}
