@@ -1,10 +1,13 @@
 """Dataset generation, splits, and bit-exact file formats.
 
 All binary formats are little-endian and open with an 8-byte magic whose
-last byte is the format version; readers reject anything else. Layouts:
+last byte is the format version; readers reject anything else. Each is a
+header followed by flat arrays, which readers take through one bounds
+check (``_Reader.array``) and ignore any bytes after. Layouts:
 
   features  "ADSHFTR1"  u64 rows, u64 dim, then rows*dim f64 row-major
-  labels    "ADSHLBL1"  u64 rows, then per row: u32 count, count u32 ids
+  labels    "ADSHLBL2"  u64 rows, then rows u32 counts, then every row's
+                        u32 ids in row order
   codes     "ADSHCOD1"  u64 rows, u32 code_len, then per row
                         ceil(code_len/64) u64 words (pad bits zero)
   model     "ADSHMDL1"  u32 layer-size count, that many u64 sizes, then per
@@ -24,7 +27,7 @@ from .hashcore import CodeMatrix, words_per_row
 from .simgraph import LabelMatrix
 
 FEATURES_MAGIC = b"ADSHFTR1"
-LABELS_MAGIC = b"ADSHLBL1"
+LABELS_MAGIC = b"ADSHLBL2"
 CODES_MAGIC = b"ADSHCOD1"
 MODEL_MAGIC = b"ADSHMDL1"
 
@@ -127,31 +130,8 @@ def read_features(path) -> np.ndarray:
 def write_labels(path, labels: LabelMatrix) -> None:
     if labels.ids.size and labels.ids.max() > 0xFFFFFFFF:
         raise ValueError(f"label id {labels.ids.max()} does not fit the u32 format")
-    # each row's count goes right before its ids
-    words = np.insert(labels.ids, labels.offsets[:-1], np.diff(labels.offsets))
-    _write(path, LABELS_MAGIC, struct.pack("<Q", len(labels)), "<u4", [words])
-
-
-def _row_heads(words: np.ndarray, rows: int) -> np.ndarray:
-    """Word index of the count of each of the first ``rows`` label rows.
-
-    The counts chain row to row: the row after the count at p has its
-    count at p + 1 + words[p]. Pointer doubling follows the chain in
-    O(len(words) * log rows): each round extends the known heads by
-    ``jump`` of each, then squares ``jump``, so round j knows 2**j heads.
-    A head past the words is clipped to ``total``, a fixed point, so the
-    chain stays there and the loop stops; the caller finds which row broke
-    from the heads before it.
-    """
-    total = len(words)
-    jump = np.arange(1, total + 2, dtype=np.int64)
-    jump[:total] += words
-    np.minimum(jump, total, out=jump)
-    heads = np.zeros(min(rows, 1), dtype=np.int64)
-    while len(heads) < rows and heads[-1] < total:
-        heads = np.concatenate((heads, jump[heads]))
-        jump = jump[jump]
-    return heads[:rows]
+    header = struct.pack("<Q", len(labels))
+    _write(path, LABELS_MAGIC, header, "<u4", [np.diff(labels.offsets), labels.ids])
 
 
 def read_labels(path) -> LabelMatrix:
@@ -159,27 +139,14 @@ def read_labels(path) -> LabelMatrix:
         reader = _Reader(fh)
         reader.magic(LABELS_MAGIC)
         rows = reader.u64("row count")
-        payload = fh.read()
-    words = np.frombuffer(payload, dtype="<u4", count=len(payload) // 4)
-    total = len(words)
-    heads = _row_heads(words, rows)
-    counts = np.zeros(len(heads), dtype=np.int64)
-    inside = heads < total
-    counts[inside] = words[heads[inside]]
-    bad = heads + counts >= total  # also every head past the words
-    bad |= counts == 0
-    if bad.any():
-        r = int(np.argmax(bad))
-        at, count = int(heads[r]), int(counts[r])  # at: index of the count
-        if at >= total:
-            left, here = len(payload) - 4 * at, reader.offset + 4 * at
-            raise _truncated(f"label count of row {r}", 4, left, here)
-        if count == 0:
-            raise FileFormatError(f"label row {r} is empty", reader.offset + 4 * at)
-        left, here = len(payload) - 4 * at - 4, reader.offset + 4 * at + 4
-        raise _truncated(f"label ids of row {r}", 4 * count, left, here)
-    end = heads[-1] + 1 + counts[-1] if rows else 0  # trailing bytes are ignored
-    return LabelMatrix.from_flat(np.delete(words[:end], heads), counts)
+        start = reader.offset
+        counts = reader.array("<u4", rows, f"{rows} label counts")
+        if not counts.all():
+            r = int(np.argmin(counts))
+            raise FileFormatError(f"label row {r} is empty", start + 4 * r)
+        total = int(counts.sum())
+        ids = reader.array("<u4", total, f"{total} label ids")
+    return LabelMatrix.from_flat(ids, counts)
 
 
 def write_codes(path, codes: CodeMatrix) -> None:

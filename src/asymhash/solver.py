@@ -349,9 +349,8 @@ def _update_column(db, k, rho, gram, linear, shared) -> None:
     """
     coef = db @ gram[:, k]
     coef -= db[:, k] * gram[k, k]
-    if rho != 1.0:
-        coef *= rho
     if shared is not None:
+        coef *= rho
         row_dot = np.einsum("jl,jl->j", db, shared)
         coef += (1.0 - rho) * (row_dot - db[:, k] * shared[:, k])
     coef += linear
@@ -363,13 +362,7 @@ def _block_rows(code_len):
     return max(1, SWEEP_BLOCK_BYTES // (8 * code_len))
 
 
-def v_step(
-    db_signs,
-    relaxed,
-    block: SimilarityBlock,
-    gamma,
-    track_objective=None,
-):
+def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
     """One full sweep over all code columns, each using the latest codes.
 
     Given the relaxed query codes the objective is a sum of independent
@@ -384,17 +377,12 @@ def v_step(
     The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
     block gathers its rows and its rows of the linear-term table, takes,
     when rho != 1, B_k over its own groups only (one range, as the rows
-    are then ordered by group), then runs every column before the next
-    block starts, so the column passes read a block that fits in L2
+    are ordered by group), then runs every column before the next block
+    starts, so the column passes read a block that fits in L2
     (module docstring). B_k stays one product per column: taking all c of
     them as one g x c^2 product per block kept the codes, but raised the
     multi-label benchmark's peak RSS from 60.7 to 76.8 MB and did not
     make training faster.
-
-    When ``track_objective`` is a list, appends one sub-list per sweep
-    holding the fully recomputed objective before the first column and
-    after every column update. Such a sweep is one block, since it scores
-    every column over all rows.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     rho = block.neg_weight
@@ -412,25 +400,15 @@ def v_step(
         )
         tags = tags.copy()
         tags[block.query_indices] = block.group_count + np.arange(block.query_count)
-    keys = [*_pack_bits(db_signs > 0).T, tags]
-    if rho != 1.0:
-        # the (1 - rho) term reads the relation columns of each block's
-        # groups. With the group as the primary key (a tag fixes its
-        # row's group, so the distinct rows stay the same), they are one
-        # range of columns of the block's one cast; per-block casts, a few
-        # MB each and of varying size, left the peak RSS varying from run
-        # to run.
-        keys.append(block.row_groups)
-    reps, inverse = _unique_rows(*keys)
+    # the (1 - rho) term reads the relation columns of each block's groups.
+    # With the group as the primary key (a tag fixes its row's group, so
+    # the distinct rows stay the same), they are one range of columns of
+    # the block's one cast; per-block casts, a few MB each and of varying
+    # size, left the peak RSS varying from run to run.
+    reps, inverse = _unique_rows(*_pack_bits(db_signs > 0).T, tags, block.row_groups)
     tags = tags[reps]  # now per representative; this frees the n-row copy
     work = np.empty((len(reps), code_len))
     rows = _block_rows(code_len)
-    trace = None
-    if track_objective is not None:
-        stats = _group_stats(db_signs, block)
-        trace = [objective(relaxed, stats, block, gamma)]
-        track_objective.append(trace)
-        rows = len(reps)  # each column is scored over every row
     for start in range(0, len(reps), rows):
         part = slice(start, start + rows)
         block_work = work[part]
@@ -446,10 +424,6 @@ def v_step(
                 product = relaxed * relaxed[:, k, None]
                 shared = block.relation_t_dot(product, groups)[local]
             _update_column(block_work, k, rho, gram, linear[:, k], shared)
-            if trace is not None:
-                db_signs[:, k] = work[inverse, k]
-                stats = _group_stats(db_signs, block)
-                trace.append(objective(relaxed, stats, block, gamma))
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, inverse, axis=0, out=db_signs, mode="clip")
@@ -484,7 +458,6 @@ def train(
     config: TrainConfig,
     query_features=None,
     query_labels=None,
-    track_objective=None,
     on_outer_end: Callable | None = None,
 ) -> TrainResult:
     """Train in ``config.mode``; returns the encoder, packed codes, and history.
@@ -561,7 +534,7 @@ def train(
                 raise TrainingDiverged(str(err), snapshot()) from err
             record(outer, inner, "theta", relaxed, time.perf_counter() - phase_start)
             phase_start = time.perf_counter()
-            v_step(db, relaxed, block, config.gamma, track_objective=track_objective)
+            v_step(db, relaxed, block, config.gamma)
             seconds = time.perf_counter() - phase_start
             stats = _group_stats(db, block)
             record(outer, inner, "v", relaxed, seconds)

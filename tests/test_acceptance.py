@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from asymhash import oracle
+from asymhash import oracle, solver
 from asymhash.dataio import (
     gen_synthetic_clusters,
     read_codes,
@@ -30,8 +30,10 @@ from asymhash.oracle import hamming_distance
 from asymhash.simgraph import LabelMatrix, SimilarityBlock
 from asymhash.solver import (
     TrainConfig,
+    _group_stats,
     _pair_loss_and_grad_z,
     complexity_probe,
+    objective,
     train,
     v_step,
 )
@@ -176,10 +178,27 @@ def test_criterion_2_gradient_matches_finite_differences():
     report(2, pairs >= 50 and worst < 1e-5, f"{pairs} pairs, worst rel err {worst:.2e}")
 
 
-def test_criterion_3_coordinate_descent_monotonic():
-    db_feats, db_labels, _, _ = synthetic_benchmark()
+def test_criterion_3_coordinate_descent_monotonic(monkeypatch):
+    # each sweep of training is scored before its first column and after
+    # each column: a column update writes only its own column, so after
+    # column k the codes are the sweep's in columns 0..k and the starting
+    # codes in the rest
     traces: list = []
-    train(db_feats, db_labels, benchmark_config(), track_objective=traces)
+    sweep = solver.v_step
+
+    def scored(db_signs, relaxed, block, gamma):
+        before = db_signs.copy()
+        sweep(db_signs, relaxed, block, gamma)
+        trace = []
+        for k in range(db_signs.shape[1] + 1):
+            codes = np.hstack((db_signs[:, :k], before[:, k:]))
+            trace.append(objective(relaxed, _group_stats(codes, block), block, gamma))
+        traces.append(trace)
+        return db_signs
+
+    monkeypatch.setattr(solver, "v_step", scored)
+    db_feats, db_labels, _, _ = synthetic_benchmark()
+    train(db_feats, db_labels, benchmark_config())
     sweeps = 0
     worst_rise = -np.inf
     for trace in traces:

@@ -574,7 +574,7 @@ class TestExitCodes:
         assert not (tmp_path / "run" / "model.bin").exists()
         assert not (tmp_path / "codes.bin").exists()
 
-    @pytest.mark.parametrize("reader", ["features", "model", "codes"])
+    @pytest.mark.parametrize("reader", ["features", "labels", "model", "codes"])
     def test_size_fields_past_the_end_are_data_error(
         self, dataset, tmp_path, capsys, reader
     ):
@@ -587,6 +587,12 @@ class TestExitCodes:
                 "train", "--features", str(bad),
                 "--labels", str(dataset / "db_labels.bin"),
                 "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
+            ]
+        elif reader == "labels":
+            bad.write_bytes(LABELS_MAGIC + struct.pack("<Q", 2**62))
+            argv = [
+                "train", "--features", str(dataset / "db_features.bin"),
+                "--labels", str(bad), "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
             ]
         elif reader == "model":
             bad.write_bytes(MODEL_MAGIC + struct.pack("<IQQ", 2, 2**40, 2**40))
@@ -605,6 +611,45 @@ class TestExitCodes:
             ]
         assert main(argv) == EXIT_DATA
         assert "truncated file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_v1_label_file_is_data_error(
+        self, dataset, tmp_path, monkeypatch, capsys, command
+    ):
+        # the v1 layout wrote each row's count right before its ids; its
+        # version is named before any training or ranking starts
+        monkeypatch.setattr(cli, "train", must_not_run)
+        monkeypatch.setattr(evaluate, "retrieval_metrics", must_not_run)
+        side = "db" if command == "train" else "query"
+        labels = read_labels(dataset / f"{side}_labels.bin")
+        # gen-data gives each row one id: v1 words are 1, id per row
+        words = np.column_stack((np.ones(len(labels)), labels.ids)).ravel()
+        v1 = tmp_path / "v1_labels.bin"
+        v1.write_bytes(
+            b"ADSHLBL1" + struct.pack("<Q", len(labels))
+            + words.astype("<u4").tobytes()
+        )
+        if command == "train":
+            argv = [
+                "train", "--features", str(dataset / "db_features.bin"),
+                "--labels", str(v1), "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
+            ]
+        else:
+            argv = ["eval", "--out", str(tmp_path / "metrics")]
+            for name in ("query", "db"):
+                rows = len(read_labels(dataset / f"{name}_labels.bin"))
+                codes = tmp_path / f"{name}_codes.bin"
+                write_codes(codes, CodeMatrix.from_signs(np.ones((rows, 16))))
+                argv += [f"--{name}-codes", str(codes)]
+            argv += [
+                "--query-labels", str(v1),
+                "--db-labels", str(dataset / "db_labels.bin"),
+            ]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "unsupported format version b'1', expected b'2'" in err
+        assert not (tmp_path / "run" / "model.bin").exists()
+        assert not (tmp_path / "metrics" / "metrics.csv").exists()
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == EXIT_CONFIG

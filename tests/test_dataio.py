@@ -19,7 +19,6 @@ from asymhash.dataio import (
     write_features,
     write_labels,
     write_model,
-    _row_heads,
 )
 from asymhash.encoder import init_encoder
 from asymhash.hashcore import CodeMatrix
@@ -107,37 +106,35 @@ class TestFeatureFormat:
         assert info.value.offset == 24 + 8 * 4
 
 
-def reference_label_walk(payload: bytes, rows: int):
-    """Label rows found one at a time, as read_labels once walked them.
+def label_file(rows, claimed=None) -> bytes:
+    """Label file bytes: the header, every row's count, then every row's ids."""
+    counts = [len(row) for row in rows]
+    words = [*counts, *(i for row in rows for i in row)]
+    claimed = len(rows) if claimed is None else claimed
+    return (
+        LABELS_MAGIC + struct.pack("<Q", claimed)
+        + struct.pack(f"<{len(words)}I", *words)
+    )
 
-    Returns the word index of each whole row's count and, at the first
-    row that is empty or cut off, its (message, byte offset); None when
-    all ``rows`` are whole.
-    """
-    words = struct.unpack(f"<{len(payload) // 4}I", payload[: len(payload) // 4 * 4])
-    heads, at = [], 0
-    for r in range(rows):
-        here = len(LABELS_MAGIC) + 8 + 4 * at
-        if at >= len(words):
-            got = len(payload) - 4 * at
-            return heads, (
-                f"truncated file reading label count of row {r}: "
-                f"expected 4 bytes, got {got}",
-                here,
-            )
-        count = words[at]
-        if count == 0:
-            return heads, (f"label row {r} is empty", here)
-        if len(words) - at <= count:
-            got = len(payload) - 4 * at - 4
-            return heads, (
-                f"truncated file reading label ids of row {r}: "
-                f"expected {4 * count} bytes, got {got}",
-                here + 4,
-            )
-        heads.append(at)
-        at += 1 + count
-    return heads, None
+
+def reference_label_error(data: bytes):
+    """The (message, byte offset) of the first bad field of a label file
+    read one field at a time; None when the file is whole."""
+    rows = struct.unpack("<Q", data[8:16])[0]
+    left = len(data) - 16
+    if left < 4 * rows:
+        what = f"{rows} label counts: expected {4 * rows} bytes, got {left}"
+        return f"truncated file reading {what}", 16
+    counts = struct.unpack(f"<{rows}I", data[16 : 16 + 4 * rows])
+    if 0 in counts:
+        r = counts.index(0)
+        return f"label row {r} is empty", 16 + 4 * r
+    start, total = 16 + 4 * rows, sum(counts)
+    left = len(data) - start
+    if left < 4 * total:
+        what = f"{total} label ids: expected {4 * total} bytes, got {left}"
+        return f"truncated file reading {what}", start
+    return None
 
 
 class TestLabelFormat:
@@ -145,6 +142,7 @@ class TestLabelFormat:
         labels = LabelMatrix([{0}, {3, 1}, {7, 2, 40}])
         path = tmp_path / "labels.bin"
         write_labels(path, labels)
+        assert path.read_bytes() == label_file([[0], [1, 3], [2, 7, 40]])
         back = read_labels(path)
         assert back.ids.tolist() == [0, 1, 3, 2, 7, 40]
         assert back.offsets.tolist() == labels.offsets.tolist() == [0, 1, 3, 6]
@@ -177,28 +175,25 @@ class TestLabelFormat:
             read_labels(path)
 
     @pytest.mark.parametrize(
-        "second_row, message, offset",
+        "words, message, offset",
         [
             (
-                b"\x01\x00",
-                "truncated file reading label count of row 1: "
-                "expected 4 bytes, got 2",
-                24,
+                struct.pack("<I", 1) + b"\x01\x00",
+                "truncated file reading 2 label counts: expected 8 bytes, got 6",
+                16,
             ),
             (
-                struct.pack("<3I", 3, 4, 5),
-                "truncated file reading label ids of row 1: "
-                "expected 12 bytes, got 8",
-                28,
+                struct.pack("<5I", 1, 3, 7, 4, 5),
+                "truncated file reading 4 label ids: expected 16 bytes, got 12",
+                24,
             ),
-            (struct.pack("<I", 0), "label row 1 is empty", 24),
+            (struct.pack("<3I", 1, 0, 7), "label row 1 is empty", 20),
         ],
         ids=["truncated count", "truncated ids", "empty row"],
     )
-    def test_errors_name_row_and_offset(self, tmp_path, second_row, message, offset):
+    def test_errors_name_row_and_offset(self, tmp_path, words, message, offset):
         path = tmp_path / "labels.bin"
-        header = LABELS_MAGIC + struct.pack("<Q", 2)
-        path.write_bytes(header + struct.pack("<2I", 1, 7) + second_row)
+        path.write_bytes(LABELS_MAGIC + struct.pack("<Q", 2) + words)
         with pytest.raises(FileFormatError) as info:
             read_labels(path)
         assert info.value.offset == offset
@@ -206,8 +201,7 @@ class TestLabelFormat:
 
     def test_repeated_ids_collapse_and_trailing_bytes_are_ignored(self, tmp_path):
         path = tmp_path / "labels.bin"
-        rows = struct.pack("<4I", 3, 5, 2, 5) + struct.pack("<2I", 1, 0)
-        path.write_bytes(LABELS_MAGIC + struct.pack("<Q", 2) + rows + b"tail")
+        path.write_bytes(label_file([[5, 2, 5], [0]]) + b"tail")
         labels = read_labels(path)
         assert labels.ids.tolist() == [2, 5, 0]
         assert labels.offsets.tolist() == [0, 2, 3]
@@ -232,11 +226,7 @@ class TestLabelFormat:
         read = {}
         for name, rows in forms.items():
             path = tmp_path / f"{name}.bin"
-            words = [w for row in rows for w in (len(row), *row)]
-            path.write_bytes(
-                LABELS_MAGIC + struct.pack("<Q", len(rows))
-                + struct.pack(f"<{len(words)}I", *words)
-            )
+            path.write_bytes(label_file(rows))
             read[name] = read_labels(path)
         want = LabelMatrix(sets)
         for name, labels in read.items():
@@ -246,50 +236,68 @@ class TestLabelFormat:
             want.offsets[:-1], want.offsets[1:]
         )] == sets
 
-    @pytest.mark.parametrize("corruption", ["empty", "grown", "cut", "rows"])
-    def test_heads_and_errors_match_a_row_by_row_walk(self, tmp_path, corruption):
-        # random files of 1-3 ids per row, each with one corruption at a
-        # random row: a zero count, a count past its ids (the chain after
-        # it reads ids as counts), the file cut inside the row (with 0-3
-        # bytes of a partial word), or a header claiming more rows
+    @pytest.mark.parametrize(
+        "corruption", ["empty", "grown", "ids_cut", "counts_cut", "rows"]
+    )
+    def test_corrupt_files_match_a_field_by_field_read(self, tmp_path, corruption):
+        # random files of 1-3 ids per row, each with one corruption: a zero
+        # count or a count past the ids at a random row, the file cut inside
+        # the ids or inside the counts (with 0-3 bytes of a partial word),
+        # or a header claiming more rows, so that ids are read as counts
         path = tmp_path / "labels.bin"
         for seed in range(50):
             rng = np.random.default_rng([18, seed])
             counts = rng.integers(1, 4, int(rng.integers(1, 60)))
-            rows = [[len(row), *row] for row in (rng.integers(0, 6, c) for c in counts)]
-            bad = int(rng.integers(len(rows)))
-            claimed = len(rows)
-            if corruption == "empty":
-                rows[bad][0] = 0
-            elif corruption == "grown":
-                rows[bad][0] += int(rng.integers(1, 4))
-            elif corruption == "cut":
-                rows[bad] = rows[bad][: int(rng.integers(0, len(rows[bad])))]
-                rows = rows[: bad + 1]
-            else:
+            rows = [rng.integers(0, 6, c).tolist() for c in counts]
+            bad, claimed = int(rng.integers(len(rows))), len(rows)
+            if corruption == "rows":
                 claimed += int(rng.integers(1, 4))
-            words = [int(w) for row in rows for w in row]
-            payload = struct.pack(f"<{len(words)}I", *words)
-            if corruption == "cut":
-                payload += bytes(int(rng.integers(0, 4)))
-            path.write_bytes(LABELS_MAGIC + struct.pack("<Q", claimed) + payload)
+            data = bytearray(label_file(rows, claimed))
+            if corruption == "empty":
+                data[16 + 4 * bad : 20 + 4 * bad] = struct.pack("<I", 0)
+            elif corruption == "grown":
+                grown = int(counts[bad] + rng.integers(1, 4))
+                data[16 + 4 * bad : 20 + 4 * bad] = struct.pack("<I", grown)
+            if corruption == "ids_cut":
+                ids_kept = int(rng.integers(counts.sum()))
+                data = data[: 16 + 4 * (len(rows) + ids_kept)]
+            elif corruption == "counts_cut":
+                data = data[: 16 + 4 * bad]
+            if corruption.endswith("_cut"):
+                data += bytes(int(rng.integers(0, 4)))
+            path.write_bytes(bytes(data))
 
-            heads, error = reference_label_walk(payload, claimed)
-            found = _row_heads(np.array(words, dtype=np.uint32), claimed)
-            assert found[: len(heads)].tolist() == heads, seed
-            if error is None:
-                back = read_labels(path)
-                heads = np.array(heads, dtype=np.int64)
-                want_words = np.array(words[: heads[-1] + 1 + words[heads[-1]]])
-                want = LabelMatrix.from_flat(np.delete(want_words, heads), want_words[heads])
-                assert np.array_equal(back.ids, want.ids), seed
-                assert np.array_equal(back.offsets, want.offsets), seed
-                continue
+            # every corruption is caught: extra claimed rows read ids as
+            # counts, and a zero id makes an empty row while the rest claim
+            # more ids than are left
+            message, offset = reference_label_error(data)
             with pytest.raises(FileFormatError) as info:
                 read_labels(path)
-            message, offset = error
             assert info.value.offset == offset, seed
             assert str(info.value) == f"{message} (at byte offset {offset})", seed
+
+    @pytest.mark.parametrize("form", ["one_id", "one_to_three_ids"])
+    def test_read_and_write_hold_few_copies_of_the_payload(self, tmp_path, form):
+        # the payload is the file's u32 words after the header: every count
+        # and every id. Reading ends in LabelMatrix.from_flat, whose int64
+        # ids and row indices are most of the read peak.
+        rng = np.random.default_rng(21)
+        if form == "one_id":
+            labels = LabelMatrix.from_ids(rng.integers(0, 100, 50_000))
+        else:
+            labels = LabelMatrix(
+                [rng.choice(80, int(rng.integers(1, 4)), replace=False)
+                 for _ in range(3000)]
+            )
+        path = tmp_path / "labels.bin"
+        _, write_peak = traced_peak(write_labels, path, labels)
+        back, read_peak = traced_peak(read_labels, path)
+        payload = path.stat().st_size - 16
+        assert payload == 4 * (len(labels) + labels.ids.size)
+        assert write_peak <= 2.0 * payload
+        assert read_peak <= 6.5 * payload
+        assert np.array_equal(back.ids, labels.ids)
+        assert np.array_equal(back.offsets, labels.offsets)
 
     @pytest.mark.parametrize("big", [2**32, 2**32 + 7])
     def test_id_past_u32_is_rejected_before_writing(self, tmp_path, big):

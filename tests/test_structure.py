@@ -10,6 +10,8 @@ evaluation's distinct database codes alike. ``solver.train`` is the one
 trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
 caller dispatches on the mode. ``evaluate`` ranks in one place: the
 stable prefix ranking that its ``rank_by_hamming`` stage takes.
+``dataio`` reads every file's payload through ``_Reader.array``, the one
+bounds-checked read.
 """
 
 import ast
@@ -198,3 +200,29 @@ def test_evaluate_ranks_in_one_place():
         name for name, node in functions.items() if "_ranking_prefix" in called_by(node)
     }
     assert callers == {"rank_by_hamming"}
+
+
+def attribute_calls(node, attrs):
+    return [
+        (call.func.attr, call.lineno)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in attrs
+    ]
+
+
+def test_dataio_reads_payloads_only_through_reader_array():
+    module = tree("dataio.py")
+    banned = attribute_calls(module, {"read", "frombuffer", "insert", "delete"})
+    assert not banned, f"dataio.py reads or splices payloads itself: {banned}"
+    reader = next(
+        node for node in ast.walk(module)
+        if isinstance(node, ast.ClassDef) and node.name == "_Reader"
+    )
+    array = next(
+        node for node in reader.body
+        if isinstance(node, ast.FunctionDef) and node.name == "array"
+    )
+    assert attribute_calls(array, {"readinto"})
+    assert attribute_calls(module, {"readinto"}) == attribute_calls(array, {"readinto"})
