@@ -193,16 +193,24 @@ def _check_width(features, features_path, dim: int, dim_path) -> None:
         )
 
 
+def _read_train_features(path):
+    features = dataio.read_features(path)
+    if len(features) == 0:
+        # offset 8 is the row count in the features header
+        raise FileFormatError(f"{path} has no rows", 8)
+    return features
+
+
 def _read_train_inputs(values, with_queries: bool):
     """Read the database features and labels, and with_queries the query
     ones, and check that they agree before any training work."""
-    features = dataio.read_features(values["features"])
+    features = _read_train_features(values["features"])
     labels = dataio.read_labels(values["labels"])
     _check_rows(labels, values["labels"], len(features), values["features"], "feature")
     if not with_queries:
         return features, labels, None, None
     _require_paths(values, ("query_features", "query_labels"))
-    query_features = dataio.read_features(values["query_features"])
+    query_features = _read_train_features(values["query_features"])
     query_labels = dataio.read_labels(values["query_labels"])
     _check_rows(
         query_labels, values["query_labels"],
@@ -407,9 +415,6 @@ def cmd_sweep(args) -> int:
     ]
     outdir = _ensure_outdir(values.get("out"))
     features, labels, query_features, query_labels = _read_train_inputs(values, True)
-    if len(query_features) == 0:
-        # offset 8 is the row count in the features header
-        raise FileFormatError(f"{values['query_features']} has no rows", 8)
     lines = ["gamma,omega,map"]
     for config in configs:
         model, codes, _ = train(features, labels, config)

