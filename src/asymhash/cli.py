@@ -3,8 +3,8 @@
 Commands: gen-data, train, encode, eval, bench, sweep. Options come from
 an optional ``key = value`` config file overridden by CLI flags; the
 effective configuration is echoed into the output directory so every run
-is self-describing. Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+is self-describing. Exit codes: 0 success, 2 config error (an allocation
+failure among them), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -513,10 +513,13 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except FileFormatError as err:
+    except MemoryError as err:
+        # a size no machine can hold, such as --hidden 10**13, fails here
+        print(f"config error: out of memory: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (
+        FileNotFoundError, IsADirectoryError, PermissionError, FileFormatError
+    ) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, NonFiniteError) as err:

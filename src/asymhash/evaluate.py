@@ -34,16 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hashcore import CodeMatrix, pairwise_hamming
+from .hashcore import CodeMatrix, chunk_rows, pairwise_hamming
 from .simgraph import LabelMatrix, _unique_rows
-
-# Query/database pairs per chunk of retrieval_metrics. A chunk's working set
-# peaks near 11.4 bytes per pair (tracemalloc; 12.9 at 300 bits), in
-# pairwise_hamming's uint64 xor temporaries, for any share of relevant
-# pairs. Those figures are for all-distinct database codes, whose per-code
-# rows and weights add 16 bytes per database row; at 50 distinct codes they
-# are 10.7 and 12.2. This bounds it near 6 MB whatever the query count.
-CHUNK_PAIRS = 1 << 19
 
 
 class RetrievalMetrics(NamedTuple):
@@ -191,7 +183,7 @@ def retrieval_metrics(
     """MAP (full and at map_cutoff), precision@1..k_max and the lookup
     precision/recall curve, from one Hamming scan per query chunk.
 
-    A chunk holds at most max(1, CHUNK_PAIRS // n) queries. Its narrow
+    A chunk holds chunk_rows(n) queries, near 6 MB of work. Its narrow
     distances and its relevance are computed once. The distinct database
     codes are found once per call; a bincount of each query's distances to
     them, weighted by the rows holding each, gives its retrieved count per
@@ -225,7 +217,7 @@ def retrieval_metrics(
     retrieved = np.empty((q, code_len + 1), dtype=np.int64)
     hits = np.empty_like(retrieved)
     distinct = _distinct_codes(db_codes)
-    step = max(1, CHUNK_PAIRS // n)
+    step = chunk_rows(n)
     for start in range(0, q, step):
         stop = min(start + step, q)
         chunk = CodeMatrix(query_codes.words[start:stop], stop - start, code_len)

@@ -11,12 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
-# Query rows per block of pairwise_hamming.
-CHUNK_ROWS = 64
+# Query/database pairs per block of every scan over pairs (see chunk_rows).
+CHUNK_PAIRS = 1 << 19
 
 
 def words_per_row(code_len: int) -> int:
     return (code_len + WORD_BITS - 1) // WORD_BITS
+
+
+def chunk_rows(width: int) -> int:
+    """Query rows per block of a scan against ``width`` database rows."""
+    return max(1, CHUNK_PAIRS // max(1, width))
 
 
 def _plus_mask(signs) -> np.ndarray:
@@ -27,7 +32,7 @@ def _plus_mask(signs) -> np.ndarray:
     plus = arr == 1
     bad = ~(plus | (arr == -1))
     if bad.any():
-        raise ValueError(f"code entries must be -1 or +1, found {arr[bad].flat[0]!r}")
+        raise ValueError(f"entries must be -1 or +1, found {arr[bad].flat[0]!r}")
     return plus
 
 
@@ -111,8 +116,9 @@ def pairwise_hamming(queries: CodeMatrix, database: CodeMatrix) -> np.ndarray:
     The dtype is ``np.min_scalar_type(code_len)``, the narrowest unsigned
     type that holds every distance: uint8 up to 255 bits, uint16 up to
     65535. Each code word is xored and popcounted into the output on its
-    own, CHUNK_ROWS query rows at a time, so the workspace stays at
-    CHUNK_ROWS * database.rows * 9 bytes whatever the word count.
+    own, chunk_rows(database.rows) query rows at a time, so the workspace
+    stays at 9 * max(CHUNK_PAIRS, database.rows) bytes whatever the word
+    count.
     """
     if queries.code_len != database.code_len:
         raise ValueError(
@@ -120,10 +126,11 @@ def pairwise_hamming(queries: CodeMatrix, database: CodeMatrix) -> np.ndarray:
         )
     dtype = np.min_scalar_type(queries.code_len)
     out = np.zeros((queries.rows, database.rows), dtype=dtype)
-    for start in range(0, queries.rows, CHUNK_ROWS):
-        block = out[start : start + CHUNK_ROWS]
+    step = chunk_rows(database.rows)
+    for start in range(0, queries.rows, step):
+        block = out[start : start + step]
         for word in range(queries.words.shape[1]):
-            query_words = queries.words[start : start + CHUNK_ROWS, word, None]
+            query_words = queries.words[start : start + step, word, None]
             block += np.bitwise_count(query_words ^ database.words[:, word])
     return out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hashcore import _pack_bits
+from .hashcore import _pack_bits, _plus_mask
 
 
 def pair_weight(pos: int, neg: int, weighted: bool) -> float:
@@ -53,19 +53,26 @@ class LabelMatrix:
 
     def _init_flat(self, ids, counts) -> "LabelMatrix":
         ids = np.array(ids, dtype=np.int64).ravel()
-        rows = np.repeat(np.arange(len(counts)), counts)
         if 0 in counts:
             raise ValueError(f"label row {np.argmin(counts)} is empty")
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if offsets[-1] != ids.size:
+            raise ValueError(f"{ids.size} label ids for {offsets[-1]} counted")
         if ids.size and ids.min() < 0:
-            raise ValueError(f"label row {rows[np.argmax(ids < 0)]} has a negative id")
-        new_row = np.diff(rows) != 0
+            row = np.searchsorted(offsets, np.argmax(ids < 0), side="right") - 1
+            raise ValueError(f"label row {row} has a negative id")
         # rows written by write_labels are already strictly increasing
-        if not ((np.diff(ids) > 0) | new_row).all():
+        ascending = ids[1:] > ids[:-1]
+        ascending[offsets[1:-1] - 1] = True  # a row may start anywhere
+        if not ascending.all():
+            rows = np.repeat(np.arange(len(counts)), counts)
             ids = ids[np.lexsort((ids, rows))]
-            keep = (np.diff(ids, prepend=-1) != 0) | np.concatenate(([True], new_row))
-            ids, rows = ids[keep], rows[keep]
-        self.ids, self._id_rows = ids, rows  # the row of each id
-        self.offsets = np.bincount(rows + 1, minlength=len(counts) + 1).cumsum()
+            keep = np.ones(len(ids), dtype=bool)
+            keep[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+            ids = ids[keep]
+            np.cumsum(np.bincount(rows[keep], minlength=len(counts)), out=offsets[1:])
+        self.ids, self.offsets = ids, offsets
         self.ids.flags.writeable = self.offsets.flags.writeable = False
         self._distinct = self._postings_index = None
         return self
@@ -73,11 +80,15 @@ class LabelMatrix:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
+    def _rows_of_ids(self) -> np.ndarray:
+        """The row holding each of ``ids``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
     def _postings(self):
         """(every id in ascending order, the row holding it); built once."""
         if self._postings_index is None:
             order = np.argsort(self.ids)
-            self._postings_index = (self.ids[order], self._id_rows[order])
+            self._postings_index = (self.ids[order], self._rows_of_ids()[order])
         return self._postings_index
 
     def distinct(self):
@@ -116,7 +127,7 @@ class LabelMatrix:
         lo = np.searchsorted(post_ids, self.ids, side="left").tolist()
         hi = np.searchsorted(post_ids, self.ids, side="right").tolist()
         out = np.zeros((len(self), len(other)), dtype=bool)
-        for row, start, stop in zip(self._id_rows.tolist(), lo, hi):
+        for row, start, stop in zip(self._rows_of_ids().tolist(), lo, hi):
             out[row, post_rows[start:stop]] = True
         return out
 
@@ -182,14 +193,10 @@ class SimilarityBlock:
     """
 
     def __init__(self, signs, neg_weight: float, query_indices=None):
-        signs = np.asarray(signs)
-        if signs.ndim != 2:
-            raise ValueError("signs must be 2-D")
-        if signs.size == 0:
+        plus = _plus_mask(signs)
+        if plus.size == 0:
             raise ValueError("signs must be non-empty")
-        if not np.isin(signs, (-1, 1)).all():
-            raise ValueError("signs entries must be -1 or +1")
-        positive, row_groups = _group_columns(signs == 1)
+        positive, row_groups = _group_columns(plus)
         self._init(positive, row_groups, neg_weight, query_indices)
 
     @classmethod

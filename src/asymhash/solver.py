@@ -92,7 +92,7 @@ from .encoder import (
     init_encoder,
     minibatch_step,
 )
-from .hashcore import CodeMatrix, _pack_bits
+from .hashcore import CodeMatrix, _pack_bits, chunk_rows
 from .simgraph import (
     LabelMatrix,
     SimilarityBlock,
@@ -108,7 +108,6 @@ MODES = ("asymmetric_sampled", "asymmetric_separate_queries", "symmetric_baselin
 PROBE_MODES = ("asymmetric_sampled", "symmetric_baseline")
 
 HISTORY_CSV_HEADER = "outer,inner,phase,objective,seconds"
-IMBALANCE_CHUNK = 512  # database rows per shares_label call
 # bytes of float64 code rows a V-step sweeps through every column at a time,
 # sized to stay in a core's L2 cache (1,024 rows at c = 64)
 SWEEP_BLOCK_BYTES = 1 << 19
@@ -548,8 +547,9 @@ def _full_pair_weight(labels: LabelMatrix, weighted: bool) -> float:
     n = len(labels)
     pos = 0
     if weighted:
-        for start in range(0, n, IMBALANCE_CHUNK):
-            rows = range(start, min(start + IMBALANCE_CHUNK, n))
+        step = chunk_rows(n)
+        for start in range(0, n, step):
+            rows = range(start, min(start + step, n))
             pos += int(labels.subset(rows).shares_label(labels).sum())
     return pair_weight(pos, n * n - pos, weighted)
 

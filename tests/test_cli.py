@@ -378,6 +378,31 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--per-cluster", str(10**12)],
+            ["train", *TRAIN_FLAGS, "--hidden", str(10**13)],
+            ["bench", "--sizes", f"100,200,{10**13}", "--omega", "50",
+             "--modes", "asymmetric_sampled"],
+        ],
+        ids=["gen-data", "train", "bench"],
+    )
+    def test_unallocatable_size_is_config_error(self, dataset, tmp_path, capsys, argv):
+        # each size asks for an array above 2**48 bytes, more than any
+        # machine maps, so its allocation fails before it touches memory
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv = argv + ["--features", str(dataset / "db_features.bin"),
+                            "--labels", str(dataset / "db_labels.bin")]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        one_line = r"config error: out of memory: Unable to allocate .*\n"
+        assert re.fullmatch(one_line, err)
+        # train makes its --out directory before it reads its inputs
+        assert out.exists() == (argv[0] == "train")
+        assert not list(out.glob("*"))
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [

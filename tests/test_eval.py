@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asymhash import evaluate
+from asymhash import evaluate, hashcore
 from asymhash.evaluate import relevance_from_labels, retrieval_metrics
 from asymhash.hashcore import CodeMatrix, pairwise_hamming
 from asymhash.oracle import hamming_distance
@@ -259,7 +259,7 @@ class TestRetrievalMetrics:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", self.STEP * self.DB_ROWS)
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", self.STEP * self.DB_ROWS)
 
     @pytest.mark.parametrize("q", [1, STEP, STEP + 1, 3 * STEP + 2])
     @pytest.mark.parametrize("code_len", [1, 64, 65])
@@ -452,7 +452,7 @@ class TestDenseReference:
     def check(self, monkeypatch, rng, queries, database, cutoff):
         """retrieval_metrics over chunks of 3 queries equals
         dense_reference, bit for bit."""
-        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * self.DB_ROWS)
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", 3 * self.DB_ROWS)
         n, q = self.DB_ROWS, self.QUERIES
         # database rows: one id of 0..3 and the shared id 9; query 0 has
         # the shared id (all relevant), query 1 an unused id (none relevant)
@@ -536,7 +536,7 @@ class TestPrefixRanking:
         # whole-row query 3
         queries, database, query_labels, db_labels = self.instance()
         n = database.rows
-        monkeypatch.setattr(evaluate, "CHUNK_PAIRS", queries_per_chunk * n)
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", queries_per_chunk * n)
         relevance = relevance_from_labels(query_labels, db_labels)
         expected = dense_reference(queries, database, relevance, cutoff, k_max)
         got = retrieval_metrics(
@@ -578,7 +578,7 @@ def test_chunk_working_set_is_bounded_per_pair(code_len, classes, codes):
     # per-code rows and weights can hold; trained databases hold few codes
     rng = np.random.default_rng(12)
     n = 20_000
-    step = evaluate.CHUNK_PAIRS // n
+    step = hashcore.CHUNK_PAIRS // n
     q = 2 * step + 3  # two full chunks and a short one
     if codes is None:
         database = random_codes(rng, n, code_len)

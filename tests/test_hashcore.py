@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +160,7 @@ class TestPairwise:
         q = CodeMatrix.from_signs(q_signs)
         d = CodeMatrix.from_signs(np.vstack([d_signs, q_signs[:1], -q_signs[:1]]))
         expected = [[hamming_distance(a, b) for b in d.words] for a in q.words]
-        monkeypatch.setattr(hashcore, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", 3 * d.rows)
         dist = pairwise_hamming(q, d)
         assert dist.tolist() == expected
         assert dist[0, -2] == 0 and dist[0, -1] == code_len
@@ -168,8 +170,40 @@ class TestPairwise:
         q = CodeMatrix.from_signs(rng.integers(0, 2, (10, 33)) * 2 - 1)
         d = CodeMatrix.from_signs(rng.integers(0, 2, (7, 33)) * 2 - 1)
         whole = pairwise_hamming(q, d)
-        monkeypatch.setattr(hashcore, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", 3 * d.rows)
         assert np.array_equal(pairwise_hamming(q, d), whole)
+
+    def test_empty_database(self):
+        q = CodeMatrix.from_signs(np.ones((3, 70), dtype=np.int8))
+        d = CodeMatrix.from_signs(np.ones((0, 70), dtype=np.int8))
+        assert pairwise_hamming(q, d).shape == (3, 0)
+
+    @pytest.mark.parametrize(
+        "q, n, code_len",
+        [(64, 1 << 16, 16), (64, 1 << 16, 130), (8, 1 << 20, 16)],
+        ids=["below-budget", "below-budget-3-words", "above-budget"],
+    )
+    def test_workspace_is_bounded_by_the_pair_budget(self, q, n, code_len):
+        # beside the output, one block's uint64 xor and uint8 popcount: 9
+        # bytes per pair of a block of chunk_rows(n) query rows, so at most
+        # 9 * CHUNK_PAIRS bytes, or one query row's 9 * n past the budget
+        rng = np.random.default_rng(n + code_len)
+
+        def codes(rows):
+            shape = (rows, words_per_row(code_len))
+            words = rng.integers(0, 2**64, shape, dtype=np.uint64)
+            words[:, -1] &= ~hashcore._pad_mask(code_len)
+            return CodeMatrix(words, rows, code_len)
+
+        queries, database = codes(q), codes(n)
+        tracemalloc.start()
+        try:
+            out = pairwise_hamming(queries, database)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == q * n
+        assert peak <= out.nbytes + 1.1 * 9 * max(hashcore.CHUNK_PAIRS, n)
 
 
 class TestBinarize:

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from asymhash import oracle, solver
+from asymhash import hashcore, oracle, solver
 from asymhash.dataio import gen_synthetic_clusters, split
 from asymhash.encoder import (
     OptimizerState,
@@ -1011,6 +1011,18 @@ class TestSymmetricBaseline:
         )
         with pytest.raises(TrainingDiverged):
             train(features, labels, config)
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 10])
+    def test_pair_weight_counts_every_pair_once(self, monkeypatch, rows_per_chunk):
+        # rho of all ordered database pairs, over chunks of the pair budget
+        rng = np.random.default_rng(rows_per_chunk)
+        sets = [set(rng.choice(6, int(rng.integers(1, 3)), replace=False).tolist())
+                for _ in range(10)]
+        pos = int(oracle.shares_label(sets, sets).sum())
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", rows_per_chunk * len(sets))
+        labels = LabelMatrix(sets)
+        assert solver._full_pair_weight(labels, True) == pos / (100 - pos)
+        assert solver._full_pair_weight(labels, False) == 1.0
 
 
 class TestTrainConfig:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from asymhash import evaluate
+from asymhash import evaluate, hashcore
 from asymhash.dataio import gen_synthetic_clusters
 from asymhash.hashcore import CodeMatrix
 from asymhash.simgraph import LabelMatrix
@@ -66,7 +66,7 @@ def test_span_call_counts_of_a_small_retrieval_metrics(monkeypatch):
     spans = load_spans()
     rng = np.random.default_rng(39)
     q, n, chunks = 7, 20, 3
-    monkeypatch.setattr(evaluate, "CHUNK_PAIRS", 3 * n)  # chunks of 3, 3 and 1
+    monkeypatch.setattr(hashcore, "CHUNK_PAIRS", 3 * n)  # chunks of 3, 3 and 1
     queries = CodeMatrix.from_signs(rng.integers(0, 2, (q, 8)) * 2 - 1)
     database = CodeMatrix.from_signs(rng.integers(0, 2, (n, 8)) * 2 - 1)
     query_labels = LabelMatrix.from_ids(rng.integers(0, 3, q))

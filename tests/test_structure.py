@@ -11,7 +11,8 @@ trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
 caller dispatches on the mode. ``evaluate`` ranks in one place: the
 stable prefix ranking that its ``rank_by_hamming`` stage takes.
 ``dataio`` reads every file's payload through ``_Reader.array``, the one
-bounds-checked read.
+bounds-checked read. ``hashcore.CHUNK_PAIRS`` is the one size of a block
+of query x database pairs, for every scan over them.
 """
 
 import ast
@@ -226,3 +227,16 @@ def test_dataio_reads_payloads_only_through_reader_array():
     )
     assert attribute_calls(array, {"readinto"})
     assert attribute_calls(module, {"readinto"}) == attribute_calls(array, {"readinto"})
+
+
+def test_only_hashcore_sizes_pair_scans():
+    sizes = {
+        (path.name, target.id)
+        for path in PACKAGE.glob("*.py")
+        for node in tree(path.name).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and (target.id.startswith("CHUNK_") or target.id.endswith("_CHUNK"))
+    }
+    assert sizes == {("hashcore.py", "CHUNK_PAIRS")}
