@@ -144,11 +144,24 @@ def _train_config(values: dict[str, str]) -> TrainConfig:
         raise ConfigError(f"invalid training configuration: {err}") from err
 
 
-def _ensure_outdir(path) -> Path:
+def _check_out(out: Path, directory: Path) -> None:
+    """``directory``, or its nearest parent that exists, must be a
+    directory, so that making it at the first write cannot fail after the
+    command's work."""
+    for path in (directory, *directory.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} is not a directory")
+            return
+
+
+def _out_dir(path) -> Path:
+    """The checked --out directory; each command makes it just before its
+    first write, so a failed command leaves none behind."""
     if path is None:
         raise ConfigError("an output directory is required (--out)")
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_out(out, out)
     return out
 
 
@@ -223,11 +236,12 @@ def _read_train_inputs(values, with_queries: bool):
 
 
 def cmd_gen_data(args) -> int:
+    outdir = _out_dir(args.out)
     features, labels = dataio.gen_synthetic_clusters(
         args.clusters, args.per_cluster, args.dim, args.sigma, args.seed
     )
     parts = dataio.split(len(labels), args.queries, args.val, args.seed)
-    outdir = _ensure_outdir(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     groups = [
         ("db", parts.db_indices),
         ("query", parts.query_indices),
@@ -247,7 +261,7 @@ def cmd_train(args) -> int:
     values = _resolve(args, _TRAIN_KEYS)
     _require_paths(values, ("features", "labels"))
     config = _train_config(values)
-    outdir = _ensure_outdir(values.get("out"))
+    outdir = _out_dir(values.get("out"))
     features, labels, query_features, query_labels = _read_train_inputs(
         values, config.mode == "asymmetric_separate_queries"
     )
@@ -264,6 +278,7 @@ def cmd_train(args) -> int:
         # keep the last good state on disk before reporting the failure
         diverged = err
         model, codes, history = err.partial
+    outdir.mkdir(parents=True, exist_ok=True)
     dataio.write_model(outdir / "model.bin", model)
     (outdir / "history.csv").write_text(history_to_csv(history), encoding="utf-8")
     _echo_config(outdir, values)
@@ -284,11 +299,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    out = Path(args.out)
+    if out.is_dir():
+        raise ConfigError(f"--out {out} is a directory, not a codes file")
+    _check_out(out, out.parent)
     model = dataio.read_model(args.model)
     features = dataio.read_features(args.features)
     _check_width(features, args.features, model.feature_dim, args.model)
     codes = encode_queries(model, features)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     dataio.write_codes(args.out, codes)
     print(f"encoded {codes.rows} points at {codes.code_len} bits -> {args.out}")
     return EXIT_OK
@@ -321,7 +340,7 @@ def _check_positive(**values) -> None:
 
 def cmd_eval(args) -> int:
     _check_positive(map_cutoff=args.map_cutoff, topk=args.topk)
-    outdir = _ensure_outdir(args.out)
+    outdir = _out_dir(args.out)
     query_codes = dataio.read_codes(args.query_codes)
     db_codes = dataio.read_codes(args.db_codes)
     query_labels = dataio.read_labels(args.query_labels)
@@ -332,6 +351,7 @@ def cmd_eval(args) -> int:
         query_codes, db_codes, query_labels, db_labels, args.map_cutoff, k_max
     )
 
+    outdir.mkdir(parents=True, exist_ok=True)
     meta = [
         "# map_normalization = min(relevant, cutoff)",
         "# empty_retrieval_precision = 1.0",
@@ -371,6 +391,7 @@ def cmd_bench(args) -> int:
         if mode not in PROBE_MODES:
             raise ConfigError(f"bench mode must not be {mode!r}")
         modes.append(mode)
+    outdir = _out_dir(args.out)
     lines = ["mode,n,seconds"]
     slopes = []
     for mode in modes:
@@ -385,7 +406,7 @@ def cmd_bench(args) -> int:
             lines.append(f"{mode},{n},{secs!r}")
         slopes.append(f"# slope {mode} = {result.slope!r}")
         print(f"{mode}: slope {result.slope:.3f}")
-    outdir = _ensure_outdir(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "bench.csv").write_text(
         "\n".join(slopes + lines) + "\n", encoding="utf-8"
     )
@@ -413,7 +434,7 @@ def cmd_sweep(args) -> int:
         for gamma in gammas
         for omega in omegas
     ]
-    outdir = _ensure_outdir(values.get("out"))
+    outdir = _out_dir(values.get("out"))
     features, labels, query_features, query_labels = _read_train_inputs(values, True)
     lines = ["gamma,omega,map"]
     for config in configs:
@@ -426,6 +447,7 @@ def cmd_sweep(args) -> int:
         gamma, omega = config.gamma, config.query_count
         lines.append(f"{gamma!r},{omega},{score!r}")
         print(f"gamma={gamma} omega={omega}: map={score:.6f}")
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _echo_config(outdir, values)
     return EXIT_OK

@@ -43,6 +43,14 @@ over it stay in a core's L2 cache; column by column over all rows, each
 pass would stream the whole distinct-rows x c array from memory. The
 arithmetic and its order do not change, so neither do the codes.
 
+``train`` holds V as an n x c int8 array, one byte per bit. Float64 rows,
+which BLAS needs, exist only a block at a time: the sweep gathers each
+block into one reused float64 buffer and stores it back as int8, and
+``_group_stats`` sums the Gram V^T V over float64 row blocks. Every sum
+of products of +/-1 entries is an integer far below 2^53, so each float
+is exact and int8 codes give the float64 codes' bits. ``v_step`` and
+``_group_stats`` take codes of either dtype on the one path.
+
 The objective and the encoder's gradient use the same groups. With V the
 database codes, Q = V^T V, and u_g, n_g, Q_g = V_g^T V_g the row sum, row
 count and Gram of group g:
@@ -212,11 +220,14 @@ def _group_stats(db_signs, block) -> GroupStats:
     rho = ``block.neg_weight`` != 1, the Gram Q_g = V_g^T V_g of each
     larger group.
 
-    A large group is gathered and summed on its own; the small groups are
-    gathered together, with one mask over the rows in group order, and
-    summed in one reduceat. Entries are +/-1 and P_g is 0/1, so every sum,
+    A large group is gathered and summed on its own, and cast to float64
+    for its Gram; the small groups are gathered together, with one mask
+    over the rows in group order, cast to float64 and summed in one
+    reduceat. Entries are +/-1 and P_g is 0/1, so every sum,
     Gram and P_g u is an exact integer in float64, the same bits for any
-    subset of query rows.
+    subset of query rows, and for int8 codes the same bits as for float64
+    ones. The small groups' rows and the own codes are kept as float64,
+    the form the loss reads.
     """
     rho = block.neg_weight
     code_len = db_signs.shape[1]
@@ -227,12 +238,13 @@ def _group_stats(db_signs, block) -> GroupStats:
     for at, g in enumerate(large):
         rows = block.group_rows[block.group_offsets[g] : block.group_offsets[g + 1]]
         codes = db_signs[rows]
-        sums[g] = codes.sum(axis=0)
         if grams is not None:
+            codes = codes.astype(np.float64, copy=False)
             grams[at] = codes.T @ codes
+        sums[g] = codes.sum(axis=0)  # int8 sums accumulate in int64
     small = np.flatnonzero(~is_large)
     small_rows = block.group_rows[np.repeat(~is_large, block.group_sizes)]
-    small_codes = db_signs[small_rows]
+    small_codes = db_signs[small_rows].astype(np.float64, copy=False)
     if small.size:
         starts = np.cumsum(block.group_sizes[small]) - block.group_sizes[small]
         sums[small] = np.add.reduceat(small_codes, starts, axis=0)
@@ -240,10 +252,15 @@ def _group_stats(db_signs, block) -> GroupStats:
     target -= rho * sums.sum(axis=0)
     own = None
     if block.query_indices is not None:
-        own = db_signs[block.query_indices]
+        own = db_signs[block.query_indices].astype(np.float64, copy=False)
+    # V^T V over float64 row blocks: V is never cast whole
+    gram = np.zeros((code_len, code_len))
+    step = _block_rows(code_len)
+    for start in range(0, len(db_signs), step):
+        part = db_signs[start : start + step].astype(np.float64, copy=False)
+        gram += part.T @ part
     return GroupStats(
-        db_signs.T @ db_signs, target, large, grams,
-        small_codes, block.row_groups[small_rows], own,
+        gram, target, large, grams, small_codes, block.row_groups[small_rows], own
     )
 
 
@@ -374,14 +391,15 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
     sweep. Dissimilar pairs weigh the block's ``neg_weight``.
 
     The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
-    block gathers its rows and its rows of the linear-term table, takes,
-    when rho != 1, B_k over its own groups only (one range, as the rows
-    are ordered by group), then runs every column before the next block
-    starts, so the column passes read a block that fits in L2
-    (module docstring). B_k stays one product per column: taking all c of
+    block gathers its rows into one reused float64 buffer and its rows of
+    the linear-term table, takes, when rho != 1, B_k over its own groups
+    only (one range, as the rows are ordered by group), then runs every
+    column before the next block starts, so the column passes read a
+    block that fits in L2 (module docstring). B_k stays one product per column: taking all c of
     them as one g x c^2 product per block kept the codes, but raised the
     multi-label benchmark's peak RSS from 60.7 to 76.8 MB and did not
-    make training faster.
+    make training faster. The swept representatives are kept in the
+    dtype of ``db_signs``, int8 in training, until the write-back.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     rho = block.neg_weight
@@ -406,12 +424,13 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
     # size, left the peak RSS varying from run to run.
     reps, inverse = _unique_rows(*_pack_bits(db_signs > 0).T, tags, block.row_groups)
     tags = tags[reps]  # now per representative; this frees the n-row copy
-    work = np.empty((len(reps), code_len))
+    work = np.empty((len(reps), code_len), dtype=db_signs.dtype)
     rows = _block_rows(code_len)
+    buffer = np.empty((min(rows, len(reps)), code_len))
     for start in range(0, len(reps), rows):
         part = slice(start, start + rows)
-        block_work = work[part]
-        np.take(db_signs, reps[part], axis=0, out=block_work)
+        block_work = buffer[: len(reps[part])]
+        block_work[...] = db_signs[reps[part]]
         linear = static[tags[part]]
         if rho != 1.0:
             local = block.row_groups[reps[part]]
@@ -423,6 +442,7 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
                 product = relaxed * relaxed[:, k, None]
                 shared = block.relation_t_dot(product, groups)[local]
             _update_column(block_work, k, rho, gram, linear[:, k], shared)
+        work[part] = block_work
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, inverse, axis=0, out=db_signs, mode="clip")
@@ -430,13 +450,13 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
 
 
 def _init_db_codes(rng, n, code_len):
-    """n x code_len random +/-1 codes, drawn in sweep-sized row blocks.
+    """n x code_len random +/-1 int8 codes, drawn in sweep-sized row blocks.
 
     Consumes the same stream, and leaves the same generator state, as one
     ``rng.integers(0, 2, size=(n, code_len))`` call, with no n-row integer
     temporary.
     """
-    db = np.empty((n, code_len))
+    db = np.empty((n, code_len), dtype=np.int8)
     rows = _block_rows(code_len)
     for start in range(0, n, rows):
         block = db[start : start + rows]
@@ -467,9 +487,11 @@ def train(
     vanishes because the block has no ``query_indices``. The symmetric
     baseline trains the encoder alone, one epoch per outer iteration, and
     its codes are ``encode_queries(model, features)``.
+    The database codes V are trained as an n x code_len int8 array of
+    +/-1 (module docstring).
     ``on_outer_end(outer, seconds, model, db_signs)`` fires after each
-    outer iteration; the symmetric baseline, which keeps no database
-    codes, passes ``db_signs=None``.
+    outer iteration with those int8 codes; the symmetric baseline, which
+    keeps no database codes, passes ``db_signs=None``.
     """
     features = np.asarray(features, dtype=np.float64)
     n, dim = features.shape

@@ -112,6 +112,9 @@ def test_criterion_1_bit_update_oracle_equivalence():
         inst, block = random_tiny(rng, gamma, weighted)
         old = inst.db_signs
         new = v_step(old.copy(), inst.relaxed, block, gamma)
+        # training's int8 codes sweep to the same bits
+        signs = v_step(old.astype(np.int8), inst.relaxed, block, gamma)
+        assert signs.dtype == np.int8 and np.array_equal(signs, new)
         for k in range(old.shape[1]):
             before = replace(inst, db_signs=np.hstack([new[:, :k], old[:, k:]]))
             after = np.hstack([new[:, : k + 1], old[:, k + 1 :]])
@@ -258,7 +261,7 @@ def test_criterion_6_asymmetric_advantage_at_equal_budget():
 
     def on_outer(_outer, seconds, model, db):
         clock[0] += seconds
-        codes = CodeMatrix.from_signs(db.astype(np.int8))
+        codes = CodeMatrix.from_signs(db)
         asym_points.append((clock[0], map_of(model, codes)))
 
     train(
@@ -337,8 +340,10 @@ def test_criterion_7_weighted_and_matrix_paths_agree():
         reference = oracle.entrywise_v_step(
             relaxed, signs, block.weights(), gamma, db, block.query_indices
         )
-        v_step(db, relaxed, block, gamma)
-        assert np.array_equal(db, reference)
+        # training's int8 codes and float64 ones
+        for codes in (db.astype(np.int8), db):
+            v_step(codes, relaxed, block, gamma)
+            assert np.array_equal(codes, reference)
         agreed[weighted] += 1
     report(
         7,

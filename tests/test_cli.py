@@ -346,6 +346,7 @@ class TestConfigFile:
 class TestExitCodes:
     INPUT_FLAGS = {
         "train": ("--features", "--labels"),
+        "encode": ("--model", "--features"),
         "eval": ("--query-codes", "--db-codes", "--query-labels", "--db-labels"),
         "sweep": ("--features", "--labels", "--query-features", "--query-labels"),
         "bench": (),
@@ -399,9 +400,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         one_line = r"config error: out of memory: Unable to allocate .*\n"
         assert re.fullmatch(one_line, err)
-        # train makes its --out directory before it reads its inputs
-        assert out.exists() == (argv[0] == "train")
-        assert not list(out.glob("*"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            ("gen-data", "afile/sub"),
+            ("train", "afile"),
+            ("train", "afile/sub"),
+            ("encode", "afile/q.bin"),
+            ("encode", "adir"),
+            ("eval", "afile"),
+            ("bench", "afile"),
+            ("sweep", "afile/sub"),
+        ],
+    )
+    def test_unusable_out_is_config_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, out
+    ):
+        # an --out that is a file, lies under one or, for encode's codes
+        # file, is a directory: exit 2 before any input is read, and
+        # nothing is made or overwritten
+        for name in ("gen_synthetic_clusters", "read_features", "read_labels",
+                     "read_codes", "read_model"):
+            monkeypatch.setattr(dataio, name, must_not_run)
+        monkeypatch.setattr(cli, "complexity_probe", must_not_run)
+        (tmp_path / "afile").write_text("kept")
+        (tmp_path / "adir").mkdir()
+        argv = [command, "--out", str(tmp_path / out)]
+        for name in self.INPUT_FLAGS[command]:
+            argv += [name, str(tmp_path / f"missing{name}.bin")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: --out .*\n", err)
+        assert (tmp_path / "afile").read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(

@@ -237,8 +237,12 @@ class TestVStep:
                 relaxed, block.signs, block.weights(), 50.0, db,
                 block.query_indices,
             )
+            signs = db.astype(np.int8)
             v_step(db, relaxed, block, 50.0)
+            v_step(signs, relaxed, block, 50.0)
             assert np.array_equal(db, want)
+            assert signs.dtype == np.int8
+            assert np.array_equal(signs, want)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_sweeps_only_distinct_rows(self, weighted, monkeypatch):
@@ -299,6 +303,28 @@ class TestVStep:
             tracemalloc.stop()
         assert peak <= 1.25 * db.nbytes
 
+    def test_int8_memory_is_a_few_code_arrays_on_distinct_rows(self):
+        # training's int8 codes: the representatives are an int8 copy, and
+        # float64 rows exist only in the one sweep block buffer
+        _, labels = gen_synthetic_clusters(10, 2000, 2, 0.1, seed=16)
+        rng = np.random.default_rng(16)
+        n, code_len = len(labels), 64
+        omega = sample_query_indices(n, 200, rng)
+        block = build_sampled_similarity(labels, omega, weighted=False)
+        relaxed = rng.uniform(-0.95, 0.95, (200, code_len))
+        db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.int8)
+        assert len(np.unique(db, axis=0)) == n
+        want = db.astype(np.float64)
+        tracemalloc.start()
+        try:
+            v_step(db, relaxed, block, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * db.nbytes + solver.SWEEP_BLOCK_BYTES
+        v_step(want, relaxed, block, 200.0)
+        assert np.array_equal(db, want)
+
 
 def sweep_block_rows(monkeypatch, rows, code_len):
     """Make every V-step sweep block hold ``rows`` rows of ``code_len`` bits."""
@@ -358,12 +384,15 @@ class TestVStepBlocks:
             assert (np.diff(block.row_groups[reps]) >= 0).all()
             assert len(reps) > 2 * rows
         weights = block.weights()
+        signs = db.astype(np.int8)  # training's codes, swept beside float64
         for _ in range(2):
             want = oracle.entrywise_v_step(
                 relaxed, block.signs, weights, gamma, db, block.query_indices
             )
             v_step(db, relaxed, block, gamma)
+            v_step(signs, relaxed, block, gamma)
             assert np.array_equal(db, want)
+            assert np.array_equal(signs, want)
 
 
 @pytest.mark.parametrize(
@@ -378,8 +407,8 @@ def test_init_codes_in_blocks_draw_one_stream(n, code_len, rows, monkeypatch):
     rng = np.random.default_rng(20)
     whole = np.random.default_rng(20)
     got = solver._init_db_codes(rng, n, code_len)
-    want = (whole.integers(0, 2, size=(n, code_len)) * 2 - 1).astype(np.float64)
-    assert got.dtype == np.float64
+    want = (whole.integers(0, 2, size=(n, code_len)) * 2 - 1).astype(np.int8)
+    assert got.dtype == np.int8
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == whole.bit_generator.state
     assert rng.integers(0, 1 << 62) == whole.integers(0, 1 << 62)
@@ -438,12 +467,15 @@ class TestVStepOnLabelBlocks:
             # c = 70 are all of the second code word
             db[:, :-6] = db[block.row_groups, :-6]
         weights = block.weights()
+        signs = db.astype(np.int8)  # training's codes, swept beside float64
         for _ in range(2):
             want = oracle.entrywise_v_step(
                 relaxed, block.signs, weights, gamma, db, block.query_indices
             )
             v_step(db, relaxed, block, gamma)
+            v_step(signs, relaxed, block, gamma)
             assert np.array_equal(db, want)
+            assert np.array_equal(signs, want)
 
     def test_default_block_sweeps_at_its_imbalance_weight(self):
         # a label-built block is weighted by default, and v_step sweeps at
@@ -617,6 +649,37 @@ class TestGroupForm:
         got = objective_of(relaxed, db, block, 200.0)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kind", ["clusters", "multi_label"])
+    def test_int8_codes_give_the_same_terms(self, kind, weighted, sampled, monkeypatch):
+        # training holds V as int8; every sum and Gram of +/-1 codes is an
+        # integer, exact in float64, so every field keeps its bits and its
+        # dtype. Blocks of 7 rows make each Gram a sum of many blocks.
+        rng = np.random.default_rng(39)
+        c = 16
+        sweep_block_rows(monkeypatch, 7, c)
+        if kind == "clusters":
+            labels = gen_synthetic_clusters(10, 150, 4, 0.1, seed=39)[1]
+        else:
+            labels = multi_label_set(rng, 1500)
+        block = label_block(rng, labels, 120, sampled, weighted)
+        assert (block.neg_weight != 1.0) == weighted
+        if kind == "multi_label":
+            assert_groups_on_both_sides(block, c)
+        db = (rng.integers(0, 2, (block.db_count, c)) * 2 - 1).astype(np.float64)
+        want = _group_stats(db, block)
+        got = _group_stats(db.astype(np.int8), block)
+        assert np.array_equal(want.gram, db.T @ db)
+        assert (want.own is None) == (not sampled)
+        for field, value, expected in zip(want._fields, got, want):
+            if expected is None:
+                assert value is None, field
+            else:
+                assert value.dtype == expected.dtype, field
+                assert value.shape == expected.shape, field
+                assert value.tobytes() == expected.tobytes(), field
+
     def test_group_sums_per_column_equal_per_group(self):
         # groups of more than c rows are summed one at a time, the rest in
         # one reduceat; both give the per-row sums behind each query's
@@ -752,6 +815,25 @@ def test_train_memory_does_not_grow_with_query_count(dataset):
 
     small, large = peak_bytes(100), peak_bytes(800)
     assert large <= 1.1 * small + per_query_bytes(800)
+
+
+def test_train_holds_less_than_one_float64_code_array():
+    # An all-distinct 64-bit start: V is int8, and the sweep and the loss
+    # terms cast only row blocks of it to float64, so no n x c float64
+    # array is made
+    features, labels = gen_synthetic_clusters(10, 2000, 8, 0.1, seed=3)
+    n, code_len = len(labels), 64
+    config = TrainConfig(
+        code_len=code_len, query_count=100, outer_iters=1, inner_iters=1,
+        batch_size=50, hidden_dims=(16,), imbalance_weighting=False,
+    )
+    tracemalloc.start()
+    try:
+        train(features, labels, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * code_len
 
 
 def test_objective_holds_no_query_by_code_squared_array():
