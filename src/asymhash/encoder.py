@@ -2,8 +2,9 @@
 
 A feed-forward network over precomputed feature vectors: tanh hidden
 layers, a linear output of width code_len, and a final tanh producing the
-relaxed code in (-1, 1). The network holds no loss: ``param_grads``
-backpropagates any loss of the relaxed codes, given as a callback, and
+relaxed code in (-1, 1); no other module applies that tanh or its
+derivative. The network holds no loss: ``param_grads`` backpropagates any
+loss of the relaxed codes, a callback giving its gradient wrt them, and
 ``minibatch_step`` steps along it. Both trainers, and every ADSH loss
 form, live in ``solver`` and step through ``minibatch_step``.
 
@@ -64,40 +65,34 @@ def init_encoder(layer_dims, rng_seed) -> EncoderModel:
 
 
 def _forward_cached(model: EncoderModel, features: np.ndarray):
-    """Returns (raw outputs, relaxed codes, per-layer activations)."""
+    """Returns (relaxed codes, activations); acts[-1] is the raw output."""
     acts = [features]
-    out = features
-    last = len(model.weights) - 1
-    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        out = out @ w + b
-        if layer != last:
-            out = np.tanh(out)
-        acts.append(out)
-    raw = acts[-1]
-    return raw, np.tanh(raw), acts
+    for w, b in zip(model.weights, model.biases):
+        raw = acts[-1] @ w + b
+        acts.append(np.tanh(raw))
+    relaxed, acts[-1] = acts[-1], raw
+    return relaxed, acts
 
 
 def forward(model: EncoderModel, features):
-    """Evaluate the network on a matrix of feature rows.
-
-    Returns (raw, relaxed) where relaxed = tanh(raw) entrywise.
-    """
+    """The relaxed codes tanh(raw outputs) of a matrix of feature rows."""
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.feature_dim:
         raise ValueError(
             f"expected feature dim {model.feature_dim}, got shape {arr.shape}"
         )
-    raw, relaxed, _ = _forward_cached(model, arr)
-    if not np.isfinite(raw).all():
+    relaxed, acts = _forward_cached(model, arr)
+    if not np.isfinite(acts[-1]).all():
         raise NonFiniteError("encoder produced a non-finite output")
-    return raw, relaxed
+    return relaxed
 
 
+# a diverging run gives inf * 0 here, which minibatch_step's checks reject
 @np.errstate(over="ignore", invalid="ignore")
-def _backprop(model: EncoderModel, acts, grad_raw):
+def _backprop(model: EncoderModel, acts, relaxed, grad_relaxed):
     grad_w = [None] * len(model.weights)
     grad_b = [None] * len(model.biases)
-    delta = grad_raw
+    delta = grad_relaxed * (1.0 - relaxed**2)
     for layer in reversed(range(len(model.weights))):
         grad_w[layer] = acts[layer].T @ delta
         grad_b[layer] = delta.sum(axis=0)
@@ -163,15 +158,15 @@ def param_grads(model, features, loss_and_grad):
     """A batch's loss and its gradient for every weight and bias.
 
     ``loss_and_grad(relaxed)`` maps the batch's relaxed codes to the
-    batch-summed loss and its gradient wrt the raw outputs. Returns
+    batch-summed loss and its gradient wrt those codes. Returns
     (loss, weight gradients, bias gradients).
     """
     features = np.asarray(features, dtype=np.float64)
     if len(features) == 0:
         raise ValueError("batch must be non-empty")
-    _, relaxed, acts = _forward_cached(model, features)
-    loss, grad_raw = loss_and_grad(relaxed)
-    grad_w, grad_b = _backprop(model, acts, grad_raw)
+    relaxed, acts = _forward_cached(model, features)
+    loss, grad_relaxed = loss_and_grad(relaxed)
+    grad_w, grad_b = _backprop(model, acts, relaxed, grad_relaxed)
     return loss, grad_w, grad_b
 
 
@@ -192,5 +187,5 @@ def minibatch_step(model, optimizer, features, loss_and_grad):
 
 
 def encode_queries(model: EncoderModel, features) -> CodeMatrix:
-    """sign(raw outputs) for every feature row, packed."""
-    return CodeMatrix.from_signs(binarize(forward(model, features)[0]))
+    """sign(relaxed codes) = sign(raw outputs) of every feature row, packed."""
+    return CodeMatrix.from_signs(binarize(forward(model, features)))

@@ -140,4 +140,4 @@ def binarize(raw) -> np.ndarray:
     arr = np.asarray(raw, dtype=np.float64)
     if np.isnan(arr).any():
         raise ValueError("cannot binarize NaN entries")
-    return np.where(arr >= 0.0, 1, -1).astype(np.int8)
+    return np.where(arr >= 0.0, np.int8(1), np.int8(-1))

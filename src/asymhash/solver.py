@@ -51,7 +51,8 @@ of products of +/-1 entries is an integer far below 2^53, so each float
 is exact and int8 codes give the float64 codes' bits. ``v_step`` and
 ``_group_stats`` take codes of either dtype on the one path.
 
-The objective and the encoder's gradient use the same groups. With V the
+The objective and its gradient wrt the relaxed codes, which the encoder
+backpropagates through its own tanh, use the same groups. With V the
 database codes, Q = V^T V, and u_g, n_g, Q_g = V_g^T V_g the row sum, row
 count and Gram of group g:
 
@@ -145,8 +146,10 @@ class TrainConfig:
             raise ValueError("gamma must be finite and >= 0")
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
-        if not 1 <= self.batch_size <= self.query_count:
-            raise ValueError("need 1 <= batch_size <= query_count")
+        # only the sampled mode batches its query_count sampled rows
+        limit = self.query_count if self.mode == "asymmetric_sampled" else math.inf
+        if not 1 <= self.batch_size <= limit:
+            raise ValueError("need 1 <= batch_size <= query_count (sampled mode)")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("outer_iters and inner_iters must be >= 1")
         if not 0 <= self.learning_rate < math.inf:
@@ -267,8 +270,8 @@ def _group_stats(db_signs, block) -> GroupStats:
 # A diverging run overflows here; minibatch_step's isfinite checks turn
 # that into NonFiniteError, so numpy's warnings would only be noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _pair_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma):
-    """Summed loss over a batch of query rows and its gradient wrt raw outputs."""
+def _pair_loss_and_grad(relaxed, db_signs, sign_rows, weight_rows, own_codes, gamma):
+    """A batch's summed loss and its gradient wrt its relaxed codes."""
     code_len = db_signs.shape[1]
     resid = relaxed @ db_signs.T - code_len * sign_rows
     weighted = resid if weight_rows is None else weight_rows * resid
@@ -278,12 +281,12 @@ def _pair_loss_and_grad_z(relaxed, db_signs, sign_rows, weight_rows, own_codes, 
         diff = relaxed - own_codes
         loss += gamma * float((diff * diff).sum())
         grad = grad + gamma * diff
-    return loss, 2.0 * grad * (1.0 - relaxed**2)
+    return loss, 2.0 * grad
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
-    """The direct loss ``_pair_loss_and_grad_z`` for the weights
+def _group_loss_and_grad(relaxed, rows, block, stats: GroupStats, gamma):
+    """The direct loss ``_pair_loss_and_grad`` for the weights
     w = rho + (1 - rho) * P, in group form.
 
     ``relaxed`` holds the relaxed codes of the block's query rows ``rows``
@@ -303,7 +306,7 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
     by one product per chunk of rows, plus a masked product over the rows
     of the smaller groups, taken transposed so that each chunk's mask is
     a row gather of P_g^T. At rho = 1 only ``stats.target`` reads P_g.
-    Returns (loss, d loss / d raw outputs), as ``minibatch_step`` takes.
+    Returns (loss, d loss / d relaxed codes), as ``minibatch_step`` takes.
     """
     code_len = relaxed.shape[1]
     rho = block.neg_weight
@@ -339,7 +342,7 @@ def _group_loss_and_grad_z(relaxed, rows, block, stats: GroupStats, gamma):
         diff = relaxed - stats.own[rows]
         loss += gamma * float((diff * diff).sum())
         grad = grad + gamma * diff
-    return loss, 2.0 * grad * (1.0 - relaxed**2)
+    return loss, 2.0 * grad
 
 
 def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
@@ -352,7 +355,7 @@ def objective(relaxed, stats: GroupStats, block: SimilarityBlock, gamma):
     is separate). Computed in label-group form (module docstring).
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
-    return _group_loss_and_grad_z(relaxed, slice(None), block, stats, gamma)[0]
+    return _group_loss_and_grad(relaxed, slice(None), block, stats, gamma)[0]
 
 
 def _update_column(db, k, rho, gram, linear, shared) -> None:
@@ -538,7 +541,7 @@ def train(
             qfeat = features[omega]
             stats = _group_stats(db, block)
         if outer == 1:
-            record(1, 0, "init", forward(model, qfeat)[1], 0.0)
+            record(1, 0, "init", forward(model, qfeat), 0.0)
         m = block.query_count
         for inner in range(1, config.inner_iters + 1):
             phase_start = time.perf_counter()
@@ -547,10 +550,10 @@ def train(
                 for batch in _batches(order, config.batch_size):
                     # unnamed: a kept callback would hold this block's cast
                     minibatch_step(model, opt, qfeat[batch], functools.partial(
-                        _group_loss_and_grad_z, rows=batch, block=block,
+                        _group_loss_and_grad, rows=batch, block=block,
                         stats=stats, gamma=config.gamma,
                     ))
-                relaxed = forward(model, qfeat)[1]
+                relaxed = forward(model, qfeat)
             except NonFiniteError as err:
                 raise TrainingDiverged(str(err), snapshot()) from err
             record(outer, inner, "theta", relaxed, time.perf_counter() - phase_start)
@@ -592,7 +595,7 @@ def _train_symmetric(features, labels, config, rng, model, on_outer_end):
     for epoch in range(1, config.outer_iters + 1):
         epoch_start = time.perf_counter()
         try:
-            targets = forward(model, features)[1]
+            targets = forward(model, features)
             order = rng.permutation(n)
             epoch_loss = 0.0
             for batch in _batches(order, config.batch_size):
@@ -603,7 +606,7 @@ def _train_symmetric(features, labels, config, rng, model, on_outer_end):
                 if rho != 1.0:
                     weight_rows = np.where(sign_rows == 1.0, 1.0, rho)
                 loss_and_grad = functools.partial(
-                    _pair_loss_and_grad_z, db_signs=targets, sign_rows=sign_rows,
+                    _pair_loss_and_grad, db_signs=targets, sign_rows=sign_rows,
                     weight_rows=weight_rows, own_codes=None, gamma=0.0,
                 )
                 epoch_loss += minibatch_step(model, opt, features[batch], loss_and_grad)
@@ -648,6 +651,8 @@ def complexity_probe(
         raise ValueError(
             f"need at least 3 distinct database sizes, got {n_values}"
         )
+    if mode == "asymmetric_sampled" and query_count > min(n_values):
+        raise ValueError("query_count exceeds database size")
     sizes, secs = [], []
     for n in n_values:
         feats, labels = dataio.gen_synthetic_clusters(10, -(-n // 10), 32, 0.1, seed)

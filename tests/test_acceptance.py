@@ -31,7 +31,7 @@ from asymhash.simgraph import LabelMatrix, SimilarityBlock
 from asymhash.solver import (
     TrainConfig,
     _group_stats,
-    _pair_loss_and_grad_z,
+    _pair_loss_and_grad,
     complexity_probe,
     objective,
     train,
@@ -161,14 +161,14 @@ def test_criterion_2_gradient_matches_finite_differences():
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         own = db[rng.choice(n, m, replace=False)]
         _, grad_w, grad_b = param_grads(model, feats, partial(
-            _pair_loss_and_grad_z, db_signs=db, sign_rows=signs,
+            _pair_loss_and_grad, db_signs=db, sign_rows=signs,
             weight_rows=weights, own_codes=own, gamma=gamma,
         ))
 
         def closure():
             from asymhash.encoder import forward
 
-            relaxed = forward(model, feats)[1]
+            relaxed = forward(model, feats)
             resid = relaxed @ db.T - c * signs
             sq = resid * resid if weights is None else weights * resid * resid
             diff = relaxed - own

@@ -204,6 +204,24 @@ class TestTrainEvalFlow:
         codes = read_codes(run / "db_codes.bin")
         assert codes.rows == 340  # 8*50 minus 40 queries minus 20 validation
 
+    @pytest.mark.parametrize(
+        "mode", ["symmetric_baseline", "asymmetric_separate_queries"]
+    )
+    def test_batch_above_omega_trains_where_no_query_is_sampled(
+        self, dataset, tmp_path, mode
+    ):
+        # --omega sizes the sampled query set only; these modes batch the
+        # database rows or the query file's 40 rows, whatever --omega says
+        run = tmp_path / "run"
+        extra = ["--mode", mode, "--omega", "10", "--batch", "64", "--tout", "1"]
+        if mode == "asymmetric_separate_queries":
+            extra += [
+                "--query-features", str(dataset / "query_features.bin"),
+                "--query-labels", str(dataset / "query_labels.bin"),
+            ]
+        assert run_train(dataset, run, extra=extra) == EXIT_OK
+        assert read_codes(run / "db_codes.bin").rows == 340
+
     def test_separate_query_mode_trains(self, dataset, tmp_path):
         run = tmp_path / "sep"
         code = run_train(
@@ -306,13 +324,11 @@ class TestConfigFile:
         assert cli.load_config_file(config) == {"seed": "5 # kept"}
 
     def test_option_defaults_are_train_config_defaults(self):
-        defaults = {
-            key: option.default
-            for key, option in cli.TRAIN_OPTIONS.items()
-            if option.default is not None
-        }
-        assert defaults["bits"] == "16"
-        assert cli._train_config(defaults) == TrainConfig(code_len=16)
+        # an empty train command, through the parser and _resolve
+        args = cli.build_parser().parse_args(["train"])
+        values = cli._resolve(args, cli._TRAIN_KEYS)
+        assert values["bits"] == "16"
+        assert cli._train_config(values) == TrainConfig(code_len=16)
 
     def test_unknown_key_rejected(self, dataset, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -787,6 +803,27 @@ class TestBench:
         out = tmp_path / "bench"
         code = main(["bench", "--sizes", "100,100,200", "--out", str(out)])
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_omega_above_a_size_fails_before_the_first_size(
+        self, tmp_path, monkeypatch
+    ):
+        # sampled training draws --omega rows of each size: 100 < 200
+        calls = []
+        real_train = solver.train
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "train", counted)
+        out = tmp_path / "bench"
+        code = main([
+            "bench", "--sizes", "300,600,100", "--omega", "200", "--bits", "8",
+            "--modes", "asymmetric_sampled", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert calls == []
         assert not out.exists()
 
 

@@ -18,9 +18,9 @@ from asymhash.encoder import (
 from asymhash.hashcore import binarize
 from asymhash.simgraph import SimilarityBlock
 from asymhash.solver import (
-    _group_loss_and_grad_z,
+    _group_loss_and_grad,
     _group_stats,
-    _pair_loss_and_grad_z,
+    _pair_loss_and_grad,
 )
 
 
@@ -48,20 +48,19 @@ def random_instance(rng, n, m, c, d, hidden=4, gamma=1.0, weighted=False):
 class TestForward:
     def test_zero_parameters_give_zero_outputs(self):
         model = zero_model((3, 4, 2))
-        raw, relaxed = forward(model, np.array([[1.0, -2.0, 0.5]]))
-        assert np.array_equal(raw, np.zeros((1, 2)))
+        relaxed = forward(model, np.array([[1.0, -2.0, 0.5]]))
         assert np.array_equal(relaxed, np.zeros((1, 2)))
 
     def test_identity_layer_applies_tanh(self):
         model = zero_model((2, 2))
         model.weights[0][...] = np.eye(2)
-        _, relaxed = forward(model, np.array([[2.0, -2.0]]))
+        relaxed = forward(model, np.array([[2.0, -2.0]]))
         assert relaxed[0] == pytest.approx([0.9640275800758169, -0.9640275800758169])
 
     def test_outputs_stay_inside_open_interval(self):
         rng = np.random.default_rng(0)
         model = init_encoder((5, 16, 8), rng)
-        _, relaxed = forward(model, rng.normal(0, 10, (20, 5)))
+        relaxed = forward(model, rng.normal(0, 10, (20, 5)))
         assert np.abs(relaxed).max() < 1.0
 
     def test_rejects_dimension_mismatch(self):
@@ -83,10 +82,10 @@ class TestForward:
             forward(model, np.array([[1.0, 1.0]]))
 
 
-def grad_z_one_row(relaxed, db_signs, sign_row, own_code, gamma):
-    """The batch loss gradient wrt raw outputs for a batch of one row."""
+def grad_one_row(relaxed, db_signs, sign_row, own_code, gamma):
+    """The batch loss gradient wrt relaxed codes for a batch of one row."""
     own = None if own_code is None else np.asarray(own_code)[None, :]
-    _, grad = _pair_loss_and_grad_z(
+    _, grad = _pair_loss_and_grad(
         np.asarray(relaxed)[None, :], db_signs, np.asarray(sign_row)[None, :],
         None, own, gamma,
     )
@@ -95,7 +94,7 @@ def grad_z_one_row(relaxed, db_signs, sign_row, own_code, gamma):
 
 class TestLossGradZ:
     def test_hand_case(self):
-        grad = grad_z_one_row(
+        grad = grad_one_row(
             relaxed=np.zeros(2),
             db_signs=np.array([[1.0, 1.0]]),
             sign_row=np.array([1.0]),
@@ -109,7 +108,7 @@ class TestLossGradZ:
         # the pull term vanishes when the code equals the relaxed output
         relaxed = np.array([0.5, -0.5])
         db = np.array([[1.0, 1.0], [1.0, 1.0]])
-        grad = grad_z_one_row(
+        grad = grad_one_row(
             relaxed,
             db,
             sign_row=np.array([1.0, -1.0]),
@@ -117,16 +116,6 @@ class TestLossGradZ:
             gamma=7.0,
         )
         assert grad == pytest.approx([0.0, 0.0])
-
-    def test_saturation_damps_gradient(self):
-        db = np.array([[1.0, 1.0]])
-        sign = np.array([1.0])
-        near_one = grad_z_one_row(
-            np.array([1 - 1e-9, -(1 - 1e-9)]), db, sign, None, 0.0
-        )
-        mid = grad_z_one_row(np.array([0.5, -0.5]), db, sign, None, 0.0)
-        assert np.abs(near_one).max() < 1e-7
-        assert np.abs(mid).max() > 1.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -136,12 +125,12 @@ class TestLossGradZ:
             )
             own = db[omega]
             _, grad_w, grad_b = param_grads(model, feats, partial(
-                _pair_loss_and_grad_z, db_signs=db, sign_rows=signs,
+                _pair_loss_and_grad, db_signs=db, sign_rows=signs,
                 weight_rows=weights, own_codes=own, gamma=gamma,
             ))
 
             def closure():
-                _, relaxed = forward(model, feats)
+                relaxed = forward(model, feats)
                 resid = relaxed @ db.T - db.shape[1] * signs
                 value = (weights * resid * resid).sum()
                 diff = relaxed - own
@@ -150,6 +139,43 @@ class TestLossGradZ:
             fd_w, fd_b = oracle.finite_difference_model_grad(model, closure)
             for got, want in zip(grad_w + grad_b, fd_w + fd_b):
                 assert oracle.relative_error(got, want) < 1e-5
+
+
+class TestParamGrads:
+    @staticmethod
+    def output_bias_grad(raw, loss_and_grad):
+        """The loss gradient wrt the raw output of a one-layer network whose
+        output is its bias ``raw``."""
+        model = zero_model((1, len(raw)))
+        model.biases[0][...] = raw
+        _, _, grad_b = param_grads(model, np.zeros((1, 1)), loss_and_grad)
+        return grad_b[0]
+
+    def test_saturation_damps_gradient(self):
+        # the encoder applies tanh' = 1 - u^2 to the relaxed-code gradient
+        loss_and_grad = partial(
+            _pair_loss_and_grad, db_signs=np.array([[1.0, 1.0]]),
+            sign_rows=np.array([[1.0]]), weight_rows=None, own_codes=None,
+            gamma=0.0,
+        )
+        near_one = np.arctanh(1 - 1e-9)
+        saturated = self.output_bias_grad([near_one, -near_one], loss_and_grad)
+        mid = self.output_bias_grad(np.arctanh([0.5, -0.5]), loss_and_grad)
+        assert np.abs(saturated).max() < 1e-7
+        assert mid == pytest.approx([-3.0, -3.0])
+
+    def test_infinite_gradient_on_a_saturated_output_raises(self):
+        # tanh(40) is 1.0 exactly, so the backward pass takes inf * 0
+        model = zero_model((1, 1))
+        model.biases[0][...] = 40.0
+
+        def infinite(relaxed):
+            return 0.0, np.full_like(relaxed, np.inf)
+
+        _, _, grad_b = param_grads(model, np.zeros((1, 1)), infinite)
+        assert np.isnan(grad_b[0]).all()
+        with pytest.raises(NonFiniteError, match="gradient"):
+            minibatch_step(model, OptimizerState(1.0), np.zeros((1, 1)), infinite)
 
 
 class TestMinibatchStep:
@@ -162,7 +188,7 @@ class TestMinibatchStep:
         # unweighted: the block's rho is 1
         batch = np.asarray(batch, dtype=np.int64)
         loss_and_grad = partial(
-            _group_loss_and_grad_z, rows=batch, block=block,
+            _group_loss_and_grad, rows=batch, block=block,
             stats=_group_stats(db, block), gamma=gamma,
         )
         return minibatch_step(model, opt, feats[batch], loss_and_grad)
@@ -257,7 +283,7 @@ class TestEncodeQueries:
         rng = np.random.default_rng(6)
         model = init_encoder((4, 8, 3), rng)
         feats = rng.normal(0, 1, (10, 4))
-        _, relaxed = forward(model, feats)
+        relaxed = forward(model, feats)
         codes = encode_queries(model, feats)
         assert np.array_equal(codes.to_signs(), binarize(relaxed))
 

@@ -216,11 +216,28 @@ class TestBinarize:
     def test_tanh_preserves_binarization(self):
         rng = np.random.default_rng(4)
         raw = rng.normal(0, 3, size=64)
+        # signed zeros and the smallest magnitudes, where tanh(x) is x itself
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+        raw = np.concatenate([raw, tiny])
+        assert binarize(tiny).tolist() == [1, 1, 1, -1, 1, -1]
         assert np.array_equal(binarize(raw), binarize(np.tanh(raw)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             binarize([0.1, float("nan")])
+
+    def test_builds_int8_signs_directly(self):
+        # a bool mask for the NaN check, one for the sign and the int8
+        # result: no int64 array before the cast
+        raw = np.random.default_rng(5).normal(size=(2000, 64))
+        tracemalloc.start()
+        try:
+            signs = binarize(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signs.dtype == np.int8
+        assert peak <= 3 * raw.size
 
 
 def test_words_per_row_boundaries():

@@ -29,9 +29,9 @@ from asymhash.solver import (
     MODES,
     TrainConfig,
     TrainingDiverged,
-    _group_loss_and_grad_z,
+    _group_loss_and_grad,
     _group_stats,
-    _pair_loss_and_grad_z,
+    _pair_loss_and_grad,
     complexity_probe,
     history_to_csv,
     objective,
@@ -144,7 +144,7 @@ class TestObjective:
         relaxed, db, block = random_setup(rng, 10, 4, 128, weighted=weighted)
         assert block.neg_weight != 1.0 or not weighted
         rows = np.arange(4)
-        want = direct_loss_and_grad_z(relaxed, db, block, rows, 2.0)[0]
+        want = direct_loss_and_grad(relaxed, db, block, rows, 2.0)[0]
         got = objective_of(relaxed, db, block, gamma=2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -458,7 +458,7 @@ class TestVStepOnLabelBlocks:
         code_len = {"c64": 64, "c70": 70}.get(dataset, 24)
         gamma = 0.0 if dataset == "gamma_zero" else 200.0
         model = init_encoder((16, 32, code_len), rng)
-        relaxed = forward(model, features[omega])[1]
+        relaxed = forward(model, features[omega])
         db = (rng.integers(0, 2, (n, code_len)) * 2 - 1).astype(np.float64)
         if dataset.endswith("shared_keys") or dataset == "gamma_zero":
             db = db[block.row_groups]  # row g's code for all of group g
@@ -536,13 +536,13 @@ def label_block(rng, labels, m, sampled, weighted):
     return build_similarity(queries, labels, weighted)
 
 
-def direct_loss_and_grad_z(relaxed, db, block, rows, gamma):
+def direct_loss_and_grad(relaxed, db, block, rows, gamma):
     """The m x n reference: expanded signs and weights of the block's rows."""
     weights = block.weights()[rows]
     own = None
     if block.query_indices is not None:
         own = db[block.query_indices[rows]]
-    return _pair_loss_and_grad_z(
+    return _pair_loss_and_grad(
         relaxed, db, block.signs[rows].astype(np.float64), weights, own, gamma
     )
 
@@ -636,16 +636,16 @@ class TestGroupForm:
         relaxed = rng.uniform(-0.95, 0.95, (m, c))
         db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.float64)
         rows = rng.permutation(m)[:50]
-        loss, grad = _group_loss_and_grad_z(
+        loss, grad = _group_loss_and_grad(
             relaxed[rows], rows, block, _group_stats(db, block), 200.0
         )
-        want_loss, want_grad = direct_loss_and_grad_z(
+        want_loss, want_grad = direct_loss_and_grad(
             relaxed[rows], db, block, rows, 200.0
         )
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert_close_at_scale(grad, want_grad, 1e-12)
         full = np.arange(m)
-        want = direct_loss_and_grad_z(relaxed, db, block, full, 200.0)[0]
+        want = direct_loss_and_grad(relaxed, db, block, full, 200.0)[0]
         got = objective_of(relaxed, db, block, 200.0)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -726,13 +726,13 @@ class TestGroupForm:
         loss = minibatch_step(
             stepped, OptimizerState(1.0), features[omega][batch],
             partial(
-                _group_loss_and_grad_z, rows=batch, block=block,
+                _group_loss_and_grad, rows=batch, block=block,
                 stats=_group_stats(db, block), gamma=50.0,
             ),
         )
-        _, relaxed, acts = _forward_cached(model, features[omega][batch])
-        want_loss, grad_z = direct_loss_and_grad_z(relaxed, db, block, batch, 50.0)
-        grad_w, grad_b = _backprop(model, acts, grad_z)
+        relaxed, acts = _forward_cached(model, features[omega][batch])
+        want_loss, grad = direct_loss_and_grad(relaxed, db, block, batch, 50.0)
+        grad_w, grad_b = _backprop(model, acts, relaxed, grad)
         direct = copy.deepcopy(model)
         OptimizerState(1.0).apply(direct, grad_w, grad_b)
         assert loss == pytest.approx(want_loss, rel=1e-12)
@@ -766,7 +766,7 @@ class TestGroupForm:
 
         monkeypatch.setattr(SimilarityBlock, "signs", property(expanded))
         monkeypatch.setattr(SimilarityBlock, "weights", expanded)
-        monkeypatch.setattr(solver, "_pair_loss_and_grad_z", expanded)
+        monkeypatch.setattr(solver, "_pair_loss_and_grad", expanded)
         config = TrainConfig(
             code_len=8, query_count=30, outer_iters=2, inner_iters=2,
             batch_size=16, seed=34, mode=mode, hidden_dims=(8,),
@@ -881,7 +881,7 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
         return group_stats(*args)
 
     monkeypatch.setattr(solver, "_group_stats", counted)
-    loss_and_grad = solver._group_loss_and_grad_z
+    loss_and_grad = solver._group_loss_and_grad
     states = []
 
     def checked(relaxed, rows, block, stats, gamma):
@@ -896,7 +896,7 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
         states.append(stats.target.tobytes())
         return loss_and_grad(relaxed, rows, block, stats, gamma)
 
-    monkeypatch.setattr(solver, "_group_loss_and_grad_z", checked)
+    monkeypatch.setattr(solver, "_group_loss_and_grad", checked)
     config = TrainConfig(
         code_len=code_len, query_count=40, outer_iters=tout, inner_iters=tin,
         batch_size=16, seed=37, hidden_dims=(8,),
@@ -951,7 +951,7 @@ class TestTrain:
         for got, want in zip(result.model.params(), model.params()):
             assert np.array_equal(got, want)
         block = build_sampled_similarity(labels, omega)
-        relaxed = forward(model, features[omega])[1]
+        relaxed = forward(model, features[omega])
         v_step(db, relaxed, block, config.gamma)
         assert np.array_equal(result.codes.to_signs(), db.astype(np.int8))
 
@@ -1111,6 +1111,16 @@ class TestTrainConfig:
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(code_len=8, query_count=10, batch_size=20)
+
+    @pytest.mark.parametrize(
+        "mode", ["symmetric_baseline", "asymmetric_separate_queries"]
+    )
+    def test_batch_bounded_by_query_count_in_sampled_mode_only(self, mode):
+        # only the sampled mode batches query_count rows
+        config = TrainConfig(code_len=8, query_count=10, batch_size=20, mode=mode)
+        assert config.batch_size == 20
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(code_len=8, batch_size=0, mode=mode)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):

@@ -12,7 +12,9 @@ caller dispatches on the mode. ``evaluate`` ranks in one place: the
 stable prefix ranking that its ``rank_by_hamming`` stage takes.
 ``dataio`` reads every file's payload through ``_Reader.array``, the one
 bounds-checked read. ``hashcore.CHUNK_PAIRS`` is the one size of a block
-of query x database pairs, for every scan over them.
+of query x database pairs, for every scan over them. ``encoder`` owns the
+relaxation u = tanh(raw output): every loss takes u and returns its
+gradient wrt u, and only ``encoder`` applies tanh or its derivative.
 """
 
 import ast
@@ -240,3 +242,37 @@ def test_only_hashcore_sizes_pair_scans():
         and (target.id.startswith("CHUNK_") or target.id.endswith("_CHUNK"))
     }
     assert sizes == {("hashcore.py", "CHUNK_PAIRS")}
+
+
+def tanh_uses(node):
+    """Lines of the calls to ``tanh`` and the spellings of ``1 - x**2``."""
+    found = []
+    for part in ast.walk(node):
+        if isinstance(part, ast.Call):
+            func = part.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "tanh":
+                found.append(part.lineno)
+        elif (
+            isinstance(part, ast.BinOp)
+            and isinstance(part.op, ast.Sub)
+            and isinstance(part.left, ast.Constant)
+            and part.left.value == 1
+            and isinstance(part.right, ast.BinOp)
+            and isinstance(part.right.op, ast.Pow)
+            and isinstance(part.right.right, ast.Constant)
+            and part.right.right.value == 2
+        ):
+            found.append(part.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "encoder.py")
+)
+def test_only_encoder_applies_the_relaxation(name):
+    uses = tanh_uses(tree(name))
+    assert not uses, f"{name} applies tanh or 1 - x**2 on lines {uses}"
+
+
+def test_encoder_applies_the_relaxation():
+    assert tanh_uses(tree("encoder.py"))
