@@ -188,29 +188,26 @@ def _require_paths(values: dict[str, str], keys: tuple[str, ...]) -> None:
 def _check_rows(labels, labels_path, rows: int, rows_path, what: str) -> None:
     """A label file must have one row per row of the file it describes."""
     if len(labels) != rows:
-        # offset 8 is the row count in the labels, features and codes headers
         raise FileFormatError(
             f"{labels_path} has {len(labels)} label rows but {rows_path} "
             f"has {rows} {what} rows",
-            8,
+            dataio.ROWS_OFFSET,
         )
 
 
 def _check_width(features, features_path, dim: int, dim_path) -> None:
     if features.shape[1] != dim:
-        # offset 16 is the feature dim in the features header
         raise FileFormatError(
             f"{features_path} has {features.shape[1]} features per row but "
             f"{dim_path} has {dim}",
-            16,
+            dataio.WIDTH_OFFSET,
         )
 
 
 def _read_train_features(path):
     features = dataio.read_features(path)
     if len(features) == 0:
-        # offset 8 is the row count in the features header
-        raise FileFormatError(f"{path} has no rows", 8)
+        raise FileFormatError(f"{path} has no rows", dataio.ROWS_OFFSET)
     return features
 
 
@@ -236,6 +233,7 @@ def _read_train_inputs(values, with_queries: bool):
 
 
 def cmd_gen_data(args) -> int:
+    _check_at_least(0, seed=args.seed)  # numpy's message names no flag
     outdir = _out_dir(args.out)
     features, labels = dataio.gen_synthetic_clusters(
         args.clusters, args.per_cluster, args.dim, args.sigma, args.seed
@@ -318,8 +316,7 @@ def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
     agree, before any ranking work."""
     for codes, path in ((query_codes, args.query_codes), (db_codes, args.db_codes)):
         if codes.rows == 0:
-            # offset 8 is the row count in the codes header
-            raise FileFormatError(f"{path} has no code rows", 8)
+            raise FileFormatError(f"{path} has no code rows", dataio.ROWS_OFFSET)
     _check_rows(
         query_labels, args.query_labels, query_codes.rows, args.query_codes, "code"
     )
@@ -328,18 +325,18 @@ def _check_eval_inputs(args, query_codes, db_codes, query_labels, db_labels):
         raise FileFormatError(
             f"{args.query_codes} has {query_codes.code_len}-bit codes but "
             f"{args.db_codes} has {db_codes.code_len}-bit codes",
-            16,
+            dataio.WIDTH_OFFSET,
         )
 
 
-def _check_positive(**values) -> None:
+def _check_at_least(least: int, **values) -> None:
     for name, value in values.items():
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if value is not None and value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 def cmd_eval(args) -> int:
-    _check_positive(map_cutoff=args.map_cutoff, topk=args.topk)
+    _check_at_least(1, map_cutoff=args.map_cutoff, topk=args.topk)
     outdir = _out_dir(args.out)
     query_codes = dataio.read_codes(args.query_codes)
     db_codes = dataio.read_codes(args.db_codes)
@@ -384,6 +381,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_at_least(0, seed=args.seed)
     sizes = [int(s) for s in args.sizes.split(",")]
     modes = []
     for mode in args.modes.split(","):
@@ -427,7 +425,7 @@ def cmd_sweep(args) -> int:
     gammas = [float(g) for g in args.gammas.split(",")]
     omegas = [int(o) for o in args.omegas.split(",")]
     cutoff = int(values["map_cutoff"]) if values.get("map_cutoff") else None
-    _check_positive(map_cutoff=cutoff)
+    _check_at_least(1, map_cutoff=cutoff)
     # every trial's configuration is checked before any input is read
     configs = [
         _train_config({**values, "gamma": repr(gamma), "omega": str(omega)})
@@ -436,6 +434,10 @@ def cmd_sweep(args) -> int:
     ]
     outdir = _out_dir(values.get("out"))
     features, labels, query_features, query_labels = _read_train_inputs(values, True)
+    # each trial samples omega of the database rows
+    largest = max(omegas)
+    if largest > len(labels):
+        raise ConfigError(f"omega {largest} exceeds the {len(labels)} database rows")
     lines = ["gamma,omega,map"]
     for config in configs:
         model, codes, _ = train(features, labels, config)

@@ -30,6 +30,10 @@ FEATURES_MAGIC = b"ADSHFTR1"
 LABELS_MAGIC = b"ADSHLBL2"
 CODES_MAGIC = b"ADSHCOD1"
 MODEL_MAGIC = b"ADSHMDL1"
+# header offsets: the row count of features, labels and codes, and the
+# width (feature dim, code length) of features and codes
+ROWS_OFFSET = 8
+WIDTH_OFFSET = 16
 
 
 class FileFormatError(ValueError):
@@ -115,7 +119,7 @@ def read_features(path) -> np.ndarray:
         rows = reader.u64("row count")
         dim = reader.u64("feature dim")
         if dim == 0:
-            raise FileFormatError("feature dim is 0", 16)
+            raise FileFormatError("feature dim is 0", WIDTH_OFFSET)
         start = reader.offset
         flat = reader.array("<f8", rows * dim, f"{rows}x{dim} feature matrix")
         finite = np.isfinite(flat)
@@ -163,7 +167,7 @@ def read_codes(path) -> CodeMatrix:
         rows = reader.u64("row count")
         code_len = reader.u32("code length")
         if code_len < 1:
-            raise FileFormatError("code length must be >= 1", reader.offset - 4)
+            raise FileFormatError("code length must be >= 1", WIDTH_OFFSET)
         n_words = words_per_row(code_len)
         words = reader.array("<u8", rows * n_words, "packed code words")
         words = words.astype(np.uint64, copy=False).reshape(rows, n_words)

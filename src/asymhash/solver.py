@@ -46,7 +46,7 @@ arithmetic and its order do not change, so neither do the codes.
 ``train`` holds V as an n x c int8 array, one byte per bit. Float64 rows,
 which BLAS needs, exist only a block at a time: the sweep gathers each
 block into one reused float64 buffer and stores it back as int8, and
-``_group_stats`` sums the Gram V^T V over float64 row blocks. Every sum
+``_group_stats`` reads each row once, in float64 row blocks. Every sum
 of products of +/-1 entries is an integer far below 2^53, so each float
 is exact and int8 codes give the float64 codes' bits. ``v_step`` and
 ``_group_stats`` take codes of either dtype on the one path.
@@ -154,6 +154,8 @@ class TrainConfig:
             raise ValueError("outer_iters and inner_iters must be >= 1")
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):
@@ -219,32 +221,33 @@ class GroupStats(NamedTuple):
 
 def _group_stats(db_signs, block) -> GroupStats:
     """Each query's linear term h_i from the per-group row sums u_g of the
-    database codes, the rows of the groups of at most c rows and, for
-    rho = ``block.neg_weight`` != 1, the Gram Q_g = V_g^T V_g of each
+    database codes, V^T V, the rows of the groups of at most c rows and,
+    for rho = ``block.neg_weight`` != 1, the Gram Q_g = V_g^T V_g of each
     larger group.
 
-    A large group is gathered and summed on its own, and cast to float64
-    for its Gram; the small groups are gathered together, with one mask
-    over the rows in group order, cast to float64 and summed in one
-    reduceat. Entries are +/-1 and P_g is 0/1, so every sum,
-    Gram and P_g u is an exact integer in float64, the same bits for any
-    subset of query rows, and for int8 codes the same bits as for float64
-    ones. The small groups' rows and the own codes are kept as float64,
-    the form the loss reads.
+    Each row is read once. A large group's rows go through float64 blocks
+    of ``_block_rows(c)`` rows, which add to its Q_g and u_g; the small
+    groups are gathered by one mask over the rows in group order, cast to
+    float64 and summed in one reduceat. V^T V is the Q_g plus the small
+    rows' Gram. Entries are +/-1 and P_g is 0/1, so every sum, Gram and
+    P_g u is an exact integer in float64, the same bits in any order, for
+    any subset of query rows and for int8 codes as for float64 ones. The
+    small groups' rows and the own codes are kept as float64, the form
+    the loss reads.
     """
     rho = block.neg_weight
     code_len = db_signs.shape[1]
     is_large = block.group_sizes > code_len
     large = np.flatnonzero(is_large)
-    sums = np.empty((block.group_count, code_len))
-    grams = None if rho == 1.0 else np.empty((len(large), code_len, code_len))
+    sums = np.zeros((block.group_count, code_len))
+    grams = np.zeros((len(large), code_len, code_len))
+    step = _block_rows(code_len)
     for at, g in enumerate(large):
         rows = block.group_rows[block.group_offsets[g] : block.group_offsets[g + 1]]
-        codes = db_signs[rows]
-        if grams is not None:
-            codes = codes.astype(np.float64, copy=False)
-            grams[at] = codes.T @ codes
-        sums[g] = codes.sum(axis=0)  # int8 sums accumulate in int64
+        for start in range(0, len(rows), step):
+            part = db_signs[rows[start : start + step]].astype(np.float64, copy=False)
+            grams[at] += part.T @ part
+            sums[g] += part.sum(axis=0)
     small = np.flatnonzero(~is_large)
     small_rows = block.group_rows[np.repeat(~is_large, block.group_sizes)]
     small_codes = db_signs[small_rows].astype(np.float64, copy=False)
@@ -256,14 +259,10 @@ def _group_stats(db_signs, block) -> GroupStats:
     own = None
     if block.query_indices is not None:
         own = db_signs[block.query_indices].astype(np.float64, copy=False)
-    # V^T V over float64 row blocks: V is never cast whole
-    gram = np.zeros((code_len, code_len))
-    step = _block_rows(code_len)
-    for start in range(0, len(db_signs), step):
-        part = db_signs[start : start + step].astype(np.float64, copy=False)
-        gram += part.T @ part
+    gram = grams.sum(axis=0) + small_codes.T @ small_codes
     return GroupStats(
-        gram, target, large, grams, small_codes, block.row_groups[small_rows], own
+        gram, target, large, None if rho == 1.0 else grams, small_codes,
+        block.row_groups[small_rows], own,
     )
 
 

@@ -452,6 +452,23 @@ class TestExitCodes:
         assert (tmp_path / "afile").read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sweep", "bench"])
+    def test_negative_seed_is_named_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # numpy rejects a negative seed with a message that names no flag;
+        # every input path is missing, so train exits 2, not 3
+        for name in ("gen_synthetic_clusters", "read_features", "read_labels"):
+            monkeypatch.setattr(dataio, name, must_not_run)
+        monkeypatch.setattr(cli, "complexity_probe", must_not_run)
+        out = tmp_path / "out"
+        argv = [command, "--seed", "-1", "--out", str(out)]
+        for name in self.INPUT_FLAGS[command]:
+            argv += [name, str(tmp_path / f"missing{name}.bin")]
+        assert main(argv) == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [
@@ -944,6 +961,35 @@ class TestSweep:
             argv += [flag, str(path)]
         assert main(argv) == EXIT_CONFIG
         assert repr(mode) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omega_above_the_database_fails_before_the_first_trial(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        # 340 database rows: the third trial cannot sample 100000 of them,
+        # so no trial runs and no sweep.csv is half a grid
+        calls = []
+        real_train = cli.train
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].query_count)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counted)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--out", str(out), "--omegas", "40,80,100000"]
+        argv += ["--batch", "40", "--tout", "1", "--tin", "1", "--bits", "8",
+                 "--hidden", "8"]
+        for flag, name in (
+            ("--features", "db_features.bin"),
+            ("--labels", "db_labels.bin"),
+            ("--query-features", "query_features.bin"),
+            ("--query-labels", "query_labels.bin"),
+        ):
+            argv += [flag, str(dataset / name)]
+        assert main(argv) == EXIT_CONFIG
+        assert calls == []
+        assert "omega 100000 exceeds the 340 database rows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_cutoff_fails_before_the_first_trial(

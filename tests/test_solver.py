@@ -707,6 +707,60 @@ class TestGroupForm:
             codes = db[block.row_groups == g]
             assert np.array_equal(gram, codes.T @ codes)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_large_groups_sum_over_many_row_blocks(self, weighted, dtype, monkeypatch):
+        # a large group's rows, shuffled across the database, go through
+        # blocks of 7 rows: its Gram and its sum add up over 3 to 8 blocks,
+        # and V^T V is every group's Gram summed. Each entry is an exact
+        # integer, so every term equals its reference.
+        rng = np.random.default_rng(41)
+        c = 8
+        sweep_block_rows(monkeypatch, 7, c)
+        block = sized_group_block(rng, [50, 23, 17, 8, 5, 3], 40, True, weighted)
+        assert (block.neg_weight != 1.0) == weighted
+        db = (rng.integers(0, 2, (block.db_count, c)) * 2 - 1).astype(dtype)
+        stats = _group_stats(db, block)
+        wide = db.astype(np.float64)
+        assert np.array_equal(stats.gram, wide.T @ wide)
+        sums = np.zeros((block.group_count, c))
+        for row, group in zip(wide, block.row_groups):
+            sums[group] += row
+        rho = block.neg_weight
+        want = (1.0 + rho) * (block.positive.astype(np.float64) @ sums)
+        want -= rho * sums.sum(axis=0)
+        assert np.array_equal(stats.target, want)
+        assert np.array_equal(stats.large, np.flatnonzero(block.group_sizes > c))
+        assert (block.group_sizes[stats.large] > 2 * 7).all()  # 3+ blocks each
+        if not weighted:
+            assert stats.grams is None
+            return
+        assert len(stats.grams) == 3
+        for g, gram in zip(stats.large, stats.grams):
+            codes = wide[block.row_groups == g]
+            assert np.array_equal(gram, codes.T @ codes)
+
+    def test_memory_is_a_few_row_blocks_whatever_the_group_size(self):
+        # each group of 20,000 rows at c = 64 is 10 MiB as float64; one call
+        # holds float64 rows of a large group one SWEEP_BLOCK_BYTES block at
+        # a time, beside its outputs
+        rng = np.random.default_rng(42)
+        c, per = 64, 20000
+        labels = LabelMatrix.from_ids(np.repeat(np.arange(3), per))
+        omega = sample_query_indices(3 * per, 200, rng)
+        block = build_sampled_similarity(labels, omega, weighted=True)
+        assert block.neg_weight != 1.0
+        assert (block.group_sizes >= per).all()
+        db = (rng.integers(0, 2, (3 * per, c)) * 2 - 1).astype(np.int8)
+        tracemalloc.start()
+        try:
+            stats = _group_stats(db, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(field.nbytes for field in stats if field is not None)
+        assert peak <= 3 * solver.SWEEP_BLOCK_BYTES + outputs
+
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("kind", ["clusters", "multi_label"])
     def test_minibatch_step_matches_direct_step(self, kind, weighted):
@@ -1129,6 +1183,11 @@ class TestTrainConfig:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             TrainConfig(code_len=8, gamma=-1.0)
+
+    def test_rejects_negative_seed(self):
+        # numpy's generators take no negative seed; say which field it is
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(code_len=8, seed=-1)
 
     @pytest.mark.parametrize("field", ["gamma", "learning_rate"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -11,8 +11,9 @@ trainer entry: it picks the trainer from ``TrainConfig.mode``, so no
 caller dispatches on the mode. ``evaluate`` ranks in one place: the
 stable prefix ranking that its ``rank_by_hamming`` stage takes.
 ``dataio`` reads every file's payload through ``_Reader.array``, the one
-bounds-checked read. ``hashcore.CHUNK_PAIRS`` is the one size of a block
-of query x database pairs, for every scan over them. ``encoder`` owns the
+bounds-checked read, and declares the header offsets that ``cli``
+reports. ``hashcore.CHUNK_PAIRS`` is the one size of a block of query x
+database pairs, for every scan over them. ``encoder`` owns the
 relaxation u = tanh(raw output): every loss takes u and returns its
 gradient wrt u, and only ``encoder`` applies tanh or its derivative.
 """
@@ -229,6 +230,28 @@ def test_dataio_reads_payloads_only_through_reader_array():
     )
     assert attribute_calls(array, {"readinto"})
     assert attribute_calls(module, {"readinto"}) == attribute_calls(array, {"readinto"})
+
+
+def test_cli_takes_header_offsets_from_dataio():
+    # dataio declares its header layout once; a FileFormatError that cli
+    # builds locates its field by a dataio name, not by a literal offset
+    offsets = [
+        (call.args[1] if len(call.args) > 1 else call.keywords[0].value, call.lineno)
+        for call in ast.walk(tree("cli.py"))
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "FileFormatError"
+    ]
+    assert len(offsets) == 5
+    literal = [
+        line for offset, line in offsets
+        if not (
+            isinstance(offset, ast.Attribute)
+            and isinstance(offset.value, ast.Name)
+            and offset.value.id == "dataio"
+        )
+    ]
+    assert not literal, f"cli.py writes header offsets itself on lines {literal}"
 
 
 def test_only_hashcore_sizes_pair_scans():
