@@ -204,6 +204,12 @@ def _check_width(features, features_path, dim: int, dim_path) -> None:
         )
 
 
+def _check_omega(omega: int, rows: int) -> None:
+    """A sampled run draws its omega queries from the database rows."""
+    if omega > rows:
+        raise ConfigError(f"omega {omega} exceeds the {rows} database rows")
+
+
 def _read_train_features(path):
     features = dataio.read_features(path)
     if len(features) == 0:
@@ -263,6 +269,8 @@ def cmd_train(args) -> int:
     features, labels, query_features, query_labels = _read_train_inputs(
         values, config.mode == "asymmetric_separate_queries"
     )
+    if config.mode == "asymmetric_sampled":
+        _check_omega(config.query_count, len(labels))
     diverged = None
     try:
         model, codes, history = train(
@@ -389,6 +397,8 @@ def cmd_bench(args) -> int:
         if mode not in PROBE_MODES:
             raise ConfigError(f"bench mode must not be {mode!r}")
         modes.append(mode)
+    if "asymmetric_sampled" in modes:
+        _check_omega(args.omega, min(sizes))
     outdir = _out_dir(args.out)
     lines = ["mode,n,seconds"]
     slopes = []
@@ -435,9 +445,7 @@ def cmd_sweep(args) -> int:
     outdir = _out_dir(values.get("out"))
     features, labels, query_features, query_labels = _read_train_inputs(values, True)
     # each trial samples omega of the database rows
-    largest = max(omegas)
-    if largest > len(labels):
-        raise ConfigError(f"omega {largest} exceeds the {len(labels)} database rows")
+    _check_omega(max(omegas), len(labels))
     lines = ["gamma,omega,map"]
     for config in configs:
         model, codes, _ = train(features, labels, config)

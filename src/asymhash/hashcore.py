@@ -30,9 +30,18 @@ def _plus_mask(signs) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D sign array, got ndim={arr.ndim}")
     plus = arr == 1
-    bad = ~(plus | (arr == -1))
-    if bad.any():
-        raise ValueError(f"entries must be -1 or +1, found {arr[bad].flat[0]!r}")
+    # checked in row blocks of about CHUNK_PAIRS entries, through one reused
+    # mask: whole-array masks would add two bytes per entry beside ``plus``
+    step = chunk_rows(arr.shape[1])
+    buffer = np.empty((min(step, len(arr)), arr.shape[1]), dtype=bool)
+    for start in range(0, len(arr), step):
+        part = arr[start : start + step]
+        valid = np.equal(part, -1, out=buffer[: len(part)])
+        valid |= plus[start : start + step]
+        if not valid.all():
+            raise ValueError(
+                f"entries must be -1 or +1, found {part[~valid].flat[0]!r}"
+            )
     return plus
 
 

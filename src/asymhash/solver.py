@@ -20,7 +20,12 @@ relation and B_k = P_g^T (R * r_k), the coefficient of bit k of row j is
 
 with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
 bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
-term vanishes and is skipped. P_g^T R and B_k are block products.
+term vanishes and is skipped. P_g^T R is one block product. Group g's
+B_k[g] is row k of the symmetric c x c matrix sum_i P_ig r_i r_i^T, so
+when the m x c(c+1)/2 pair columns r_ik * r_il (k <= l) fit in
+``SWEEP_BLOCK_BYTES``, all c of them come from one block product of
+those columns, at half the flops of c products of c columns; otherwise
+each B_k is its own block product.
 
 Given R, the sweep separates over database rows: coef_j reads only row
 j's own code, its group and its own pull term. The linear terms form one
@@ -40,8 +45,10 @@ Since no row reads another, the sweep runs in row blocks: every column
 over one block of representative rows, then the next block. A block is
 ``SWEEP_BLOCK_BYTES`` of float64 codes, sized so that the c column passes
 over it stay in a core's L2 cache; column by column over all rows, each
-pass would stream the whole distinct-rows x c array from memory. The
-arithmetic and its order do not change, so neither do the codes.
+pass would stream the whole distinct-rows x c array from memory. With
+pair columns, a block also ends before its pair products, groups x
+c(c+1)/2, outgrow ``SWEEP_BLOCK_BYTES``. Each row's arithmetic and its
+order do not depend on the blocks, so neither do the codes.
 
 ``train`` holds V as an n x c int8 array, one byte per bit. Float64 rows,
 which BLAS needs, exist only a block at a time: the sweep gathers each
@@ -229,24 +236,27 @@ def _group_stats(db_signs, block) -> GroupStats:
     of ``_block_rows(c)`` rows, which add to its Q_g and u_g; the small
     groups are gathered by one mask over the rows in group order, cast to
     float64 and summed in one reduceat. V^T V is the Q_g plus the small
-    rows' Gram. Entries are +/-1 and P_g is 0/1, so every sum, Gram and
-    P_g u is an exact integer in float64, the same bits in any order, for
-    any subset of query rows and for int8 codes as for float64 ones. The
-    small groups' rows and the own codes are kept as float64, the form
-    the loss reads.
+    rows' Gram; at rho = 1, where the loss reads no Q_g, every large-group
+    block adds to one c x c sum instead. Entries are +/-1 and P_g is 0/1,
+    so every sum, Gram and P_g u is an exact integer in float64, the same
+    bits in any order, for any subset of query rows and for int8 codes as
+    for float64 ones. The small groups' rows and the own codes are kept
+    as float64, the form the loss reads.
     """
     rho = block.neg_weight
     code_len = db_signs.shape[1]
     is_large = block.group_sizes > code_len
     large = np.flatnonzero(is_large)
     sums = np.zeros((block.group_count, code_len))
-    grams = np.zeros((len(large), code_len, code_len))
+    keep = rho != 1.0  # whether the loss reads the Q_g
+    grams = np.zeros((len(large) if keep else 1, code_len, code_len))
     step = _block_rows(code_len)
     for at, g in enumerate(large):
         rows = block.group_rows[block.group_offsets[g] : block.group_offsets[g + 1]]
+        into = grams[at if keep else 0]
         for start in range(0, len(rows), step):
             part = db_signs[rows[start : start + step]].astype(np.float64, copy=False)
-            grams[at] += part.T @ part
+            into += part.T @ part
             sums[g] += part.sum(axis=0)
     small = np.flatnonzero(~is_large)
     small_rows = block.group_rows[np.repeat(~is_large, block.group_sizes)]
@@ -261,7 +271,7 @@ def _group_stats(db_signs, block) -> GroupStats:
         own = db_signs[block.query_indices].astype(np.float64, copy=False)
     gram = grams.sum(axis=0) + small_codes.T @ small_codes
     return GroupStats(
-        gram, target, large, None if rho == 1.0 else grams, small_codes,
+        gram, target, large, grams if keep else None, small_codes,
         block.row_groups[small_rows], own,
     )
 
@@ -372,12 +382,35 @@ def _update_column(db, k, rho, gram, linear, shared) -> None:
         row_dot = np.einsum("jl,jl->j", db, shared)
         coef += (1.0 - rho) * (row_dot - db[:, k] * shared[:, k])
     coef += linear
-    db[:, k] = np.where(coef >= 0.0, -1.0, 1.0)
+    # -1 where coef >= 0, else +1, in place of a float temporary
+    np.greater_equal(coef, 0.0, out=coef)
+    coef *= -2.0
+    coef += 1.0
+    db[:, k] = coef
 
 
 def _block_rows(code_len):
     """Float64 code rows that fit in ``SWEEP_BLOCK_BYTES``."""
     return max(1, SWEEP_BLOCK_BYTES // (8 * code_len))
+
+
+def _pair_products(relaxed):
+    """The m x c(c+1)/2 products r_ik * r_il, k <= l, and the c x c index
+    of the column that holds (k, l), symmetric in k and l.
+
+    Each k fills its c - k columns in place, so no m x c(c+1)/2
+    temporary is made beside the result.
+    """
+    code_len = relaxed.shape[1]
+    pairs = np.empty((len(relaxed), code_len * (code_len + 1) // 2))
+    pair_of = np.empty((code_len, code_len), dtype=np.intp)
+    start = 0
+    for k in range(code_len):
+        stop = start + code_len - k
+        np.multiply(relaxed[:, k, None], relaxed[:, k:], out=pairs[:, start:stop])
+        pair_of[k, k:] = pair_of[k:, k] = np.arange(start, stop)
+        start = stop
+    return pairs, pair_of
 
 
 def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
@@ -394,14 +427,18 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
 
     The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
     block gathers its rows into one reused float64 buffer and its rows of
-    the linear-term table, takes, when rho != 1, B_k over its own groups
-    only (one range, as the rows are ordered by group), then runs every
-    column before the next block starts, so the column passes read a
-    block that fits in L2 (module docstring). B_k stays one product per column: taking all c of
-    them as one g x c^2 product per block kept the codes, but raised the
-    multi-label benchmark's peak RSS from 60.7 to 76.8 MB and did not
-    make training faster. The swept representatives are kept in the
-    dtype of ``db_signs``, int8 in training, until the write-back.
+    the linear-term table, then runs every column before the next block
+    starts, so the column passes read a block that fits in L2 (module
+    docstring). When rho != 1, B_k is taken over the block's own groups
+    only (one range, as the rows are ordered by group). If the m x
+    c(c+1)/2 pair columns fit in ``SWEEP_BLOCK_BYTES``, the block takes
+    one product of them and column k reads B_k from it through a c x c
+    index of pair columns; the block then also ends at
+    ``_block_rows(c(c+1)/2)`` groups, so that product fits too. Otherwise
+    each column takes its own product of c columns. A pair-product entry
+    sums the terms of the per-column entry, equal to it to rounding.
+    The swept representatives are kept in the dtype of ``db_signs``,
+    int8 in training, until the write-back.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     rho = block.neg_weight
@@ -429,22 +466,40 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
     work = np.empty((len(reps), code_len), dtype=db_signs.dtype)
     rows = _block_rows(code_len)
     buffer = np.empty((min(rows, len(reps)), code_len))
-    for start in range(0, len(reps), rows):
-        part = slice(start, start + rows)
-        block_work = buffer[: len(reps[part])]
+    pairs = None
+    if rho != 1.0:
+        # groups whose pair products fit in SWEEP_BLOCK_BYTES; the m rows
+        # of pair columns fit in it too when m is within that cap
+        group_cap = _block_rows(code_len * (code_len + 1) // 2)
+        if len(relaxed) <= group_cap:
+            pairs, pair_of = _pair_products(relaxed)
+        rep_groups = block.row_groups[reps]  # ascending
+    start = 0
+    while start < len(reps):
+        stop = min(start + rows, len(reps))
+        if rho != 1.0:
+            first = rep_groups[start]
+            if pairs is not None:
+                stop = min(stop, np.searchsorted(rep_groups, first + group_cap))
+            groups = slice(first, rep_groups[stop - 1] + 1)
+            local = rep_groups[start:stop] - first
+            if pairs is not None:
+                # row g: sum_i P_ig r_ik r_il for each pair k <= l, all of B[g]
+                products = block.relation_t_dot(pairs, groups)
+        part = slice(start, stop)
+        block_work = buffer[: stop - start]
         block_work[...] = db_signs[reps[part]]
         linear = static[tags[part]]
-        if rho != 1.0:
-            local = block.row_groups[reps[part]]
-            groups = slice(local[0], local[-1] + 1)
-            local = local - local[0]
         for k in range(code_len):
             shared = None
-            if rho != 1.0:
+            if pairs is not None:
+                shared = products.take(pair_of[k], axis=1).take(local, axis=0)
+            elif rho != 1.0:
                 product = relaxed * relaxed[:, k, None]
                 shared = block.relation_t_dot(product, groups)[local]
             _update_column(block_work, k, rho, gram, linear[:, k], shared)
         work[part] = block_work
+        start = stop
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, inverse, axis=0, out=db_signs, mode="clip")

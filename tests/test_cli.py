@@ -469,6 +469,49 @@ class TestExitCodes:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, argv, message",
+        [
+            # the dataset has 340 database rows
+            ("train", ["--omega", "500", "--batch", "40"],
+             "omega 500 exceeds the 340 database rows"),
+            ("bench", ["--sizes", "300,100,200", "--omega", "150"],
+             "omega 150 exceeds the 100 database rows"),
+            ("bench", ["--sizes", "300,100,200", "--omega", "150",
+                       "--modes", "symmetric_baseline,asymmetric_sampled"],
+             "omega 150 exceeds the 100 database rows"),
+        ],
+    )
+    def test_omega_above_the_database_is_named_before_any_training(
+        self, dataset, tmp_path, monkeypatch, capsys, command, argv, message
+    ):
+        monkeypatch.setattr(cli, "train", must_not_run)
+        monkeypatch.setattr(cli, "complexity_probe", must_not_run)
+        out = tmp_path / "out"
+        argv = [command, *argv, "--out", str(out)]
+        if command == "train":
+            argv += ["--features", str(dataset / "db_features.bin"),
+                     "--labels", str(dataset / "db_labels.bin")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_omega_is_not_checked_for_the_symmetric_bench(
+        self, tmp_path, monkeypatch
+    ):
+        # the symmetric baseline samples no queries: omega may exceed n
+        sizes = []
+
+        def probe(n_values, query_count, code_len, mode, seed):
+            sizes.append((list(n_values), query_count, mode))
+            return solver.ProbeResult(mode, list(n_values), [1.0, 2.0, 3.0], 1.0)
+
+        monkeypatch.setattr(cli, "complexity_probe", probe)
+        argv = ["bench", "--sizes", "100,200,300", "--omega", "150",
+                "--modes", "symmetric_baseline", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert sizes == [([100, 200, 300], 150, "symmetric_baseline")]
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [

@@ -61,6 +61,32 @@ class TestPacking:
         with pytest.raises(ValueError, match="-1 or \\+1"):
             CodeMatrix.from_signs([[1, 0, -1]])
 
+    @pytest.mark.parametrize("row", [0, 4, 5, 9])
+    def test_reports_the_first_bad_entry_in_row_order(self, monkeypatch, row):
+        # rows checked 5 at a time: a bad entry in the second block is
+        # found there, and the first in row-major order is the one named
+        monkeypatch.setattr(hashcore, "CHUNK_PAIRS", 5 * 4)
+        signs = np.ones((12, 4), dtype=np.int8)
+        signs[row, 2] = 3
+        signs[row + 1, 0] = 7
+        signs[11, 1] = 9
+        with pytest.raises(ValueError, match=r"-1 or \+1, found np.int8\(3\)$"):
+            CodeMatrix.from_signs(signs)
+
+    def test_holds_no_whole_mask_beside_the_plus_mask(self):
+        # training's 20k x 64 int8 codes: the one n x c bool mask it packs
+        # and, beside it, one mask of CHUNK_PAIRS entries for the check and
+        # then the packed words
+        signs = random_signs(np.random.default_rng(8), 20000 * 64).reshape(20000, 64)
+        tracemalloc.start()
+        try:
+            matrix = CodeMatrix.from_signs(signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(matrix.to_signs(), signs)
+        assert peak <= signs.size + hashcore.CHUNK_PAIRS + 2 * matrix.words.nbytes
+
     def test_rejects_a_single_row_vector(self):
         with pytest.raises(ValueError, match="2-D"):
             CodeMatrix.from_signs([1, -1, 1])

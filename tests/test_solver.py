@@ -394,6 +394,142 @@ class TestVStepBlocks:
             assert np.array_equal(db, want)
             assert np.array_equal(signs, want)
 
+    @pytest.mark.parametrize("groups", [29, 40, 57])
+    def test_group_cap_ends_the_blocks(self, groups, monkeypatch):
+        # room for the pair products of ``groups`` groups, and so for
+        # (c + 1) / 2 * groups rows. The m = 40 rows of pair columns fit
+        # from 40 groups on; then, with one code per group, a group has one
+        # representative plus one per sampled query, so every block ends
+        # at its group cap before its row cap. At 29 groups each column
+        # takes its own product and the blocks end at the row cap.
+        pairs = self.CODE_LEN * (self.CODE_LEN + 1) // 2
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", groups * 8 * pairs)
+        row_cap = solver._block_rows(self.CODE_LEN)
+        rng = np.random.default_rng(19)
+        block, db = self.block_and_codes("multi_label", rng)
+        uses_pairs = block.query_count <= groups
+        db = db[block.row_groups]
+        relaxed = rng.uniform(-0.95, 0.95, (block.query_count, self.CODE_LEN))
+        blocks, built = [], []
+        update, pair_products = solver._update_column, solver._pair_products
+
+        def recording(work, k, *args):
+            if k == 0:
+                blocks.append(len(work))
+            update(work, k, *args)
+
+        def counting(relaxed):
+            built.append(len(relaxed))
+            return pair_products(relaxed)
+
+        monkeypatch.setattr(solver, "_update_column", recording)
+        monkeypatch.setattr(solver, "_pair_products", counting)
+        signs = db.astype(np.int8)
+        for _ in range(2):
+            want = oracle.entrywise_v_step(
+                relaxed, block.signs, block.weights(), 200.0, db,
+                block.query_indices,
+            )
+            blocks.clear()
+            built.clear()
+            v_step(db, relaxed, block, 200.0)
+            assert len(built) == uses_pairs
+            if uses_pairs:
+                # each block holds the rows of ``groups`` groups, the last the rest
+                assert len(blocks) == -(-block.group_count // groups)
+                assert max(blocks) < row_cap
+            else:
+                assert len(blocks) > 1
+                assert blocks[:-1] == [row_cap] * (len(blocks) - 1)
+            v_step(signs, relaxed, block, 200.0)
+            assert np.array_equal(db, want)
+            assert np.array_equal(signs, want)
+
+
+class TestPairProducts:
+    """The (1 - rho) term's B_k = P_g^T (R * r_k) of every column k, read
+    from one product of the pair columns r_ik * r_il (k <= l) when those
+    fit in ``SWEEP_BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize(
+        "c, m", [(3, 40), (16, 200), (24, 150), (33, 100), (64, 200), (70, 200)]
+    )
+    def test_every_entry_is_the_per_column_product_to_rounding(self, c, m):
+        # the same sums, but BLAS may take them in another order for another
+        # output width: an entry can differ from the per-column product's in
+        # its last bits, so only a near-tie coefficient could differ
+        rng = np.random.default_rng(43)
+        labels = multi_label_set(rng, 1000)
+        block = build_sampled_similarity(labels, sample_query_indices(1000, m, rng))
+        assert block.neg_weight != 1.0 and block.group_count > 300
+        relaxed = rng.uniform(-0.95, 0.95, (m, c))
+        pairs, pair_of = solver._pair_products(relaxed)
+        assert pairs.shape == (m, c * (c + 1) // 2)
+        assert np.array_equal(pair_of, pair_of.T)
+        assert sorted(np.unique(pair_of)) == list(range(pairs.shape[1]))
+        for groups in (slice(None), slice(0, 7), slice(101, 302), slice(299, 300)):
+            products = block.relation_t_dot(pairs, groups)
+            for k in range(c):
+                want = block.relation_t_dot(relaxed * relaxed[:, k, None], groups)
+                assert_close_at_scale(products[:, pair_of[k]], want, 1e-14)
+
+    @pytest.mark.parametrize(
+        "c, m, fits", [(16, 481, True), (16, 482, False), (64, 31, True), (64, 32, False)]
+    )
+    def test_pair_columns_are_built_only_within_the_sweep_budget(
+        self, c, m, fits, monkeypatch
+    ):
+        # m rows of c(c+1)/2 float64 pair columns against 512 KiB; either
+        # way the sweep gives the reference codes
+        assert (m * c * (c + 1) // 2 * 8 <= solver.SWEEP_BLOCK_BYTES) == fits
+        rng = np.random.default_rng(47)
+        labels = multi_label_set(rng, 600)
+        block = build_sampled_similarity(labels, sample_query_indices(600, m, rng))
+        assert block.neg_weight != 1.0
+        relaxed = rng.uniform(-0.95, 0.95, (m, c))
+        db = (rng.integers(0, 2, (len(labels), c)) * 2 - 1).astype(np.float64)
+        built = []
+        pair_products = solver._pair_products
+
+        def counting(relaxed):
+            built.append(len(relaxed))
+            return pair_products(relaxed)
+
+        monkeypatch.setattr(solver, "_pair_products", counting)
+        want = oracle.entrywise_v_step(
+            relaxed, block.signs, block.weights(), 200.0, db, block.query_indices
+        )
+        v_step(db, relaxed, block, 200.0)
+        assert built == ([m] if fits else [])
+        assert np.array_equal(db, want)
+
+    def test_sweep_holds_the_pair_products_of_a_few_groups_at_a_time(self):
+        # ~1.6 representatives per group: one 4,096-row sweep block at
+        # c = 16 spans all ~1,900 groups, whose pair products would take
+        # 2.1 MB; the group cap holds 481 groups' at a time
+        rng = np.random.default_rng(44)
+        labels = multi_label_set(rng, 3000)
+        n, c, m = len(labels), 16, 200
+        block = build_sampled_similarity(labels, sample_query_indices(n, m, rng))
+        assert block.neg_weight != 1.0 and block.group_count > 1500
+        assert m * c * (c + 1) // 2 * 8 <= solver.SWEEP_BLOCK_BYTES
+        relaxed = rng.uniform(-0.95, 0.95, (m, c))
+        db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.int8)
+        want = db.astype(np.float64)
+        block.relation_t_dot(relaxed)  # the block's own float64 cast, kept
+        tracemalloc.start()
+        try:
+            v_step(db, relaxed, block, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = (block.group_count + m) * c * 8  # the linear terms, built twice
+        # the pair columns, one block's product and its row buffers each fit
+        # in SWEEP_BLOCK_BYTES
+        assert peak <= 2 * table + 4 * solver.SWEEP_BLOCK_BYTES + 8 * db.nbytes
+        v_step(want, relaxed, block, 200.0)
+        assert np.array_equal(db, want)
+
 
 @pytest.mark.parametrize(
     "n, code_len, rows",
@@ -760,6 +896,30 @@ class TestGroupForm:
             tracemalloc.stop()
         outputs = sum(field.nbytes for field in stats if field is not None)
         assert peak <= 3 * solver.SWEEP_BLOCK_BYTES + outputs
+
+    def test_unweighted_call_holds_no_gram_per_large_group(self):
+        # 300 groups of 70 rows at c = 64: a c x c Gram per group would be
+        # 9.8 MB, which rho = 1 never reads; its blocks add to one V^T V
+        rng = np.random.default_rng(46)
+        c, groups = 64, 300
+        block = sized_group_block(rng, [70] * groups, 80, True, False)
+        assert block.neg_weight == 1.0
+        db = (rng.integers(0, 2, (block.db_count, c)) * 2 - 1).astype(np.int8)
+        block.relation_dot(np.zeros((groups, c)))  # the block's own cast, kept
+        tracemalloc.start()
+        try:
+            stats = _group_stats(db, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stats.large) == groups and stats.grams is None
+        wide = db.astype(np.float64)
+        assert np.array_equal(stats.gram, wide.T @ wide)
+        outputs = sum(field.nbytes for field in stats if field is not None)
+        sums = groups * c * 8
+        bound = 3 * solver.SWEEP_BLOCK_BYTES + outputs + sums
+        assert bound < groups * c * c * 8 / 2
+        assert peak <= bound
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("kind", ["clusters", "multi_label"])
