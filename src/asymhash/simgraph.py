@@ -246,9 +246,9 @@ class SimilarityBlock:
             self._relation = self.positive.astype(np.float64)
         return self._relation
 
-    def relation_t_dot(self, x, groups=slice(None)) -> np.ndarray:
-        """P_g^T x over a range of groups ``groups`` (a slice)."""
-        return self._float_relation()[:, groups].T @ x
+    def relation_t_dot(self, x, groups=slice(None), out=None) -> np.ndarray:
+        """P_g^T x over a range of groups ``groups`` (a slice), into ``out``."""
+        return np.matmul(self._float_relation()[:, groups].T, x, out=out)
 
     def relation_dot(self, y, rows=slice(None), groups=slice(None)) -> np.ndarray:
         """P_g[rows, groups] y; ``rows`` and ``groups`` are index arrays or slices."""

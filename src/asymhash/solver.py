@@ -22,10 +22,10 @@ with static = -c * ((1 + rho) * P_g^T R - rho * sum_i r_i), and the new
 bit is -sign(coef_j) (-1 on a zero coefficient). For rho = 1 the middle
 term vanishes and is skipped. P_g^T R is one block product. Group g's
 B_k[g] is row k of the symmetric c x c matrix sum_i P_ig r_i r_i^T, so
-when the m x c(c+1)/2 pair columns r_ik * r_il (k <= l) fit in
-``SWEEP_BLOCK_BYTES``, all c of them come from one block product of
-those columns, at half the flops of c products of c columns; otherwise
-each B_k is its own block product.
+all c of them come from one block product of the m x c(c+1)/2 pair
+columns r_ik * r_il (k <= l), 8 * m * c(c+1)/2 bytes, at half the flops
+of c products of c columns. Each entry equals the per-column product's
+to rounding, so codes can differ from those products' only at near-ties.
 
 Given R, the sweep separates over database rows: coef_j reads only row
 j's own code, its group and its own pull term. The linear terms form one
@@ -45,10 +45,10 @@ Since no row reads another, the sweep runs in row blocks: every column
 over one block of representative rows, then the next block. A block is
 ``SWEEP_BLOCK_BYTES`` of float64 codes, sized so that the c column passes
 over it stay in a core's L2 cache; column by column over all rows, each
-pass would stream the whole distinct-rows x c array from memory. With
-pair columns, a block also ends before its pair products, groups x
-c(c+1)/2, outgrow ``SWEEP_BLOCK_BYTES``. Each row's arithmetic and its
-order do not depend on the blocks, so neither do the codes.
+pass would stream the whole distinct-rows x c array from memory. At
+rho != 1 a block also ends at a group cap, which bounds its pair
+products, groups x c(c+1)/2. Each row's arithmetic and its order do not
+depend on the blocks, so neither do the codes.
 
 ``train`` holds V as an n x c int8 array, one byte per bit. Float64 rows,
 which BLAS needs, exist only a block at a time: the sweep gathers each
@@ -427,35 +427,39 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
 
     The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
     block gathers its rows into one reused float64 buffer and its rows of
-    the linear-term table, then runs every column before the next block
-    starts, so the column passes read a block that fits in L2 (module
-    docstring). When rho != 1, B_k is taken over the block's own groups
-    only (one range, as the rows are ordered by group). If the m x
-    c(c+1)/2 pair columns fit in ``SWEEP_BLOCK_BYTES``, the block takes
-    one product of them and column k reads B_k from it through a c x c
-    index of pair columns; the block then also ends at
-    ``_block_rows(c(c+1)/2)`` groups, so that product fits too. Otherwise
-    each column takes its own product of c columns. A pair-product entry
-    sums the terms of the per-column entry, equal to it to rounding.
-    The swept representatives are kept in the dtype of ``db_signs``,
-    int8 in training, until the write-back.
+    the table, then runs every column before the next block starts, so
+    the column passes read a block that fits in L2 (module docstring).
+    At rho != 1 the call builds the m x p pair columns once, p = c(c+1)/2,
+    and a block also ends at the group cap: the groups whose products of
+    them fit in ``SWEEP_BLOCK_BYTES``, but at least 128, as fewer cost
+    more in numpy calls than in flops. Column k reads B_k through a c x c
+    index from the block's one product of the pair columns over its
+    groups (one range: the rows are ordered by group). The swept rows keep
+    the dtype of ``db_signs``, int8 in training. Beside its inputs the
+    call holds at most 8 * (m * p + (G + m) * c + group cap * p) bytes of
+    pair columns, table and one block's products (the p terms at rho != 1
+    only), one n x c array of the dtype of ``db_signs``, 4 *
+    ``SWEEP_BLOCK_BYTES`` of block rows and 8 n-entry index arrays.
     """
     relaxed = np.asarray(relaxed, dtype=np.float64)
     rho = block.neg_weight
     code_len = db_signs.shape[1]
+    group_count = block.group_count
     gram = relaxed.T @ relaxed
-    static = -code_len * (
-        (1.0 + rho) * block.relation_t_dot(relaxed) - rho * relaxed.sum(axis=0)
-    )
     tags = block.row_groups
-    if block.query_indices is not None and gamma != 0.0:
-        # a sampled row's pull term -gamma * r_i is its own: it reads a
-        # private row of the table
-        static = np.concatenate(
-            (static, static[tags[block.query_indices]] - gamma * relaxed)
-        )
+    # a sampled row's pull term -gamma * r_i is its own: it reads a private
+    # row of the table, after the group rows
+    pull = block.query_indices is not None and gamma != 0.0
+    static = np.empty((group_count + (block.query_count if pull else 0), code_len))
+    groups_part = block.relation_t_dot(relaxed, out=static[:group_count])
+    groups_part *= 1.0 + rho
+    groups_part -= rho * relaxed.sum(axis=0)
+    groups_part *= -code_len
+    if pull:
+        static[group_count:] = groups_part[tags[block.query_indices]]
+        static[group_count:] -= gamma * relaxed
         tags = tags.copy()
-        tags[block.query_indices] = block.group_count + np.arange(block.query_count)
+        tags[block.query_indices] = group_count + np.arange(block.query_count)
     # the (1 - rho) term reads the relation columns of each block's groups.
     # With the group as the primary key (a tag fixes its row's group, so
     # the distinct rows stay the same), they are one range of columns of
@@ -466,37 +470,31 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
     work = np.empty((len(reps), code_len), dtype=db_signs.dtype)
     rows = _block_rows(code_len)
     buffer = np.empty((min(rows, len(reps)), code_len))
-    pairs = None
     if rho != 1.0:
-        # groups whose pair products fit in SWEEP_BLOCK_BYTES; the m rows
-        # of pair columns fit in it too when m is within that cap
-        group_cap = _block_rows(code_len * (code_len + 1) // 2)
-        if len(relaxed) <= group_cap:
-            pairs, pair_of = _pair_products(relaxed)
+        pairs, pair_of = _pair_products(relaxed)
+        group_cap = max(_block_rows(pairs.shape[1]), 128)
         rep_groups = block.row_groups[reps]  # ascending
+        # row g: sum_i P_ig r_ik r_il for each pair k <= l, all of B[g]
+        products = np.empty((min(group_cap, group_count), pairs.shape[1]))
     start = 0
     while start < len(reps):
         stop = min(start + rows, len(reps))
         if rho != 1.0:
             first = rep_groups[start]
-            if pairs is not None:
-                stop = min(stop, np.searchsorted(rep_groups, first + group_cap))
+            stop = min(stop, np.searchsorted(rep_groups, first + group_cap))
             groups = slice(first, rep_groups[stop - 1] + 1)
+            block_products = block.relation_t_dot(
+                pairs, groups, out=products[: groups.stop - first]
+            )
             local = rep_groups[start:stop] - first
-            if pairs is not None:
-                # row g: sum_i P_ig r_ik r_il for each pair k <= l, all of B[g]
-                products = block.relation_t_dot(pairs, groups)
         part = slice(start, stop)
         block_work = buffer[: stop - start]
         block_work[...] = db_signs[reps[part]]
         linear = static[tags[part]]
         for k in range(code_len):
             shared = None
-            if pairs is not None:
-                shared = products.take(pair_of[k], axis=1).take(local, axis=0)
-            elif rho != 1.0:
-                product = relaxed * relaxed[:, k, None]
-                shared = block.relation_t_dot(product, groups)[local]
+            if rho != 1.0:
+                shared = block_products.take(pair_of[k], axis=1).take(local, axis=0)
             _update_column(block_work, k, rho, gram, linear[:, k], shared)
         work[part] = block_work
         start = stop

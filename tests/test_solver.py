@@ -326,6 +326,15 @@ class TestVStep:
         assert np.array_equal(db, want)
 
 
+def representatives(block, db):
+    """v_step's representative rows at gamma != 0, in its order, and their
+    tags: a sampled query's row reads its own row of the table."""
+    tags = block.row_groups.copy()
+    tags[block.query_indices] = block.group_count + np.arange(block.query_count)
+    reps, _ = _unique_rows(*_pack_bits(db > 0).T, tags, block.row_groups)
+    return reps, tags[reps]
+
+
 def sweep_block_rows(monkeypatch, rows, code_len):
     """Make every V-step sweep block hold ``rows`` rows of ``code_len`` bits."""
     monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", rows * 8 * code_len)
@@ -369,12 +378,8 @@ class TestVStepBlocks:
         gamma = 0.0 if case == "gamma_zero" else 200.0
         relaxed = rng.uniform(-0.95, 0.95, (block.query_count, self.CODE_LEN))
         if case.startswith("private_tags"):
-            tags = block.row_groups.copy()
-            tags[block.query_indices] = block.group_count + np.arange(
-                block.query_count
-            )
-            reps, _ = _unique_rows(*_pack_bits(db > 0).T, tags, block.row_groups)
-            private = tags[reps] >= block.group_count
+            reps, tags = representatives(block, db)
+            private = tags >= block.group_count
             assert private.sum() == block.query_count
             # v_step's order at any rho (private_tags_last is rho = 1): by
             # group, then tag. Each query's row sits next to its group's
@@ -394,62 +399,58 @@ class TestVStepBlocks:
             assert np.array_equal(db, want)
             assert np.array_equal(signs, want)
 
-    @pytest.mark.parametrize("groups", [29, 40, 57])
+    @pytest.mark.parametrize("groups", [29, 40, 57, 150])
     def test_group_cap_ends_the_blocks(self, groups, monkeypatch):
         # room for the pair products of ``groups`` groups, and so for
-        # (c + 1) / 2 * groups rows. The m = 40 rows of pair columns fit
-        # from 40 groups on; then, with one code per group, a group has one
-        # representative plus one per sampled query, so every block ends
-        # at its group cap before its row cap. At 29 groups each column
-        # takes its own product and the blocks end at the row cap.
+        # (c + 1) / 2 * groups rows. The group cap is those groups but at
+        # least 128, so below 128 it is wider than the budget. A block ends
+        # where one more representative would pass the row cap or span
+        # more groups than the cap, and nowhere else.
         pairs = self.CODE_LEN * (self.CODE_LEN + 1) // 2
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", groups * 8 * pairs)
         row_cap = solver._block_rows(self.CODE_LEN)
+        group_cap = max(groups, 128)
         rng = np.random.default_rng(19)
         block, db = self.block_and_codes("multi_label", rng)
-        uses_pairs = block.query_count <= groups
         db = db[block.row_groups]
         relaxed = rng.uniform(-0.95, 0.95, (block.query_count, self.CODE_LEN))
-        blocks, built = [], []
-        update, pair_products = solver._update_column, solver._pair_products
+        blocks, spans = [], []
+        update = solver._update_column
 
         def recording(work, k, *args):
             if k == 0:
                 blocks.append(len(work))
             update(work, k, *args)
 
-        def counting(relaxed):
-            built.append(len(relaxed))
-            return pair_products(relaxed)
-
         monkeypatch.setattr(solver, "_update_column", recording)
-        monkeypatch.setattr(solver, "_pair_products", counting)
         signs = db.astype(np.int8)
         for _ in range(2):
             want = oracle.entrywise_v_step(
                 relaxed, block.signs, block.weights(), 200.0, db,
                 block.query_indices,
             )
+            rep_groups = block.row_groups[representatives(block, db)[0]]
             blocks.clear()
-            built.clear()
             v_step(db, relaxed, block, 200.0)
-            assert len(built) == uses_pairs
-            if uses_pairs:
-                # each block holds the rows of ``groups`` groups, the last the rest
-                assert len(blocks) == -(-block.group_count // groups)
-                assert max(blocks) < row_cap
-            else:
-                assert len(blocks) > 1
-                assert blocks[:-1] == [row_cap] * (len(blocks) - 1)
+            ends = np.cumsum(blocks)
+            assert ends[-1] == len(rep_groups)
+            for start, stop in zip(ends - blocks, ends):
+                span = rep_groups[stop - 1] - rep_groups[start] + 1
+                assert stop - start <= row_cap and span <= group_cap
+                if stop < len(rep_groups):
+                    wider = rep_groups[stop] - rep_groups[start] + 1
+                    assert stop - start == row_cap or wider > group_cap
+                spans.append(span)
             v_step(signs, relaxed, block, 200.0)
             assert np.array_equal(db, want)
             assert np.array_equal(signs, want)
+        assert len(spans) > 2 and max(spans) == group_cap
 
 
 class TestPairProducts:
     """The (1 - rho) term's B_k = P_g^T (R * r_k) of every column k, read
-    from one product of the pair columns r_ik * r_il (k <= l) when those
-    fit in ``SWEEP_BLOCK_BYTES``."""
+    from one product of the pair columns r_ik * r_il (k <= l), the one
+    path of every weighted V-step."""
 
     @pytest.mark.parametrize(
         "c, m", [(3, 40), (16, 200), (24, 150), (33, 100), (64, 200), (70, 200)]
@@ -474,20 +475,18 @@ class TestPairProducts:
                 assert_close_at_scale(products[:, pair_of[k]], want, 1e-14)
 
     @pytest.mark.parametrize(
-        "c, m, fits", [(16, 481, True), (16, 482, False), (64, 31, True), (64, 32, False)]
+        "c, m", [(16, 481), (16, 482), (16, 1000), (64, 31), (64, 32), (64, 200)]
     )
-    def test_pair_columns_are_built_only_within_the_sweep_budget(
-        self, c, m, fits, monkeypatch
-    ):
-        # m rows of c(c+1)/2 float64 pair columns against 512 KiB; either
-        # way the sweep gives the reference codes
-        assert (m * c * (c + 1) // 2 * 8 <= solver.SWEEP_BLOCK_BYTES) == fits
+    def test_pair_columns_are_built_once_per_weighted_call(self, c, m, monkeypatch):
+        # on both sides of the m at which the pair columns outgrow
+        # SWEEP_BLOCK_BYTES (481 at c = 16, 31 at c = 64) and well past it:
+        # each weighted call builds them once, an unweighted call never, and
+        # both give the reference codes
         rng = np.random.default_rng(47)
-        labels = multi_label_set(rng, 600)
-        block = build_sampled_similarity(labels, sample_query_indices(600, m, rng))
-        assert block.neg_weight != 1.0
+        labels = multi_label_set(rng, 1200)
+        omega = sample_query_indices(1200, m, rng)
         relaxed = rng.uniform(-0.95, 0.95, (m, c))
-        db = (rng.integers(0, 2, (len(labels), c)) * 2 - 1).astype(np.float64)
+        start = (rng.integers(0, 2, (len(labels), c)) * 2 - 1).astype(np.int8)
         built = []
         pair_products = solver._pair_products
 
@@ -496,12 +495,18 @@ class TestPairProducts:
             return pair_products(relaxed)
 
         monkeypatch.setattr(solver, "_pair_products", counting)
-        want = oracle.entrywise_v_step(
-            relaxed, block.signs, block.weights(), 200.0, db, block.query_indices
-        )
-        v_step(db, relaxed, block, 200.0)
-        assert built == ([m] if fits else [])
-        assert np.array_equal(db, want)
+        for weighted in (True, False):
+            block = build_sampled_similarity(labels, omega, weighted)
+            assert (block.neg_weight != 1.0) == weighted
+            want = oracle.entrywise_v_step(
+                relaxed, block.signs, block.weights(), 200.0, start,
+                block.query_indices,
+            )
+            built.clear()
+            db = start.copy()
+            v_step(db, relaxed, block, 200.0)
+            assert built == ([m] if weighted else [])
+            assert np.array_equal(db, want)
 
     def test_sweep_holds_the_pair_products_of_a_few_groups_at_a_time(self):
         # ~1.6 representatives per group: one 4,096-row sweep block at
@@ -523,13 +528,78 @@ class TestPairProducts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = (block.group_count + m) * c * 8  # the linear terms, built twice
+        table = (block.group_count + m) * c * 8  # the linear terms, built once
         # the pair columns, one block's product and its row buffers each fit
         # in SWEEP_BLOCK_BYTES
-        assert peak <= 2 * table + 4 * solver.SWEEP_BLOCK_BYTES + 8 * db.nbytes
+        assert peak <= table + 4 * solver.SWEEP_BLOCK_BYTES + 8 * db.nbytes
         v_step(want, relaxed, block, 200.0)
         assert np.array_equal(db, want)
 
+    @pytest.mark.parametrize("c, m, n", [(16, 1000, 3000), (64, 1000, 3000), (64, 200, 20000)])
+    def test_weighted_call_holds_the_declared_peak(self, c, m, n):
+        # v_step's docstring bounds the peak by the pair columns, one table,
+        # one block's products under the group cap (481 groups at c = 16,
+        # 128 at c = 64), the swept rows, a few SWEEP_BLOCK_BYTES and a few
+        # n-entry index arrays. m = 1000 is the default --omega; at 20k
+        # rows and m = 200 the table and the n-row arrays weigh most
+        rng = np.random.default_rng(48)
+        labels = multi_label_set(rng, n)
+        block = build_sampled_similarity(labels, sample_query_indices(n, m, rng))
+        assert block.neg_weight != 1.0 and block.group_count > n / 3
+        relaxed = rng.uniform(-0.95, 0.95, (m, c))
+        db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.int8)
+        block.relation_t_dot(relaxed)  # the block's own float64 cast, kept
+        tracemalloc.start()
+        try:
+            v_step(db, relaxed, block, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = c * (c + 1) // 2
+        group_cap = max(solver._block_rows(pairs), 128)
+        assert group_cap == {16: 481, 64: 128}[c]
+        bound = (
+            8 * m * pairs  # the pair columns
+            + 8 * (block.group_count + m) * c  # the table
+            + 8 * group_cap * pairs  # one block's products
+            + db.nbytes  # the swept rows
+            + 4 * solver.SWEEP_BLOCK_BYTES  # block rows and column reads
+            + 8 * 8 * n  # the sweep key and the write-back index
+        )
+        assert peak <= bound
+        # the pair columns are built whole, once
+        assert peak > 8 * m * pairs
+
+    def test_linear_term_table_is_one_allocation(self, monkeypatch):
+        # up to the sweep key the call holds one (G + m) x c table, filled in
+        # place, beside the sign mask and the pull term's m x c product: no
+        # G x c array beside it
+        rng = np.random.default_rng(49)
+        labels = multi_label_set(rng, 3000)
+        n, c, m = len(labels), 64, 200
+        block = build_sampled_similarity(labels, sample_query_indices(n, m, rng))
+        relaxed = rng.uniform(-0.95, 0.95, (m, c))
+        db = (rng.integers(0, 2, (n, c)) * 2 - 1).astype(np.int8)
+        want = db.astype(np.float64)
+        block.relation_t_dot(relaxed)  # the block's own float64 cast, kept
+        at_key = []
+        unique_rows = solver._unique_rows
+
+        def recording(*keys):
+            at_key.append(tracemalloc.get_traced_memory()[1])
+            return unique_rows(*keys)
+
+        monkeypatch.setattr(solver, "_unique_rows", recording)
+        tracemalloc.start()
+        try:
+            v_step(db, relaxed, block, 200.0)
+        finally:
+            tracemalloc.stop()
+        table = 8 * (block.group_count + m) * c
+        assert 8 * block.group_count * c > db.nbytes + 8 * m * c + 4 * 8 * n
+        assert at_key[0] <= table + db.nbytes + 8 * m * c + 4 * 8 * n
+        v_step(want, relaxed, block, 200.0)
+        assert np.array_equal(db, want)
 
 @pytest.mark.parametrize(
     "n, code_len, rows",

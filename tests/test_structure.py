@@ -16,6 +16,8 @@ reports. ``hashcore.CHUNK_PAIRS`` is the one size of a block of query x
 database pairs, for every scan over them. ``encoder`` owns the
 relaxation u = tanh(raw output): every loss takes u and returns its
 gradient wrt u, and only ``encoder`` applies tanh or its derivative.
+``solver._pair_products`` is the one product of the relaxed codes by
+their own columns, so the V-step takes its (1 - rho) term one way.
 """
 
 import ast
@@ -299,3 +301,54 @@ def test_only_encoder_applies_the_relaxation(name):
 
 def test_encoder_applies_the_relaxation():
     assert tanh_uses(tree("encoder.py"))
+
+
+def products_of_relaxed_columns(node):
+    """Lines where ``relaxed``, or a slice of it, is multiplied by a slice
+    of ``relaxed``: by ``*`` or by a ``multiply`` call."""
+
+    def is_relaxed(part):
+        return isinstance(part, ast.Name) and part.id == "relaxed"
+
+    def is_slice(part):
+        return isinstance(part, ast.Subscript) and is_relaxed(part.value)
+
+    found = []
+    for part in ast.walk(node):
+        if isinstance(part, ast.BinOp) and isinstance(part.op, ast.Mult):
+            operands = [part.left, part.right]
+        elif isinstance(part, ast.Call) and isinstance(part.func, ast.Attribute):
+            operands = part.args[:2] if part.func.attr == "multiply" else []
+        else:
+            continue
+        if all(is_relaxed(x) or is_slice(x) for x in operands) and any(
+            is_slice(x) for x in operands
+        ):
+            found.append(part.lineno)
+    return found
+
+
+def test_pair_products_are_the_one_product_of_query_columns():
+    # the V-step's (1 - rho) term has one path: the pair columns. A
+    # per-column product relaxed * relaxed[:, k, None] beside it would be
+    # a second one
+    pair = solver_functions()["_pair_products"]
+    lines = products_of_relaxed_columns(tree("solver.py"))
+    others = [line for line in lines if not pair.lineno <= line <= pair.end_lineno]
+    assert lines
+    assert not others, f"solver.py multiplies relaxed by a column on lines {others}"
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("relaxed * relaxed[:, k, None]", True),
+        ("relaxed[:, k, None] * relaxed", True),
+        ("np.multiply(relaxed[:, k, None], relaxed[:, k:], out=x)", True),
+        ("relaxed * relaxed", False),
+        ("relaxed.T @ relaxed", False),
+        ("relaxed * (quad - target)", False),
+    ],
+)
+def test_relaxed_column_products_are_found(source, found):
+    assert bool(products_of_relaxed_columns(ast.parse(source))) == found
