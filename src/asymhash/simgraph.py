@@ -12,9 +12,20 @@ relation, not m x n signs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hashcore import _pack_bits, _plus_mask
+
+# ``_unique_rows`` counts keys, not sorts them, when their range is at most
+# this many values per row. Timed on each call of a clusters-20k and a
+# multilabel-80 train, one BLAS thread: counting took 0.03-0.33 ms against
+# the sort's 0.07-0.62 ms up to 3.3 values per row, tied at 6.5 (0.25 ms),
+# lost at 11-12 (0.24 against 0.16 ms) and was 10-1000x slower past 100.
+# Its bool table and running count hold 9 bytes per value, so at most 36
+# bytes per row, about the sort's own arrays.
+COUNTED_RANGE = 4
 
 
 def pair_weight(pos: int, neg: int, weighted: bool) -> float:
@@ -132,25 +143,67 @@ class LabelMatrix:
         return out
 
 
+def _one_key(keys):
+    """(the key columns as one column in lexsort order, its range): a lone
+    column itself, else an int64 column, or None when the range of that
+    reaches 2^63."""
+    lows = [key.min() for key in keys]
+    widths = [int(key.max()) - int(low) + 1 for key, low in zip(keys, lows)]
+    span = math.prod(widths)
+    if span >= 2**63:
+        return (keys[0] if len(keys) == 1 else None), span
+    flat = (keys[-1] - lows[-1]).astype(np.int64, copy=False)
+    for key, low, width in zip(keys[-2::-1], lows[-2::-1], widths[-2::-1]):
+        flat *= width
+        flat += (key - low).astype(np.int64, copy=False)
+    return flat, span
+
+
 def _unique_rows(*keys):
     """(first row of each distinct key, index of each row's distinct key).
 
-    A row's key is its entry in each 1-D integer column of ``keys``. One
-    stable lexsort orders the rows (the last column is the primary key)
-    and one boundary test per column marks where the key changes, so keys
-    are numbered in lexsort order and each one's first row is its lowest.
-    The columns stay separate: stacking uint64 code words with int64 tags
-    would promote both to float64 and merge distinct words.
+    A row's key is its entry in each 1-D integer column of ``keys``. Keys
+    are numbered in lexsort order (the last column is the primary key),
+    and each one's first row is its lowest.
+
+    When the columns' value ranges multiply to below 2^63, each row's key
+    is one int64 in that order (``_one_key``). Up to ``COUNTED_RANGE``
+    values per row, a bool table over the range marks the keys present and
+    its running count numbers them, with no sort; above it, one unstable
+    argsort orders the rows, several times faster than a stable sort, and
+    each key's first row is the least of its run. Otherwise one stable
+    lexsort orders the rows and one boundary test per column marks where
+    the key changes. The columns stay separate there: stacking uint64 code
+    words with int64 tags would promote both to float64 and merge distinct
+    words.
     """
-    order = np.lexsort(keys)
-    new_key = np.zeros(len(order), dtype=bool)
+    rows = len(keys[0])
+    flat, span = _one_key(keys) if rows else (None, 0)
+    if flat is not None and span <= COUNTED_RANGE * rows:
+        present = np.zeros(span, dtype=bool)
+        present[flat] = True
+        number = np.cumsum(present)
+        number -= 1
+        inverse = number[flat]
+        first = np.full(number[-1] + 1, rows, dtype=np.int64)
+        np.minimum.at(first, inverse, np.arange(rows))
+        return first, inverse
+    new_key = np.zeros(rows, dtype=bool)
     new_key[:1] = True
-    for key in keys:
-        sorted_key = key[order]
-        new_key[1:] |= sorted_key[1:] != sorted_key[:-1]
-    inverse = np.empty(len(order), dtype=np.int64)
+    if flat is None:
+        order = np.lexsort(keys)
+        for key in keys:
+            sorted_key = key[order]
+            new_key[1:] |= sorted_key[1:] != sorted_key[:-1]
+        first = order[new_key]
+    else:
+        order = np.argsort(flat)
+        sorted_key = flat[order]
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_key[1:])
+        first = np.minimum.reduceat(order, np.flatnonzero(new_key))
+    inverse = np.empty(rows, dtype=np.int64)
     inverse[order] = np.cumsum(new_key) - 1
-    return order[new_key], inverse
+    return first, inverse
 
 
 def _group_columns(positive: np.ndarray):
@@ -213,15 +266,13 @@ class SimilarityBlock:
         self.positive = positive
         self.row_groups = np.ascontiguousarray(row_groups, dtype=np.int64)
         self.group_sizes = np.bincount(self.row_groups, minlength=self.group_count)
-        # the database rows ordered by group; group g's are
-        # group_rows[group_offsets[g]:group_offsets[g + 1]]
+        # the database rows ordered by group, each group's in row order
         self.group_rows = np.argsort(self.row_groups, kind="stable")
-        self.group_offsets = np.concatenate(([0], np.cumsum(self.group_sizes)))
         # (P_g n)_i, the database rows sharing a label with query i; einsum
         # buffers the bool-to-int cast instead of copying the m x G relation
         self.positive_counts = np.einsum("ig,g->i", positive, self.group_sizes)
         for arr in (self.positive, self.row_groups, self.group_sizes,
-                    self.group_rows, self.group_offsets, self.positive_counts):
+                    self.group_rows, self.positive_counts):
             arr.flags.writeable = False
         if not 0 < neg_weight < np.inf:
             raise ValueError("neg_weight must be positive and finite")

@@ -33,13 +33,18 @@ table: the G rows of static and, when the pull is live (sampled queries,
 gamma != 0), one row static[g(q_i)] - gamma * r_i per sampled query i.
 Each database row's tag is the table row it reads, its group or its
 query's private row. Rows with one (tag, code) get one new code, so a
-sweep keys each row by its tag and packed code words, takes one
-representative row per key from ``simgraph._unique_rows`` (the one
-lexsort helper, which also forms the groups), runs over those rows, and
-writes the result back to every row with one gather. Random initial
-codes are ~all distinct and collapse onto a few codes per group during
-the first sweep, so the key is taken afresh on every call; later sweeps
-cost O(distinct rows * c^2), not O(n * c^2).
+sweep keys each row by its tag and its code, takes one representative
+row per key from ``simgraph._unique_rows`` (the one finder of distinct
+rows, which also forms the groups), runs over those rows, and writes the
+result back to every row with one gather. ``train`` keeps beside V one
+int32 code id per row, V's distinct codes numbered in packed-word order,
+and the sweep keys rows by it: two integer columns, with no code packed.
+The sweep renumbers the ids from its K swept rows alone, since every row
+now holds one of their codes. Random initial codes are ~all distinct and
+collapse onto a few codes per group during the first sweep, after which
+the key's range is small enough to count rather than sort; later sweeps
+cost O(n) index work and O(distinct rows * c^2) arithmetic, not
+O(n * c^2).
 
 Since no row reads another, the sweep runs in row blocks: every column
 over one block of representative rows, then the next block. A block is
@@ -47,16 +52,25 @@ over one block of representative rows, then the next block. A block is
 over it stay in a core's L2 cache; column by column over all rows, each
 pass would stream the whole distinct-rows x c array from memory. At
 rho != 1 a block also ends at a group cap, which bounds its pair
-products, groups x c(c+1)/2. Each row's arithmetic and its order do not
-depend on the blocks, so neither do the codes.
+products, groups x c(c+1)/2. A row's new code reads only its own row,
+but its float sums are not the same for every block: BLAS picks its
+kernel by the block's shape and a row's place in it. With OpenBLAS on
+one thread, ``block @ gram[:, k]`` over 1,024 rows gave 595-778 rows
+last bits that differ from one-row products at c = 16-64, and permuting
+a 3- or 7-row block changed up to 4 rows. So the block rule and the row
+order, (group, tag, packed code), are part of what fixes the codes; other
+blocks or another order can change a code only where a coefficient is
+within rounding of 0, as for the pair products.
 
 ``train`` holds V as an n x c int8 array, one byte per bit. Float64 rows,
 which BLAS needs, exist only a block at a time: the sweep gathers each
 block into one reused float64 buffer and stores it back as int8, and
-``_group_stats`` reads each row once, in float64 row blocks. Every sum
+``_group_stats`` reads, in float64 blocks, each row once or, given the
+code ids, one row per (group, code) weighted by its row count. Every sum
 of products of +/-1 entries is an integer far below 2^53, so each float
-is exact and int8 codes give the float64 codes' bits. ``v_step`` and
-``_group_stats`` take codes of either dtype on the one path.
+is exact: int8 codes give the float64 codes' bits, and counted rows the
+bits of every row read. ``v_step`` and ``_group_stats`` take codes of
+either dtype on the one path.
 
 The objective and its gradient wrt the relaxed codes, which the encoder
 backpropagates through its own tanh, use the same groups. With V the
@@ -81,7 +95,9 @@ The loss reads V only through Q, the m x c table of h_i, the large
 groups' Q_g, the small groups' rows and the sampled queries' own codes.
 ``train`` builds these terms (``_group_stats``) once after each block
 build and once after each V-step, and the objective and every minibatch
-step of that code state read them.
+step of that code state read them. Once a sweep has collapsed the codes,
+each build counts the rows of each (group, code id) and reads V only at
+one row per count, the small groups' rows and the own codes.
 
 ``train`` with ``mode="symmetric_baseline"`` runs a single-network
 trainer instead, included only as the scaling and accuracy contrast; it
@@ -226,22 +242,25 @@ class GroupStats(NamedTuple):
     own: np.ndarray | None  # m x c, each sampled query's own code
 
 
-def _group_stats(db_signs, block) -> GroupStats:
+def _group_stats(db_signs, block, code_ids=None) -> GroupStats:
     """Each query's linear term h_i from the per-group row sums u_g of the
     database codes, V^T V, the rows of the groups of at most c rows and,
     for rho = ``block.neg_weight`` != 1, the Gram Q_g = V_g^T V_g of each
     larger group.
 
     Each row is read once. A large group's rows go through float64 blocks
-    of ``_block_rows(c)`` rows, which add to its Q_g and u_g; the small
+    of ``_block_rows(c)`` rows, which add to its Q_g and u_g. Given
+    ``code_ids`` (as ``v_step`` keeps them), the large groups' rows are
+    counted by (group, code id) instead, and the blocks hold one row per
+    count, weighted by it, so V is read at those rows alone. The small
     groups are gathered by one mask over the rows in group order, cast to
     float64 and summed in one reduceat. V^T V is the Q_g plus the small
     rows' Gram; at rho = 1, where the loss reads no Q_g, every large-group
     block adds to one c x c sum instead. Entries are +/-1 and P_g is 0/1,
     so every sum, Gram and P_g u is an exact integer in float64, the same
-    bits in any order, for any subset of query rows and for int8 codes as
-    for float64 ones. The small groups' rows and the own codes are kept
-    as float64, the form the loss reads.
+    bits in any order, for any subset of query rows, for int8 codes as for
+    float64 ones and for counted rows as for every row. The small groups'
+    rows and the own codes are kept as float64, the form the loss reads.
     """
     rho = block.neg_weight
     code_len = db_signs.shape[1]
@@ -251,13 +270,23 @@ def _group_stats(db_signs, block) -> GroupStats:
     keep = rho != 1.0  # whether the loss reads the Q_g
     grams = np.zeros((len(large) if keep else 1, code_len, code_len))
     step = _block_rows(code_len)
-    for at, g in enumerate(large):
-        rows = block.group_rows[block.group_offsets[g] : block.group_offsets[g + 1]]
+    # the large groups' rows, group by group; with code ids, one row per
+    # (group, code) of them, weighted by the rows that hold it
+    members = block.group_rows[np.repeat(is_large, block.group_sizes)]
+    counts = None
+    if code_ids is not None:
+        first, member_of = _unique_rows(code_ids[members], block.row_groups[members])
+        counts = np.bincount(member_of).astype(np.float64)
+        members = members[first]
+    bounds = np.searchsorted(block.row_groups[members], [large, large + 1])
+    for at, (g, begin, end) in enumerate(zip(large, *bounds)):
         into = grams[at if keep else 0]
-        for start in range(0, len(rows), step):
-            part = db_signs[rows[start : start + step]].astype(np.float64, copy=False)
-            into += part.T @ part
-            sums[g] += part.sum(axis=0)
+        for start in range(begin, end, step):
+            part = slice(start, min(start + step, end))
+            codes = db_signs[members[part]].astype(np.float64, copy=False)
+            weighted = codes if counts is None else codes * counts[part, None]
+            into += weighted.T @ codes
+            sums[g] += weighted.sum(axis=0)
     small = np.flatnonzero(~is_large)
     small_rows = block.group_rows[np.repeat(~is_large, block.group_sizes)]
     small_codes = db_signs[small_rows].astype(np.float64, copy=False)
@@ -413,60 +442,13 @@ def _pair_products(relaxed):
     return pairs, pair_of
 
 
-def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
-    """One full sweep over all code columns, each using the latest codes.
-
-    Given the relaxed query codes the objective is a sum of independent
-    per-row terms, so a row's new code depends only on its key: its code
-    and its tag, the row of the linear-term table it reads (module
-    docstring). The sweep runs over one representative row per distinct
-    key and one gather writes the result back to all rows. The key is
-    taken on every call: the first sweep from random codes starts with
-    ~all rows distinct, and they collapse onto few keys only during that
-    sweep. Dissimilar pairs weigh the block's ``neg_weight``.
-
-    The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
-    block gathers its rows into one reused float64 buffer and its rows of
-    the table, then runs every column before the next block starts, so
-    the column passes read a block that fits in L2 (module docstring).
-    At rho != 1 the call builds the m x p pair columns once, p = c(c+1)/2,
-    and a block also ends at the group cap: the groups whose products of
-    them fit in ``SWEEP_BLOCK_BYTES``, but at least 128, as fewer cost
-    more in numpy calls than in flops. Column k reads B_k through a c x c
-    index from the block's one product of the pair columns over its
-    groups (one range: the rows are ordered by group). The swept rows keep
-    the dtype of ``db_signs``, int8 in training. Beside its inputs the
-    call holds at most 8 * (m * p + (G + m) * c + group cap * p) bytes of
-    pair columns, table and one block's products (the p terms at rho != 1
-    only), one n x c array of the dtype of ``db_signs``, 4 *
-    ``SWEEP_BLOCK_BYTES`` of block rows and 8 n-entry index arrays.
-    """
-    relaxed = np.asarray(relaxed, dtype=np.float64)
+def _sweep_representatives(db_signs, reps, tags, relaxed, block, static):
+    """The new codes of the representative rows ``reps`` of ``db_signs``,
+    which read the rows ``tags`` of the linear-term table ``static``: every
+    column over one block of them, then the next block (``v_step``)."""
     rho = block.neg_weight
     code_len = db_signs.shape[1]
-    group_count = block.group_count
     gram = relaxed.T @ relaxed
-    tags = block.row_groups
-    # a sampled row's pull term -gamma * r_i is its own: it reads a private
-    # row of the table, after the group rows
-    pull = block.query_indices is not None and gamma != 0.0
-    static = np.empty((group_count + (block.query_count if pull else 0), code_len))
-    groups_part = block.relation_t_dot(relaxed, out=static[:group_count])
-    groups_part *= 1.0 + rho
-    groups_part -= rho * relaxed.sum(axis=0)
-    groups_part *= -code_len
-    if pull:
-        static[group_count:] = groups_part[tags[block.query_indices]]
-        static[group_count:] -= gamma * relaxed
-        tags = tags.copy()
-        tags[block.query_indices] = group_count + np.arange(block.query_count)
-    # the (1 - rho) term reads the relation columns of each block's groups.
-    # With the group as the primary key (a tag fixes its row's group, so
-    # the distinct rows stay the same), they are one range of columns of
-    # the block's one cast; per-block casts, a few MB each and of varying
-    # size, left the peak RSS varying from run to run.
-    reps, inverse = _unique_rows(*_pack_bits(db_signs > 0).T, tags, block.row_groups)
-    tags = tags[reps]  # now per representative; this frees the n-row copy
     work = np.empty((len(reps), code_len), dtype=db_signs.dtype)
     rows = _block_rows(code_len)
     buffer = np.empty((min(rows, len(reps)), code_len))
@@ -475,7 +457,7 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
         group_cap = max(_block_rows(pairs.shape[1]), 128)
         rep_groups = block.row_groups[reps]  # ascending
         # row g: sum_i P_ig r_ik r_il for each pair k <= l, all of B[g]
-        products = np.empty((min(group_cap, group_count), pairs.shape[1]))
+        products = np.empty((min(group_cap, block.group_count), pairs.shape[1]))
     start = 0
     while start < len(reps):
         stop = min(start + rows, len(reps))
@@ -498,10 +480,96 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma):
             _update_column(block_work, k, rho, gram, linear[:, k], shared)
         work[part] = block_work
         start = stop
+    return work
+
+
+def v_step(db_signs, relaxed, block: SimilarityBlock, gamma, code_ids=None):
+    """One full sweep over all code columns, each using the latest codes.
+
+    Given the relaxed query codes the objective is a sum of independent
+    per-row terms, so a row's new code depends only on its key: its code
+    and its tag, the row of the linear-term table it reads (module
+    docstring). The sweep runs over one representative row per distinct
+    key and one gather writes the result back to all rows. The key is
+    taken on every call: the first sweep from random codes starts with
+    ~all rows distinct, and they collapse onto few keys only during that
+    sweep. Dissimilar pairs weigh the block's ``neg_weight``.
+
+    ``code_ids``, the int32 array that ``train`` keeps, holds each row's
+    code id: V's distinct codes numbered in packed-word order, as
+    ``_code_ids`` numbers them. The key is then that id and the rank of
+    the row's tag in (group, tag) order, and the call renumbers the ids in
+    place from its swept rows, the only rows it packs. Without ids it
+    packs all n rows' codes into the key. Both keys give the
+    representatives in one order, by group, tag and packed code, which
+    with the blocks fixes each row's arithmetic (module docstring).
+    ``db_signs`` is updated in place and returned.
+
+    The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
+    block gathers its rows into one reused float64 buffer and its rows of
+    the table, then runs every column before the next block starts, so
+    the column passes read a block that fits in L2 (module docstring).
+    At rho != 1 the call builds the m x p pair columns once, p = c(c+1)/2,
+    and a block also ends at the group cap: the groups whose products of
+    them fit in ``SWEEP_BLOCK_BYTES``, but at least 128, as fewer cost
+    more in numpy calls than in flops. Column k reads B_k through a c x c
+    index from the block's one product of the pair columns over its
+    groups (one range: the rows are ordered by group). The swept rows keep
+    the dtype of ``db_signs``, int8 in training. Beside its inputs the
+    call holds at most 8 * (m * p + (G + m) * c + group cap * p) bytes of
+    pair columns, table and one block's products (the p terms at rho != 1
+    only), one n x c array of the dtype of ``db_signs``, 4 *
+    ``SWEEP_BLOCK_BYTES`` of block rows and 8 n-entry index arrays.
+    """
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    rho = block.neg_weight
+    code_len = db_signs.shape[1]
+    group_count = block.group_count
+    tags = block.row_groups
+    # a sampled row's pull term -gamma * r_i is its own: it reads a private
+    # row of the table, after the group rows
+    pull = block.query_indices is not None and gamma != 0.0
+    static = np.empty((group_count + (block.query_count if pull else 0), code_len))
+    groups_part = block.relation_t_dot(relaxed, out=static[:group_count])
+    groups_part *= 1.0 + rho
+    groups_part -= rho * relaxed.sum(axis=0)
+    groups_part *= -code_len
+    # the (1 - rho) term reads the relation columns of each block's groups.
+    # With the group as the primary key (a tag fixes its row's group, so
+    # the distinct rows stay the same), they are one range of columns of
+    # the block's one cast; per-block casts, a few MB each and of varying
+    # size, left the peak RSS varying from run to run. So each row is keyed
+    # by its tag's rank in (group, tag) order, ``tag_order`` inverted.
+    tag_order = None
+    if pull:
+        private = tags[block.query_indices]
+        static[group_count:] = groups_part[private]
+        static[group_count:] -= gamma * relaxed
+        table_groups = np.concatenate((np.arange(group_count), private))
+        tag_order = np.argsort(table_groups, kind="stable")
+        rank = tag_order.argsort()
+        tags = rank[tags]
+        tags[block.query_indices] = rank[group_count:]
+    code_key = _pack_bits(db_signs > 0).T if code_ids is None else (code_ids,)
+    reps, inverse = _unique_rows(*code_key, tags)
+    tags = tags[reps]  # now per representative; this frees the n-row copy
+    if tag_order is not None:
+        tags = tag_order[tags]  # back to rows of the table
+    # the sweep's block buffers are freed before the ids are renumbered
+    work = _sweep_representatives(db_signs, reps, tags, relaxed, block, static)
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, inverse, axis=0, out=db_signs, mode="clip")
+    if code_ids is not None:
+        # every row now holds one of the swept codes: number those
+        np.take(_code_ids(work), inverse, out=code_ids, mode="clip")
     return db_signs
+
+
+def _code_ids(codes):
+    """Each row's code id, int32: the distinct rows of the +/-1 ``codes``
+    numbered in the lexsort order of their packed words."""
+    return _unique_rows(*_pack_bits(codes > 0).T)[1].astype(np.int32)
 
 
 def _init_db_codes(rng, n, code_len):
@@ -558,6 +626,12 @@ def train(
     if config.mode == "symmetric_baseline":
         return _train_symmetric(features, labels, config, rng, model, on_outer_end)
     db = _init_db_codes(rng, n, config.code_len)
+    # each row's code id, V's distinct codes numbered in packed-word order,
+    # which every sweep keys rows by and renumbers. The random codes are
+    # ~all distinct, so the loss terms count rows by code only once a
+    # sweep has collapsed them (``swept_ids``); before, they read rows.
+    code_ids = _code_ids(db)
+    swept_ids = None
     opt = OptimizerState(config.learning_rate, config.optimizer)
     history: list[HistoryRecord] = []
 
@@ -591,7 +665,7 @@ def train(
                 labels, omega, config.imbalance_weighting
             )
             qfeat = features[omega]
-            stats = _group_stats(db, block)
+            stats = _group_stats(db, block, swept_ids)
         if outer == 1:
             record(1, 0, "init", forward(model, qfeat), 0.0)
         m = block.query_count
@@ -610,9 +684,10 @@ def train(
                 raise TrainingDiverged(str(err), snapshot()) from err
             record(outer, inner, "theta", relaxed, time.perf_counter() - phase_start)
             phase_start = time.perf_counter()
-            v_step(db, relaxed, block, config.gamma)
+            v_step(db, relaxed, block, config.gamma, code_ids)
             seconds = time.perf_counter() - phase_start
-            stats = _group_stats(db, block)
+            swept_ids = code_ids
+            stats = _group_stats(db, block, swept_ids)
             record(outer, inner, "v", relaxed, seconds)
         if on_outer_end is not None:
             on_outer_end(outer, time.perf_counter() - outer_start, model, db)

@@ -189,9 +189,9 @@ def test_criterion_3_coordinate_descent_monotonic(monkeypatch):
     traces: list = []
     sweep = solver.v_step
 
-    def scored(db_signs, relaxed, block, gamma):
+    def scored(db_signs, relaxed, block, gamma, *code_ids):
         before = db_signs.copy()
-        sweep(db_signs, relaxed, block, gamma)
+        sweep(db_signs, relaxed, block, gamma, *code_ids)
         trace = []
         for k in range(db_signs.shape[1] + 1):
             codes = np.hstack((db_signs[:, :k], before[:, k:]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asymhash import oracle
+from asymhash import oracle, simgraph
 from asymhash.simgraph import (
     LabelMatrix,
     SimilarityBlock,
@@ -106,18 +106,21 @@ class TestLabelMatrix:
 
 
 class TestUniqueRows:
-    @pytest.mark.parametrize("rows", [400, 1, 50])
-    def test_matches_a_dict_over_row_tuples(self, rows):
-        # words at and above 2^63 that differ only in their low bits, which
-        # a float64 key would merge, next to int64 tags; 50 rows are all equal
-        rng = np.random.default_rng(26)
-        choices = 1 if rows == 50 else 3
-        top = np.uint64(2**64 - 1)
-        keys = (
-            np.uint64(2**63) + rng.integers(0, choices, rows).astype(np.uint64),
-            top - rng.integers(0, choices, rows).astype(np.uint64),
-            rng.integers(0, choices, rows),
-        )
+    # each path on the same keys: counted over their range, sorted as one
+    # int64 column, and lexsorted column by column
+    PATHS = ("counted", "sorted", "lexsorted")
+
+    @staticmethod
+    def force(path, monkeypatch):
+        if path == "counted":
+            monkeypatch.setattr(simgraph, "COUNTED_RANGE", 2**63)
+        elif path == "sorted":
+            monkeypatch.setattr(simgraph, "COUNTED_RANGE", 0)
+        else:
+            monkeypatch.setattr(simgraph, "_one_key", lambda keys: (None, 2**63))
+
+    @staticmethod
+    def check(keys):
         first_of: dict = {}
         for row, key in enumerate(zip(*(k.tolist() for k in keys))):
             first_of.setdefault(key, row)
@@ -127,6 +130,66 @@ class TestUniqueRows:
         # each row maps to the first row of its own key
         want = [first_of[key] for key in zip(*(k.tolist() for k in keys))]
         assert first[inverse].tolist() == want
+        # the keys are numbered in lexsort order, the last column primary
+        order = np.lexsort(tuple(k[first] for k in keys))
+        assert order.tolist() == list(range(len(first)))
+
+    @staticmethod
+    def words_and_tags(rows):
+        # words at and above 2^63 that differ only in their low bits, which
+        # a float64 key would merge, next to int64 tags; 50 rows are all equal
+        rng = np.random.default_rng(26)
+        choices = 1 if rows == 50 else 3
+        top = np.uint64(2**64 - 1)
+        return (
+            np.uint64(2**63) + rng.integers(0, choices, rows).astype(np.uint64),
+            top - rng.integers(0, choices, rows).astype(np.uint64),
+            rng.integers(0, choices, rows),
+        )
+
+    @pytest.mark.parametrize("rows", [400, 1, 50])
+    def test_matches_a_dict_over_row_tuples(self, rows):
+        self.check(self.words_and_tags(rows))
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("rows", [400, 1, 50])
+    def test_each_path_matches_a_dict_over_row_tuples(self, rows, path, monkeypatch):
+        self.force(path, monkeypatch)
+        self.check(self.words_and_tags(rows))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_code_ids_and_tags_of_a_sweep_key(self, path, monkeypatch):
+        # int32 code ids beside int64 tags, as a V-step keys its rows
+        self.force(path, monkeypatch)
+        rng = np.random.default_rng(27)
+        self.check((
+            rng.integers(0, 40, 3000).astype(np.int32),
+            rng.integers(5, 60, 3000),
+        ))
+
+    def test_a_lone_column_wider_than_int64(self):
+        # one column of code words spanning all 64 bits is sorted as it is
+        rng = np.random.default_rng(28)
+        words = rng.integers(0, 2**64, 500, dtype=np.uint64, endpoint=False)
+        words[:3] = [0, 2**64 - 1, 2**63]
+        words[250:] = words[:250]
+        assert simgraph._one_key((words,))[0] is words
+        self.check((words,))
+
+    def test_the_range_picks_the_path(self, monkeypatch):
+        # a key range of at most COUNTED_RANGE values per row is counted,
+        # with no sort; one value more is sorted
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        rows = 1000
+        key = np.arange(rows)
+        key[-1] = simgraph.COUNTED_RANGE * rows - 1
+        self.check((key,))
+        assert not calls
+        key[-1] += 1
+        self.check((key,))
+        assert calls
 
 
 class TestBuildSimilarity:
@@ -337,7 +400,7 @@ class TestGroupedBlock:
             value for name, value in vars(block).items()
             if isinstance(value, np.ndarray) and name != "positive"
         ]
-        assert len(others) == 6
+        assert len(others) == 5
         assert all(arr.size <= n + groups + m for arr in others)
 
     def test_label_sets_are_compared_once_per_distinct_set(self, monkeypatch):
@@ -361,7 +424,7 @@ def dense_relation(block):
     """The m x G 0/1 relation, read from the expanded signs: one column
     per group, which every database row of the group must share."""
     positive = block.signs == 1
-    first = block.group_rows[block.group_offsets[:-1]]
+    first = block.group_rows[np.cumsum(block.group_sizes) - block.group_sizes]
     assert np.array_equal(positive, positive[:, first][:, block.row_groups])
     return positive[:, first].astype(np.float64)
 

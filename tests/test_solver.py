@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 from functools import partial
 
@@ -73,9 +74,9 @@ def score_every_column(monkeypatch):
     traces = []
     sweep = solver.v_step
 
-    def scored(db_signs, relaxed, block, gamma):
+    def scored(db_signs, relaxed, block, gamma, *code_ids):
         before = db_signs.copy()
-        sweep(db_signs, relaxed, block, gamma)
+        sweep(db_signs, relaxed, block, gamma, *code_ids)
         states = (
             np.hstack((db_signs[:, :k], before[:, k:]))
             for k in range(db_signs.shape[1] + 1)
@@ -342,8 +343,13 @@ def sweep_block_rows(monkeypatch, rows, code_len):
 
 class TestVStepBlocks:
     """A sweep runs every column over one block of representative rows
-    before the next block. Each row's new code reads only its own row, so
-    blocks of any size give the codes of the entrywise reference."""
+    before the next block. Each row's new code reads only its own row, but
+    not with the same float sums in every block: BLAS picks its kernel by
+    the block's shape and a row's place in it, so a block size or row order
+    may change a code where a coefficient is within rounding of 0. These
+    cases have no such near-tie, and blocks of each size give the codes of
+    the entrywise reference; the sweep's one row order is pinned on its
+    own."""
 
     CODE_LEN = 10
     RHO_ONE = ("rho_one", "private_tags_last")
@@ -398,6 +404,51 @@ class TestVStepBlocks:
             v_step(signs, relaxed, block, gamma)
             assert np.array_equal(db, want)
             assert np.array_equal(signs, want)
+
+    def test_sweeps_the_representatives_in_one_order(self, monkeypatch):
+        # weighted multi-label, with private tags: each block's rows as the
+        # first column update sees them are the representatives in their
+        # (group, tag, packed code) order, cut where a sweep without code
+        # ids cuts them, on the first sweep from random codes and on a
+        # sweep given the ids that sweep carried
+        sweep_block_rows(monkeypatch, 7, self.CODE_LEN)
+        rng = np.random.default_rng(21)
+        block, db = self.block_and_codes("multi_label", rng)
+        assert block.neg_weight != 1.0 and block.group_count > 100
+        relaxed = rng.uniform(-0.95, 0.95, (block.query_count, self.CODE_LEN))
+        gamma = 200.0
+        c, rho = self.CODE_LEN, block.neg_weight
+        static = -c * ((1 + rho) * block.relation_t_dot(relaxed) - rho * relaxed.sum(0))
+        own = static[block.row_groups[block.query_indices]] - gamma * relaxed
+        table = np.vstack((static, own))
+        seen = []
+        update = solver._update_column
+
+        def recording(work, k, rho, gram, linear, shared):
+            if k == 0:
+                seen.append((work.copy(), linear.copy()))
+            update(work, k, rho, gram, linear, shared)
+
+        monkeypatch.setattr(solver, "_update_column", recording)
+        code_ids = _unique_rows(*_pack_bits(db > 0).T)[1].astype(np.int32)
+        for _ in range(2):
+            reps, tags = representatives(block, db)
+            before, plain = db.copy(), db.copy()
+            seen.clear()
+            v_step(plain, relaxed, block, gamma)
+            cuts = [len(rows) for rows, _ in seen]
+            seen.clear()
+            v_step(db, relaxed, block, gamma, code_ids)
+            assert [len(rows) for rows, _ in seen] == cuts
+            assert len(cuts) > 2 and max(cuts) == 7
+            start = np.concatenate([rows for rows, _ in seen])
+            assert np.array_equal(start, before[reps])
+            linear = np.concatenate([lin for _, lin in seen])
+            np.testing.assert_allclose(linear, table[tags, 0], rtol=1e-12, atol=1e-9)
+            assert np.array_equal(db, plain)
+            # the carried ids number the new codes in packed-word order
+            want = _unique_rows(*_pack_bits(db > 0).T)[1]
+            assert np.array_equal(code_ids, want)
 
     @pytest.mark.parametrize("groups", [29, 40, 57, 150])
     def test_group_cap_ends_the_blocks(self, groups, monkeypatch):
@@ -1190,6 +1241,117 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
     # 1 + 2 * tout * tin objectives and tout * tin * 3 minibatch steps
     assert len(states) == 1 + 2 * tout * tin + tout * tin * 3
     assert len(set(states)) == tout * (1 + tin)  # every V-step moved a code
+
+
+def train_reading_rows(monkeypatch, *args, **kwargs):
+    """``train`` whose V-steps get no code ids, and so pack every row into
+    their key, and whose loss terms read every row."""
+    sweep, group_stats = solver.v_step, solver._group_stats
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            solver, "v_step",
+            lambda db, relaxed, block, gamma, code_ids: sweep(db, relaxed, block, gamma),
+        )
+        patch.setattr(
+            solver, "_group_stats", lambda db, block, code_ids=None: group_stats(db, block)
+        )
+        return train(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "weighted", "unweighted", "gamma_zero", "multi_label",
+        "multi_label_unweighted", "separate", "separate_multi_label",
+    ],
+)
+def test_carried_code_ids_give_the_outputs_of_reading_rows(case, monkeypatch):
+    # The V-steps key rows by the code ids that train carries from sweep to
+    # sweep, and the loss terms count rows by them; the codes, the encoder
+    # and every history objective keep their bits
+    rng = np.random.default_rng(50)
+    if "multi_label" in case:
+        labels = multi_label_set(rng, 500)
+        features = rng.normal(size=(500, 8))
+    else:
+        features, labels = gen_synthetic_clusters(6, 80, 8, 0.1, seed=50)
+    config = TrainConfig(
+        code_len=12, gamma=0.0 if case == "gamma_zero" else 200.0, query_count=60,
+        outer_iters=3, inner_iters=2, batch_size=20, seed=50, optimizer="adam",
+        hidden_dims=(16,), imbalance_weighting="unweighted" not in case,
+    )
+    kwargs = {}
+    if case.startswith("separate"):
+        parts = split(len(labels), 60, 0, seed=50)
+        kwargs = dict(
+            query_features=features[parts.query_indices],
+            query_labels=labels.subset(parts.query_indices),
+        )
+        features = features[parts.db_indices]
+        labels = labels.subset(parts.db_indices)
+        config = dataclasses.replace(config, mode="asymmetric_separate_queries")
+    counted = []
+    group_stats = solver._group_stats
+
+    def spying(db, block, code_ids=None):
+        counted.append(code_ids is not None)
+        return group_stats(db, block, code_ids)
+
+    monkeypatch.setattr(solver, "_group_stats", spying)
+    got = train(features, labels, config, **kwargs)
+    assert any(counted)
+    want = train_reading_rows(monkeypatch, features, labels, config, **kwargs)
+    assert got.codes == want.codes
+    for a, b in zip(got.model.params(), want.model.params()):
+        assert a.tobytes() == b.tobytes()
+    assert [h.objective for h in got.history] == [h.objective for h in want.history]
+    assert len(got.history) == 1 + 2 * config.outer_iters * config.inner_iters
+
+
+def test_sweeps_pack_no_more_rows_than_they_sweep(monkeypatch):
+    # 2 x 2 training: the code ids are numbered once from the random codes,
+    # and after that each sweep packs only the representative rows it
+    # swept, to renumber them, never all n rows
+    features, labels = gen_synthetic_clusters(6, 80, 8, 0.1, seed=51)
+    n = len(labels)
+    events = []
+    pack, update, sweep = solver._pack_bits, solver._update_column, solver.v_step
+
+    def packing(plus):
+        events.append(("pack", len(plus)))
+        return pack(plus)
+
+    def updating(work, k, *args):
+        if k == 0:
+            events.append(("swept", len(work)))
+        update(work, k, *args)
+
+    def sweeping(*args):
+        events.append(("sweep", 0))
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_pack_bits", packing)
+    monkeypatch.setattr(solver, "_update_column", updating)
+    monkeypatch.setattr(solver, "v_step", sweeping)
+    config = TrainConfig(
+        code_len=8, query_count=40, outer_iters=2, inner_iters=2, batch_size=20,
+        seed=51, hidden_dims=(8,),
+    )
+    train(features, labels, config)
+    assert events[0] == ("pack", n)  # the random codes' ids
+    sweeps = []  # per sweep: rows swept, rows packed
+    for kind, rows in events[1:]:
+        if kind == "sweep":
+            sweeps.append([0, []])
+        elif kind == "swept":
+            sweeps[-1][0] += rows
+        else:
+            assert sweeps, "a pack between the ids and the first sweep"
+            sweeps[-1][1].append(rows)
+    assert len(sweeps) == 4
+    for swept, packed in sweeps:
+        assert packed == [swept]
+    assert max(swept for swept, _ in sweeps[1:]) < n / 4
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from asymhash import evaluate, hashcore
+from asymhash import evaluate, hashcore, solver
 from asymhash.dataio import gen_synthetic_clusters
 from asymhash.hashcore import CodeMatrix
 from asymhash.simgraph import LabelMatrix
@@ -37,9 +37,11 @@ def test_every_span_target_resolves():
     assert not missing, f"span targets that no longer resolve: {missing}"
 
 
-def test_span_call_counts_of_a_small_train():
+def test_span_call_counts_of_a_small_train(monkeypatch):
     # one objective at the start, one after each theta and each V phase;
-    # ceil(m / batch) minibatch steps per theta phase; one V-step per phase
+    # ceil(m / batch) minibatch steps per theta phase; one V-step per phase.
+    # The recorder diffs the codes each V-step updates in place and
+    # returns; a wrapper of its own, beneath it, counts the same entries.
     spans = load_spans()
     features, labels = gen_synthetic_clusters(4, 30, 8, 0.1, seed=38)
     tout, tin, m, batch = 2, 2, 40, 16
@@ -47,6 +49,17 @@ def test_span_call_counts_of_a_small_train():
         code_len=8, query_count=m, outer_iters=tout, inner_iters=tin,
         batch_size=batch, seed=38, hidden_dims=(8,),
     )
+    flipped = []
+    sweep = solver.v_step
+
+    def counted(db_signs, *args):
+        before = db_signs.copy()
+        out = sweep(db_signs, *args)
+        assert out is db_signs
+        flipped.append(int(np.count_nonzero(before != db_signs)))
+        return out
+
+    monkeypatch.setattr(solver, "v_step", counted)
     recorder = spans.SpanRecorder()
     undo = spans.install(recorder)
     try:
@@ -56,7 +69,8 @@ def test_span_call_counts_of_a_small_train():
     counts = recorder.summary()
     assert counts["solver.objective.calls"] == 1 + 2 * tout * tin
     assert counts["encoder.minibatch_step.calls"] == tout * tin * math.ceil(m / batch)
-    assert counts["solver.v_step.calls"] == tout * tin
+    assert counts["solver.v_step.calls"] == tout * tin == len(flipped)
+    assert counts["solver.v_step.bits_flipped"] == sum(flipped) > 0
     assert counts["simgraph.build_sampled_similarity.calls"] == tout
 
 
