@@ -33,18 +33,18 @@ table: the G rows of static and, when the pull is live (sampled queries,
 gamma != 0), one row static[g(q_i)] - gamma * r_i per sampled query i.
 Each database row's tag is the table row it reads, its group or its
 query's private row. Rows with one (tag, code) get one new code, so a
-sweep keys each row by its tag and its code, takes one representative
+sweep keys each row by its tag and its code id, takes one representative
 row per key from ``simgraph._unique_rows`` (the one finder of distinct
 rows, which also forms the groups), runs over those rows, and writes the
-result back to every row with one gather. ``train`` keeps beside V one
-int32 code id per row, V's distinct codes numbered in packed-word order,
-and the sweep keys rows by it: two integer columns, with no code packed.
-The sweep renumbers the ids from its K swept rows alone, since every row
-now holds one of their codes. Random initial codes are ~all distinct and
-collapse onto a few codes per group during the first sweep, after which
-the key's range is small enough to count rather than sort; later sweeps
-cost O(n) index work and O(distinct rows * c^2) arithmetic, not
-O(n * c^2).
+result back to every row with one gather. The ids number V's distinct
+codes in packed-word order (``_code_ids``, the one packer of codes):
+``train`` keeps one int32 id per row beside V, and a call without them
+numbers them first. The sweep renumbers the ids from its K swept rows
+alone, since every row now holds one of their codes. Random initial
+codes are ~all distinct and collapse onto a few codes per group during
+the first sweep, after which the key's range is small enough to count
+rather than sort; later sweeps cost O(n) index work and
+O(distinct rows * c^2) arithmetic, not O(n * c^2).
 
 Since no row reads another, the sweep runs in row blocks: every column
 over one block of representative rows, then the next block. A block is
@@ -495,15 +495,15 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma, code_ids=None):
     ~all rows distinct, and they collapse onto few keys only during that
     sweep. Dissimilar pairs weigh the block's ``neg_weight``.
 
-    ``code_ids``, the int32 array that ``train`` keeps, holds each row's
-    code id: V's distinct codes numbered in packed-word order, as
-    ``_code_ids`` numbers them. The key is then that id and the rank of
-    the row's tag in (group, tag) order, and the call renumbers the ids in
-    place from its swept rows, the only rows it packs. Without ids it
-    packs all n rows' codes into the key. Both keys give the
-    representatives in one order, by group, tag and packed code, which
-    with the blocks fixes each row's arithmetic (module docstring).
-    ``db_signs`` is updated in place and returned.
+    The key is the row's code id, V's distinct codes numbered in
+    packed-word order as ``_code_ids`` numbers them, and the rank of the
+    row's tag in (group, tag) order. ``code_ids`` is the int32 array of
+    them that ``train`` keeps; without it the call numbers all n rows on
+    entry. The call renumbers the ids in place from its swept rows, the
+    only rows it packs after that. The representatives come in one order,
+    by group, tag and packed code, which with the blocks fixes each row's
+    arithmetic (module docstring). ``db_signs`` is updated in place and
+    returned.
 
     The representatives are swept in blocks of ``SWEEP_BLOCK_BYTES``: each
     block gathers its rows into one reused float64 buffer and its rows of
@@ -550,8 +550,9 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma, code_ids=None):
         rank = tag_order.argsort()
         tags = rank[tags]
         tags[block.query_indices] = rank[group_count:]
-    code_key = _pack_bits(db_signs > 0).T if code_ids is None else (code_ids,)
-    reps, inverse = _unique_rows(*code_key, tags)
+    if code_ids is None:
+        code_ids = _code_ids(db_signs)
+    reps, inverse = _unique_rows(code_ids, tags)
     tags = tags[reps]  # now per representative; this frees the n-row copy
     if tag_order is not None:
         tags = tag_order[tags]  # back to rows of the table
@@ -560,9 +561,8 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma, code_ids=None):
     # mode="clip" writes straight into db_signs; the default mode buffers
     # a whole copy of it first
     np.take(work, inverse, axis=0, out=db_signs, mode="clip")
-    if code_ids is not None:
-        # every row now holds one of the swept codes: number those
-        np.take(_code_ids(work), inverse, out=code_ids, mode="clip")
+    # every row now holds one of the swept codes: number those
+    np.take(_code_ids(work), inverse, out=code_ids, mode="clip")
     return db_signs
 
 
@@ -620,6 +620,15 @@ def train(
     n, dim = features.shape
     if len(labels) != n:
         raise ValueError("labels must have one row per feature row")
+    sampled = config.mode == "asymmetric_sampled"
+    if sampled and config.query_count > n:
+        raise ValueError("query_count exceeds database size")
+    if config.mode == "asymmetric_separate_queries" and (
+        query_features is None or query_labels is None
+    ):
+        raise ValueError(
+            "asymmetric_separate_queries mode needs query_features and query_labels"
+        )
 
     rng = np.random.default_rng(config.seed)
     model = init_encoder((dim, *config.hidden_dims, config.code_len), rng)
@@ -629,21 +638,11 @@ def train(
     # each row's code id, V's distinct codes numbered in packed-word order,
     # which every sweep keys rows by and renumbers. The random codes are
     # ~all distinct, so the loss terms count rows by code only once a
-    # sweep has collapsed them (``swept_ids``); before, they read rows.
+    # sweep has collapsed them; before, they read rows.
     code_ids = _code_ids(db)
-    swept_ids = None
     opt = OptimizerState(config.learning_rate, config.optimizer)
     history: list[HistoryRecord] = []
-
-    sampled = config.mode == "asymmetric_sampled"
-    if sampled and config.query_count > n:
-        raise ValueError("query_count exceeds database size")
     if not sampled:
-        if query_features is None or query_labels is None:
-            raise ValueError(
-                "asymmetric_separate_queries mode needs query_features and "
-                "query_labels"
-            )
         qfeat = np.asarray(query_features, dtype=np.float64)
         block = build_similarity(query_labels, labels, config.imbalance_weighting)
         # the loss reads the codes only through these terms, built once per
@@ -665,7 +664,7 @@ def train(
                 labels, omega, config.imbalance_weighting
             )
             qfeat = features[omega]
-            stats = _group_stats(db, block, swept_ids)
+            stats = _group_stats(db, block, code_ids if outer > 1 else None)
         if outer == 1:
             record(1, 0, "init", forward(model, qfeat), 0.0)
         m = block.query_count
@@ -686,8 +685,7 @@ def train(
             phase_start = time.perf_counter()
             v_step(db, relaxed, block, config.gamma, code_ids)
             seconds = time.perf_counter() - phase_start
-            swept_ids = code_ids
-            stats = _group_stats(db, block, swept_ids)
+            stats = _group_stats(db, block, code_ids)
             record(outer, inner, "v", relaxed, seconds)
         if on_outer_end is not None:
             on_outer_end(outer, time.perf_counter() - outer_start, model, db)

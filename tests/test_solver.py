@@ -30,6 +30,7 @@ from asymhash.solver import (
     MODES,
     TrainConfig,
     TrainingDiverged,
+    _code_ids,
     _group_loss_and_grad,
     _group_stats,
     _pair_loss_and_grad,
@@ -408,9 +409,9 @@ class TestVStepBlocks:
     def test_sweeps_the_representatives_in_one_order(self, monkeypatch):
         # weighted multi-label, with private tags: each block's rows as the
         # first column update sees them are the representatives in their
-        # (group, tag, packed code) order, cut where a sweep without code
-        # ids cuts them, on the first sweep from random codes and on a
-        # sweep given the ids that sweep carried
+        # (group, tag, packed code) order, cut where a sweep that numbers
+        # the ids itself cuts them, on the first sweep from random codes
+        # and on a sweep given the ids that sweep carried
         sweep_block_rows(monkeypatch, 7, self.CODE_LEN)
         rng = np.random.default_rng(21)
         block, db = self.block_and_codes("multi_label", rng)
@@ -818,15 +819,47 @@ def assert_close_at_scale(got, want, rel):
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
+def repeated_rows(rng, db):
+    """``db``'s rows redrawn from its first sixteenth, so that groups hold
+    repeated codes, as they do once a sweep has collapsed them."""
+    return db[rng.integers(0, max(1, len(db) // 16), len(db))]
+
+
+def large_group_repeats(db, block):
+    """Whether some (group of more than c rows, code) holds several rows,
+    so that the counted build weights a row by more than 1."""
+    large = block.group_sizes[block.row_groups] > db.shape[1]
+    keys = set(zip(block.row_groups[large], _code_ids(db)[large]))
+    return len(keys) < large.sum()
+
+
+def assert_same_terms(got: solver.GroupStats, want: solver.GroupStats):
+    for field, value, expected in zip(want._fields, got, want):
+        if expected is None:
+            assert value is None, field
+        else:
+            assert value.dtype == expected.dtype, field
+            assert value.shape == expected.shape, field
+            assert value.tobytes() == expected.tobytes(), field
+
+
+def counted_stats(db, block):
+    """The build ``train`` runs after each sweep: the large groups' rows
+    counted by (group, code id), one row read per count."""
+    return _group_stats(db, block, _code_ids(db))
+
+
 class TestGroupForm:
     """The label-group objective and theta gradient against the direct
-    m x n forms, with groups on both sides of the n_g <= c rule."""
+    m x n forms, with groups on both sides of the n_g <= c rule. The build
+    that counts rows by code id gives the terms of the one that reads every
+    row, bit for bit, on codes whose groups repeat rows."""
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_objective_matches_naive_triple_loop(self, weighted, sampled):
         rng = np.random.default_rng(31)
-        sides = {"gram": 0, "pairs": 0}
+        sides = {"gram": 0, "pairs": 0, "counted": 0}
         for trial in range(40):
             n = int(rng.integers(6, 13))
             m = int(rng.integers(1, 6))
@@ -849,7 +882,18 @@ class TestGroupForm:
             assert fast == pytest.approx(slow, rel=1e-9)
             sides["gram"] += bool((block.group_sizes > c).any())
             sides["pairs"] += bool((block.group_sizes <= c).any())
+            # its own generator, so the cases above draw what they drew
+            repeated = repeated_rows(np.random.default_rng(trial), db)
+            read = _group_stats(repeated, block)
+            counted = counted_stats(repeated, block)
+            assert_same_terms(counted, read)
+            fast = objective(relaxed, counted, block, 3.0)
+            assert fast == objective(relaxed, read, block, 3.0)
+            slow = oracle.naive_objective(as_tiny(relaxed, repeated, block, 3.0))
+            assert fast == pytest.approx(slow, rel=1e-9)
+            sides["counted"] += large_group_repeats(repeated, block)
         assert sides["gram"] >= 10 and sides["pairs"] >= 10
+        assert sides["counted"] >= 10
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -905,6 +949,21 @@ class TestGroupForm:
         want = direct_loss_and_grad(relaxed, db, block, full, 200.0)[0]
         got = objective_of(relaxed, db, block, 200.0)
         assert got == pytest.approx(want, rel=1e-12)
+        repeated = repeated_rows(rng, db)
+        if (block.group_sizes > c).any():
+            assert large_group_repeats(repeated, block)
+        read = _group_stats(repeated, block)
+        counted = counted_stats(repeated, block)
+        assert_same_terms(counted, read)
+        loss, grad = _group_loss_and_grad(relaxed[rows], rows, block, counted, 200.0)
+        want_loss, want_grad = _group_loss_and_grad(
+            relaxed[rows], rows, block, read, 200.0
+        )
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+        got = objective(relaxed, counted, block, 200.0)
+        assert got == objective(relaxed, read, block, 200.0)
+        want = direct_loss_and_grad(relaxed, repeated, block, full, 200.0)[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -929,13 +988,12 @@ class TestGroupForm:
         got = _group_stats(db.astype(np.int8), block)
         assert np.array_equal(want.gram, db.T @ db)
         assert (want.own is None) == (not sampled)
-        for field, value, expected in zip(want._fields, got, want):
-            if expected is None:
-                assert value is None, field
-            else:
-                assert value.dtype == expected.dtype, field
-                assert value.shape == expected.shape, field
-                assert value.tobytes() == expected.tobytes(), field
+        assert_same_terms(got, want)
+        repeated = repeated_rows(rng, db)
+        assert large_group_repeats(repeated, block)
+        want = _group_stats(repeated, block)
+        assert_same_terms(counted_stats(repeated.astype(np.int8), block), want)
+        assert_same_terms(counted_stats(repeated, block), want)
 
     def test_group_sums_per_column_equal_per_group(self):
         # groups of more than c rows are summed one at a time, the rest in
@@ -1244,8 +1302,8 @@ def test_train_builds_the_loss_terms_once_per_code_state(monkeypatch):
 
 
 def train_reading_rows(monkeypatch, *args, **kwargs):
-    """``train`` whose V-steps get no code ids, and so pack every row into
-    their key, and whose loss terms read every row."""
+    """``train`` whose V-steps get no code ids, and so number every row's
+    code afresh, and whose loss terms read every row."""
     sweep, group_stats = solver.v_step, solver._group_stats
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -1456,6 +1514,30 @@ class TestTrain:
         features, labels = small_clustered
         config = self.small_config(mode="asymmetric_separate_queries")
         with pytest.raises(ValueError, match="query_features"):
+            train(features, labels, config)
+
+    @pytest.mark.parametrize(
+        "mode, match",
+        [
+            ("asymmetric_sampled", "query_count exceeds"),
+            ("asymmetric_separate_queries", "query_features"),
+        ],
+    )
+    def test_bad_inputs_are_named_before_any_work(
+        self, small_clustered, mode, match, monkeypatch
+    ):
+        # a query count above the database rows, or a separate-queries run
+        # without its queries, fails before the encoder, the n x c codes or
+        # their ids are made
+        features, labels = small_clustered
+
+        def never(*args):
+            raise AssertionError("train did work before checking its inputs")
+
+        for name in ("init_encoder", "_init_db_codes", "_code_ids"):
+            monkeypatch.setattr(solver, name, never)
+        config = self.small_config(mode=mode, query_count=len(labels) + 1)
+        with pytest.raises(ValueError, match=match):
             train(features, labels, config)
 
     def test_divergence_raises_with_partial_state(self, small_clustered):

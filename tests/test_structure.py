@@ -18,6 +18,8 @@ relaxation u = tanh(raw output): every loss takes u and returns its
 gradient wrt u, and only ``encoder`` applies tanh or its derivative.
 ``solver._pair_products`` is the one product of the relaxed codes by
 their own columns, so the V-step takes its (1 - rho) term one way.
+``solver._code_ids`` is the one place in ``solver`` that packs codes, so
+the V-step keys rows by code id alone.
 """
 
 import ast
@@ -352,3 +354,17 @@ def test_pair_products_are_the_one_product_of_query_columns():
 )
 def test_relaxed_column_products_are_found(source, found):
     assert bool(products_of_relaxed_columns(ast.parse(source))) == found
+
+
+def test_only_code_ids_packs_codes_in_solver():
+    # the V-step's one sweep key is (code id, tag): a packed-row key beside
+    # it would name _pack_bits outside _code_ids
+    users = {
+        getattr(top, "name", top.lineno)
+        for top in tree("solver.py").body
+        if not isinstance(top, ast.ImportFrom)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_pack_bits"
+        or isinstance(node, ast.Attribute) and node.attr == "_pack_bits"
+    }
+    assert users == {"_code_ids"}
