@@ -10,9 +10,12 @@ failure among them), 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import dataio, evaluate
 from .dataio import FileFormatError
@@ -210,23 +213,24 @@ def _check_omega(omega: int, rows: int) -> None:
         raise ConfigError(f"omega {omega} exceeds the {rows} database rows")
 
 
-def _read_train_features(path):
-    features = dataio.read_features(path)
+def _check_has_rows(features, path) -> None:
     if len(features) == 0:
         raise FileFormatError(f"{path} has no rows", dataio.ROWS_OFFSET)
-    return features
 
 
 def _read_train_inputs(values, with_queries: bool):
-    """Read the database features and labels, and with_queries the query
-    ones, and check that they agree before any training work."""
-    features = _read_train_features(values["features"])
+    """Open the database features and read the labels, and with_queries
+    read the query ones, and check that they agree before any training
+    work. The database features stay a checked ``dataio.FeatureFile``."""
+    features = dataio.FeatureFile(values["features"])
+    _check_has_rows(features, values["features"])
     labels = dataio.read_labels(values["labels"])
     _check_rows(labels, values["labels"], len(features), values["features"], "feature")
     if not with_queries:
         return features, labels, None, None
     _require_paths(values, ("query_features", "query_labels"))
-    query_features = _read_train_features(values["query_features"])
+    query_features = dataio.read_features(values["query_features"])
+    _check_has_rows(query_features, values["query_features"])
     query_labels = dataio.read_labels(values["query_labels"])
     _check_rows(
         query_labels, values["query_labels"],
@@ -238,25 +242,56 @@ def _read_train_inputs(values, with_queries: bool):
     return features, labels, query_features, query_labels
 
 
+def _write_dataset(outdir: Path, dim: int, labels, chunks, groups) -> None:
+    """Each group's features and labels files; each chunk's rows are
+    routed to their groups' files in row order."""
+    route = np.empty(len(labels), dtype=np.uint8)
+    for at, (_, rows) in enumerate(groups):
+        route[rows] = at
+    with contextlib.ExitStack() as stack:
+        writers = [
+            stack.enter_context(dataio.FeatureWriter(
+                outdir / f"{name}_features.bin", len(rows), dim
+            ))
+            for name, rows in groups
+        ]
+        for start, chunk in chunks:
+            part = route[start : start + len(chunk)]
+            for at, writer in enumerate(writers):
+                writer.write(chunk[part == at])
+    for name, rows in groups:
+        dataio.write_labels(outdir / f"{name}_labels.bin", labels.subset(rows))
+
+
 def cmd_gen_data(args) -> int:
     _check_at_least(0, seed=args.seed)  # numpy's message names no flag
     outdir = _out_dir(args.out)
-    features, labels = dataio.gen_synthetic_clusters(
+    labels, chunks = dataio.synthetic_clusters(
         args.clusters, args.per_cluster, args.dim, args.sigma, args.seed
     )
     parts = dataio.split(len(labels), args.queries, args.val, args.seed)
-    outdir.mkdir(parents=True, exist_ok=True)
     groups = [
-        ("db", parts.db_indices),
-        ("query", parts.query_indices),
-        ("val", parts.val_indices),
+        (name, rows)
+        for name, rows in zip(
+            ("db", "query", "val"),
+            (parts.db_indices, parts.query_indices, parts.val_indices),
+        )
+        if len(rows)
     ]
-    for name, indices in groups:
-        if len(indices) == 0:
-            continue
-        dataio.write_features(outdir / f"{name}_features.bin", features[indices])
-        dataio.write_labels(outdir / f"{name}_labels.bin", labels.subset(indices))
-    _echo_args(outdir, args)
+    made = [path for path in (outdir, *outdir.parents) if not path.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        _write_dataset(outdir, args.dim, labels, chunks, groups)
+        _echo_args(outdir, args)
+    except BaseException:
+        # a failed write, such as a full disk, leaves no partial dataset
+        for name, _ in groups:
+            for kind in ("features", "labels"):
+                (outdir / f"{name}_{kind}.bin").unlink(missing_ok=True)
+        (outdir / "config.txt").unlink(missing_ok=True)
+        for path in made:
+            path.rmdir()
+        raise
     print(f"wrote dataset with {len(labels)} points to {outdir}")
     return EXIT_OK
 
@@ -310,7 +345,7 @@ def cmd_encode(args) -> int:
         raise ConfigError(f"--out {out} is a directory, not a codes file")
     _check_out(out, out.parent)
     model = dataio.read_model(args.model)
-    features = dataio.read_features(args.features)
+    features = dataio.FeatureFile(args.features)
     _check_width(features, args.features, model.feature_dim, args.model)
     codes = encode_queries(model, features)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -549,9 +584,9 @@ def main(argv=None) -> int:
         # a size no machine can hold, such as --hidden 10**13, fails here
         print(f"config error: out of memory: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        FileNotFoundError, IsADirectoryError, PermissionError, FileFormatError
-    ) as err:
+    except (OSError, FileFormatError) as err:
+        # OSError: a missing or unreadable input, or a failed write such
+        # as a full disk
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, NonFiniteError) as err:

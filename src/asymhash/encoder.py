@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashcore import CodeMatrix, binarize
+from .hashcore import CodeMatrix, binarize, words_per_row
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -187,5 +187,26 @@ def minibatch_step(model, optimizer, features, loss_and_grad):
 
 
 def encode_queries(model: EncoderModel, features) -> CodeMatrix:
-    """sign(relaxed codes) = sign(raw outputs) of every feature row, packed."""
-    return CodeMatrix.from_signs(binarize(forward(model, features)))
+    """sign(relaxed codes) = sign(raw outputs) of every feature row, packed.
+
+    ``features`` is a matrix or a ``dataio.FeatureFile``; either is encoded
+    in the fixed row chunks of ``dataio.feature_chunks``, so the widest
+    layer's activations are held for one chunk at a time. A raw output's
+    float sums can depend on its chunk's shape (BLAS picks its kernel by
+    it), so other chunks can change a code only where a raw output is
+    within rounding of 0.
+    """
+    # dataio imports this module for the model format
+    from .dataio import FeatureFile, feature_chunks
+
+    if not isinstance(features, FeatureFile):
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != model.feature_dim:
+            raise ValueError(
+                f"expected feature dim {model.feature_dim}, got shape {features.shape}"
+            )
+    words = np.empty((len(features), words_per_row(model.code_len)), np.uint64)
+    for start, rows in feature_chunks(features):
+        codes = CodeMatrix.from_signs(binarize(forward(model, rows)))
+        words[start : start + codes.rows] = codes.words
+    return CodeMatrix(words, len(features), model.code_len)

@@ -24,35 +24,53 @@ def chunk_rows(width: int) -> int:
     return max(1, CHUNK_PAIRS // max(1, width))
 
 
-def _plus_mask(signs) -> np.ndarray:
-    """Where a 2-D array over {-1, +1} holds +1; rejects any other entry."""
+def _check_signs(part, plus) -> None:
+    """Rejects any entry of ``part`` but -1 and +1; ``plus`` is part == 1."""
+    valid = part == -1
+    valid |= plus
+    if not valid.all():
+        raise ValueError(f"entries must be -1 or +1, found {part[~valid].flat[0]!r}")
+
+
+def _sign_array(signs) -> np.ndarray:
     arr = np.asarray(signs)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D sign array, got ndim={arr.ndim}")
+    return arr
+
+
+def _plus_mask(signs) -> np.ndarray:
+    """Where a 2-D array over {-1, +1} holds +1; rejects any other entry."""
+    arr = _sign_array(signs)
     plus = arr == 1
-    # checked in row blocks of about CHUNK_PAIRS entries, through one reused
-    # mask: whole-array masks would add two bytes per entry beside ``plus``
+    # checked in row blocks of about CHUNK_PAIRS entries: whole-array masks
+    # would add two bytes per entry beside ``plus``
     step = chunk_rows(arr.shape[1])
-    buffer = np.empty((min(step, len(arr)), arr.shape[1]), dtype=bool)
     for start in range(0, len(arr), step):
-        part = arr[start : start + step]
-        valid = np.equal(part, -1, out=buffer[: len(part)])
-        valid |= plus[start : start + step]
-        if not valid.all():
-            raise ValueError(
-                f"entries must be -1 or +1, found {part[~valid].flat[0]!r}"
-            )
+        block = slice(start, start + step)
+        _check_signs(arr[block], plus[block])
     return plus
 
 
-def _pack_bits(plus: np.ndarray) -> np.ndarray:
-    """One row of uint64 code words per row of the 2-D bool ``plus``."""
-    rows, code_len = plus.shape
+def _pack_bits(values, check: bool = False) -> np.ndarray:
+    """One row of uint64 code words per row of the 2-D ``values``, a bit set
+    where an entry is 1 (True, for bool); ``check`` also rejects any entry
+    but -1 and +1.
+
+    The rows are packed in blocks of about CHUNK_PAIRS entries, so the
+    only masks made beside the words are one block's.
+    """
+    rows, code_len = values.shape
     # "<u8" words keep the layout independent of the host byte order
     words = np.zeros((rows, words_per_row(code_len)), dtype="<u8")
-    words.view(np.uint8)[:, : (code_len + 7) // 8] = np.packbits(
-        plus, axis=1, bitorder="little"
-    )
+    packed = words.view(np.uint8)[:, : (code_len + 7) // 8]
+    step = chunk_rows(code_len)
+    for start in range(0, rows, step):
+        part = values[start : start + step]
+        plus = part if part.dtype == bool else part == 1
+        if check:
+            _check_signs(part, plus)
+        packed[start : start + step] = np.packbits(plus, axis=1, bitorder="little")
     return words.astype(np.uint64, copy=False)
 
 
@@ -87,7 +105,8 @@ class CodeMatrix:
                 f"{rows} rows of {code_len} bits"
             )
         pad = _pad_mask(code_len)
-        if rows and pad and (words[:, -1] & pad).any():
+        # a pad bit is set in some row if and only if in the largest word
+        if rows and pad and words[:, -1].max() & pad:
             raise ValueError("pad bits past code_len must be zero")
         words.flags.writeable = False
         self.words = words
@@ -96,8 +115,8 @@ class CodeMatrix:
 
     @classmethod
     def from_signs(cls, signs) -> "CodeMatrix":
-        plus = _plus_mask(signs)
-        return cls(_pack_bits(plus), *plus.shape)
+        arr = _sign_array(signs)
+        return cls(_pack_bits(arr, check=True), *arr.shape)
 
     def to_signs(self) -> np.ndarray:
         """Unpack to an int8 matrix over {-1, +1}."""
@@ -124,10 +143,12 @@ def pairwise_hamming(queries: CodeMatrix, database: CodeMatrix) -> np.ndarray:
 
     The dtype is ``np.min_scalar_type(code_len)``, the narrowest unsigned
     type that holds every distance: uint8 up to 255 bits, uint16 up to
-    65535. Each code word is xored and popcounted into the output on its
-    own, chunk_rows(database.rows) query rows at a time, so the workspace
-    stays at 9 * max(CHUNK_PAIRS, database.rows) bytes whatever the word
-    count.
+    65535. Each code word of each query row is xored with the database's
+    and popcounted into the output row through two reused n-entry
+    buffers, so the workspace is 9 * database.rows bytes whatever the
+    query and word counts. A chunk x n xor temporary, 4 MB at n = 50k,
+    took fresh pages whenever the allocator held no free block that size;
+    the row buffers stay in cache, and were faster at n = 10k-50k too.
     """
     if queries.code_len != database.code_len:
         raise ValueError(
@@ -135,12 +156,14 @@ def pairwise_hamming(queries: CodeMatrix, database: CodeMatrix) -> np.ndarray:
         )
     dtype = np.min_scalar_type(queries.code_len)
     out = np.zeros((queries.rows, database.rows), dtype=dtype)
-    step = chunk_rows(database.rows)
-    for start in range(0, queries.rows, step):
-        block = out[start : start + step]
-        for word in range(queries.words.shape[1]):
-            query_words = queries.words[start : start + step, word, None]
-            block += np.bitwise_count(query_words ^ database.words[:, word])
+    xor = np.empty(database.rows, dtype=np.uint64)
+    count = np.empty(database.rows, dtype=np.uint8)
+    for word in range(queries.words.shape[1]):
+        db_words = database.words[:, word]
+        for query_word, row in zip(queries.words[:, word], out):
+            np.bitwise_xor(db_words, query_word, out=xor)
+            np.bitwise_count(xor, out=count)
+            row += count
     return out
 
 

@@ -49,8 +49,13 @@ class LabelMatrix:
     """
 
     def __init__(self, rows):
-        rows = [list(row) for row in rows]
-        self._init_flat([i for row in rows for i in row], [len(row) for row in rows])
+        # a numpy row is taken whole: listing one made a numpy scalar per id
+        rows = [
+            np.asarray(row if isinstance(row, np.ndarray) else list(row), np.int64)
+            for row in rows
+        ]
+        ids = np.concatenate(rows) if rows else np.zeros(0, np.int64)
+        self._init_flat(ids, [len(row) for row in rows])
 
     @classmethod
     def from_flat(cls, ids, counts) -> "LabelMatrix":
@@ -113,7 +118,8 @@ class LabelMatrix:
             counts = np.diff(self.offsets)
             row_set = np.empty(len(self), dtype=np.int64)
             firsts = [np.zeros(0, dtype=np.int64)]
-            for length in np.unique(counts):
+            # np.unique would import numpy.ma on its first call, 10-25 ms
+            for length in np.flatnonzero(np.bincount(counts)):
                 rows = np.flatnonzero(counts == length)
                 ids = self.ids[_segments(self.offsets[rows], counts[rows])]
                 first, inverse = _unique_rows(*ids.reshape(len(rows), length).T)
@@ -281,7 +287,8 @@ class SimilarityBlock:
             idx = np.ascontiguousarray(query_indices, dtype=np.int64)
             if idx.shape != (self.query_count,):
                 raise ValueError("query_indices length must equal query count")
-            if len(np.unique(idx)) != len(idx):
+            ordered = np.sort(idx)
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("query_indices must be distinct")
             if idx.size and (idx.min() < 0 or idx.max() >= self.db_count):
                 raise ValueError("query_indices out of range")

@@ -569,7 +569,7 @@ def v_step(db_signs, relaxed, block: SimilarityBlock, gamma, code_ids=None):
 def _code_ids(codes):
     """Each row's code id, int32: the distinct rows of the +/-1 ``codes``
     numbered in the lexsort order of their packed words."""
-    return _unique_rows(*_pack_bits(codes > 0).T)[1].astype(np.int32)
+    return _unique_rows(*_pack_bits(codes).T)[1].astype(np.int32)
 
 
 def _init_db_codes(rng, n, code_len):
@@ -615,8 +615,17 @@ def train(
     ``on_outer_end(outer, seconds, model, db_signs)`` fires after each
     outer iteration with those int8 codes; the symmetric baseline, which
     keeps no database codes, passes ``db_signs=None``.
+
+    ``features`` is the n x d database matrix or a ``dataio.FeatureFile``
+    of it. Given the file, the sampled mode reads only its m sampled rows,
+    one gather ``features[omega]`` per outer iteration, and the
+    separate-queries mode reads no database row; the symmetric baseline,
+    which reads every row every epoch, reads the whole matrix first.
     """
-    features = np.asarray(features, dtype=np.float64)
+    if not isinstance(features, dataio.FeatureFile):
+        features = np.asarray(features, dtype=np.float64)
+    elif config.mode == "symmetric_baseline":
+        features = dataio.read_features(features.path)
     n, dim = features.shape
     if len(labels) != n:
         raise ValueError("labels must have one row per feature row")

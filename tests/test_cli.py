@@ -1,6 +1,11 @@
+import errno
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,7 @@ from asymhash.dataio import (
     write_features,
     write_model,
 )
-from asymhash.encoder import init_encoder
+from asymhash.encoder import forward, init_encoder
 from asymhash.hashcore import CodeMatrix
 from asymhash.solver import TrainConfig
 
@@ -831,6 +836,205 @@ class TestExitCodes:
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == EXIT_CONFIG
         capsys.readouterr()
+
+
+def traced_main(argv):
+    """The tracemalloc peak, in bytes, of a successful ``main(argv)``."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def gen_data_argv(out, clusters, per_cluster, dim, *extra):
+    return [
+        "gen-data", "--out", str(out), "--clusters", str(clusters),
+        "--per-cluster", str(per_cluster), "--dim", str(dim), "--seed", "8",
+        *extra,
+    ]
+
+
+class TestFeatureStreaming:
+    """No command holds a database's n x d features: gen-data writes them
+    by chunks, train gathers its sampled rows and encode encodes chunks."""
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_gen_data_write_failure_is_data_error_and_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys, existing
+    ):
+        # a disk that fills up after the first chunk: exit 3 with one line,
+        # and none of the files, nor the directories gen-data made, remain
+        monkeypatch.setattr(dataio, "FEATURE_CHUNK_BYTES", 7 * 8 * 12)
+        write, calls = dataio.FeatureWriter.write, []
+
+        def full_disk(writer, chunk):
+            calls.append(len(chunk))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(writer, chunk)
+
+        monkeypatch.setattr(dataio.FeatureWriter, "write", full_disk)
+        out = tmp_path / "made" / "data"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "kept.txt").write_text("kept")
+        argv = gen_data_argv(out, 4, 20, 12, "--queries", "10", "--val", "5")
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"data error: \[Errno 28\] No space left on device\n", err)
+        assert len(calls) == 2
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch):
+        # gen-data's files and train's model and codes are byte-identical
+        # with the whole dataset in one chunk and with chunks of 4 rows;
+        # encode's codes may differ only where a raw output is within
+        # rounding of 0, since BLAS sums can depend on a chunk's shape
+        dim, runs = 6, {}
+        budgets = (("one", dataio.FEATURE_CHUNK_BYTES), ("four", 4 * 8 * dim))
+        for name, budget in budgets:
+            monkeypatch.setattr(dataio, "FEATURE_CHUNK_BYTES", budget)
+            data, run = tmp_path / name / "data", tmp_path / name / "run"
+            argv = gen_data_argv(data, 5, 31, dim, "--queries", "17", "--val", "9")
+            assert main(argv) == EXIT_OK
+            assert main([
+                "train", "--features", str(data / "db_features.bin"),
+                "--labels", str(data / "db_labels.bin"), "--out", str(run),
+                *TRAIN_FLAGS, "--omega", "40", "--batch", "16",
+            ]) == EXIT_OK
+            for side in ("db", "query"):
+                assert main([
+                    "encode", "--model", str(run / "model.bin"),
+                    "--features", str(data / f"{side}_features.bin"),
+                    "--out", str(run / f"{side}_encoded.bin"),
+                ]) == EXIT_OK
+            runs[name] = (data, run)
+        (one_data, one_run), (four_data, four_run) = runs["one"], runs["four"]
+        for side in ("db", "query", "val"):
+            for kind in ("features", "labels"):
+                name = f"{side}_{kind}.bin"
+                assert (four_data / name).read_bytes() == (one_data / name).read_bytes()
+        for name in ("model.bin", "db_codes.bin"):
+            assert (four_run / name).read_bytes() == (one_run / name).read_bytes()
+        objectives = [
+            [line.split(",")[3] for line in lines]
+            for lines in (
+                (run / "history.csv").read_text().splitlines()
+                for run in (one_run, four_run)
+            )
+        ]
+        assert objectives[0] == objectives[1]
+        model = read_model(one_run / "model.bin")
+        for side in ("db", "query"):
+            one = read_codes(one_run / f"{side}_encoded.bin").to_signs()
+            four = read_codes(four_run / f"{side}_encoded.bin").to_signs()
+            relaxed = forward(model, read_features(one_data / f"{side}_features.bin"))
+            assert np.all((one == four) | (np.abs(relaxed) < 1e-9))
+
+    def test_sampled_train_peak_does_not_grow_with_dim(self, tmp_path, monkeypatch):
+        # from d = 8 to 256 the traced peak grows by the m x d gather and
+        # the first layer, not by the 4,000 x d matrix (7.9 MB more)
+        monkeypatch.setattr(dataio, "FEATURE_CHUNK_BYTES", 1 << 16)
+        m, hidden, peaks = 100, 16, {}
+        for dim in (8, 256):
+            data = tmp_path / f"data{dim}"
+            assert main(gen_data_argv(data, 10, 400, dim, "--queries", "0")) == EXIT_OK
+            argv = [
+                "train", "--features", str(data / "db_features.bin"),
+                "--labels", str(data / "db_labels.bin"), "--out", str(tmp_path / "run"),
+                "--omega", str(m), "--bits", "16", "--tout", "1", "--tin", "1",
+                "--batch", "50", "--hidden", str(hidden), "--seed", "3",
+            ]
+            main(argv)  # one untraced run first: one-off allocations
+            peaks[dim] = traced_main(argv)
+        grown = 8 * (256 - 8)
+        assert peaks[256] - peaks[8] <= 2 * m * grown + 6 * hidden * grown
+
+    def test_gen_data_and_encode_peaks_do_not_grow_with_rows(
+        self, tmp_path, monkeypatch
+    ):
+        # from 2,000 to 20,000 rows: gen-data grows by its index and label
+        # arrays, not by the 2,048 bytes per row of 256-d features, and
+        # encode by its 8-byte code words, not by the features or the
+        # hidden layer's activations
+        monkeypatch.setattr(dataio, "FEATURE_CHUNK_BYTES", 1 << 16)
+        model = tmp_path / "model.bin"
+        write_model(model, init_encoder((256, 64, 16), 0))
+        gen_peaks, encode_peaks = {}, {}
+        for per_cluster in (200, 200, 2000):  # the first run is a warm-up
+            data = tmp_path / f"data{per_cluster}"
+            argv = gen_data_argv(data, 10, per_cluster, 256, "--queries", "0")
+            gen_peaks[per_cluster] = traced_main(argv)
+            encode_peaks[per_cluster] = traced_main([
+                "encode", "--model", str(model),
+                "--features", str(data / "db_features.bin"),
+                "--out", str(data / "codes.bin"),
+            ])
+        rows = 20_000 - 2_000
+        assert gen_peaks[2000] - gen_peaks[200] <= 128 * rows
+        assert encode_peaks[2000] - encode_peaks[200] <= 16 * rows
+
+    def test_features_changed_after_opening_are_data_error(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        # train checks every value when it opens the file; a value made NaN
+        # after that fails the gather that reads it, not the loss
+        features = tmp_path / "features.bin"
+        features.write_bytes((dataset / "db_features.bin").read_bytes())
+        real_train = cli.train
+
+        def poisoning(file, *args, **kwargs):
+            rows = len(file)
+            with open(features, "r+b") as fh:
+                for row in range(rows):
+                    fh.seek(dataio.FEATURES_DATA_OFFSET + 8 * 12 * row)
+                    fh.write(struct.pack("<d", float("nan")))
+            return real_train(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", poisoning)
+        argv = ["train", "--features", str(features), "--labels"]
+        argv += [str(dataset / "db_labels.bin"), "--out", str(tmp_path / "run")]
+        assert main(argv + TRAIN_FLAGS) == EXIT_DATA
+        err = capsys.readouterr().err
+        not_finite = r"data error: feature value \d+ of \d+x12 is not finite .*\n"
+        assert re.fullmatch(not_finite, err)
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_leaves_no_resource_warning(self, tmp_path):
+        # under -X dev an unclosed file warns when it is collected: run the
+        # pipeline in its own interpreter, with every warning an error
+        script = f"""
+import sys
+from asymhash.cli import main
+d, r = {str(tmp_path / "data")!r}, {str(tmp_path / "run")!r}
+steps = [
+    ["gen-data", "--out", d, "--clusters", "4", "--per-cluster", "30",
+     "--dim", "6", "--queries", "10"],
+    ["train", "--features", d + "/db_features.bin", "--labels",
+     d + "/db_labels.bin", "--out", r, "--omega", "20", "--batch", "10",
+     "--tout", "2", "--tin", "1", "--hidden", "8", "--bits", "8"],
+    ["encode", "--model", r + "/model.bin", "--features",
+     d + "/query_features.bin", "--out", r + "/query_codes.bin"],
+    ["eval", "--query-codes", r + "/query_codes.bin", "--db-codes",
+     r + "/db_codes.bin", "--query-labels", d + "/query_labels.bin",
+     "--db-labels", d + "/db_labels.bin", "--out", r + "/metrics"],
+]
+sys.exit(max(main(step) for step in steps))
+"""
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestBench:

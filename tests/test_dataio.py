@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from asymhash import dataio
 from asymhash.dataio import (
     CODES_MAGIC,
     FEATURES_MAGIC,
     LABELS_MAGIC,
+    FeatureFile,
+    FeatureWriter,
     FileFormatError,
     gen_synthetic_clusters,
     read_codes,
@@ -104,6 +107,133 @@ class TestFeatureFormat:
         with pytest.raises(FileFormatError, match="not finite") as info:
             read_features(path)
         assert info.value.offset == 24 + 8 * 4
+
+
+def set_value(path, index, value) -> None:
+    """Overwrite feature value ``index`` of a features file in place."""
+    with open(path, "r+b") as fh:
+        fh.seek(dataio.FEATURES_DATA_OFFSET + 8 * index)
+        fh.write(np.array([value], dtype="<f8").tobytes())
+
+
+class TestFeatureChunks:
+    """The reader and writer work a chunk of rows at a time; the chunk
+    budget is set to 3 rows here, so small files span several chunks."""
+
+    ROWS, DIM = 11, 5
+
+    @pytest.fixture
+    def three_rows(self, monkeypatch):
+        monkeypatch.setattr(dataio, "FEATURE_CHUNK_BYTES", 3 * 8 * self.DIM)
+
+    @pytest.fixture
+    def features(self):
+        return np.random.default_rng(40).normal(0, 1, (self.ROWS, self.DIM))
+
+    @pytest.mark.parametrize(
+        "row, col",
+        [(0, 0), (2, 4), (3, 0), (5, 2), (6, 0), (10, 4)],
+        ids=["first", "end-of-chunk", "start-of-chunk", "mid-chunk",
+             "after-boundary", "last"],
+    )
+    @pytest.mark.parametrize("reader", [read_features, FeatureFile])
+    def test_non_finite_value_is_located_in_any_chunk(
+        self, tmp_path, three_rows, features, row, col, reader
+    ):
+        path = tmp_path / "features.bin"
+        write_features(path, features)
+        bad = row * self.DIM + col
+        set_value(path, bad, np.nan)
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        offset = 24 + 8 * bad
+        assert str(info.value) == (
+            f"feature value {bad} of {self.ROWS}x{self.DIM} is not finite "
+            f"(at byte offset {offset})"
+        )
+
+    @pytest.mark.parametrize("reader", [read_features, FeatureFile])
+    def test_truncated_payload_fails_before_a_payload_sized_allocation(
+        self, tmp_path, reader
+    ):
+        # the header claims 8 MB of values; half of them are there
+        rows, dim = 2000, 512
+        path = tmp_path / "features.bin"
+        payload = np.zeros(rows * dim // 2, dtype="<f8").tobytes()
+        path.write_bytes(FEATURES_MAGIC + struct.pack("<QQ", rows, dim) + payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError) as info:
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"truncated file reading {rows}x{dim} feature matrix: expected "
+            f"{8 * rows * dim} bytes, got {len(payload)} (at byte offset 24)"
+        )
+        assert peak < 2**20
+
+    def test_gathers_and_chunks_read_the_matrix(self, tmp_path, three_rows, features):
+        path = tmp_path / "features.bin"
+        write_features(path, features)
+        file = FeatureFile(path)
+        assert file.shape == features.shape and len(file) == self.ROWS
+        for rows in ([7, 2, 3, 4, 10, 0], [5], [], np.arange(self.ROWS)):
+            got = file[rows]
+            assert got.dtype == np.float64 and got.shape == (len(rows), self.DIM)
+            assert np.array_equal(got, features[np.asarray(rows, dtype=int)])
+        starts = [start for start, _ in file.chunks()]
+        assert starts == [0, 3, 6, 9]
+        chunks = [chunk.copy() for _, chunk in dataio.feature_chunks(file)]
+        assert np.array_equal(np.concatenate(chunks), features)
+        with pytest.raises(IndexError):
+            file[[0, self.ROWS]]
+
+    @pytest.mark.parametrize("change", ["nan", "truncated", "reshaped"])
+    def test_a_file_changed_after_opening_fails_its_reads(
+        self, tmp_path, features, change
+    ):
+        path = tmp_path / "features.bin"
+        write_features(path, features)
+        file = FeatureFile(path)
+        if change == "nan":
+            set_value(path, 4 * self.DIM + 1, np.inf)
+            message = f"feature value {4 * self.DIM + 1} of 11x5 is not finite"
+        elif change == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+            message = "truncated file reading 11x5 feature matrix"
+        else:
+            write_features(path, features[:, :-1])
+            message = f"{path} now holds 11x4 features, not 11x5"
+        with pytest.raises(FileFormatError, match=message):
+            file[[1, 4]]
+        with pytest.raises(FileFormatError, match=message):
+            list(file.chunks())
+        if change == "nan":
+            assert np.array_equal(file[[1, 5]], features[[1, 5]])
+
+    def test_chunked_writes_make_the_one_write_file(self, tmp_path, features):
+        whole, parts = tmp_path / "whole.bin", tmp_path / "parts.bin"
+        write_features(whole, features)
+        with FeatureWriter(parts, self.ROWS, self.DIM) as writer:
+            for start in range(0, self.ROWS, 4):
+                writer.write(features[start : start + 4])
+        assert parts.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "width"])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, features, bad):
+        path = tmp_path / "features.bin"
+        chunk = features[5:].copy()
+        if bad == "nan":
+            chunk[3, 2] = np.nan
+        else:
+            chunk = chunk[:, 1:]
+        with pytest.raises(ValueError):
+            with FeatureWriter(path, self.ROWS, self.DIM) as writer:
+                writer.write(features[:5])
+                writer.write(chunk)
+        assert not path.exists()
 
 
 def label_file(rows, claimed=None) -> bytes:

@@ -50,6 +50,30 @@ class TestPacking:
         assert int(matrix.words[0, 0]) == expected
         assert np.array_equal(matrix.to_signs()[0], signs)
 
+    @pytest.mark.parametrize("code_len", [16, 64, 130])
+    def test_packs_in_row_blocks_without_a_whole_mask(self, code_len):
+        # the words are those of one packbits over the whole +1 mask, but no
+        # n x code_len mask is made beside the codes: one block's masks at
+        # most, about CHUNK_PAIRS entries each
+        rng = np.random.default_rng(code_len)
+        signs = random_signs(rng, (240_000, code_len))
+        signs[-1, -1] = 1  # the last block's last bit
+        whole = np.zeros((len(signs), words_per_row(code_len)), dtype="<u8")
+        whole.view(np.uint8)[:, : (code_len + 7) // 8] = np.packbits(
+            signs == 1, axis=1, bitorder="little"
+        )
+        for pack in (CodeMatrix.from_signs, hashcore._pack_bits):
+            tracemalloc.start()
+            try:
+                got = pack(signs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            got = getattr(got, "words", got)
+            assert np.array_equal(got, whole)
+            assert peak <= got.nbytes + 3 * hashcore.CHUNK_PAIRS
+            assert 3 * hashcore.CHUNK_PAIRS < signs.size / 2
+
     def test_zero_rows_round_trip(self):
         # read_codes returns such a matrix for a code file with no rows
         matrix = CodeMatrix.from_signs(np.ones((0, 70), dtype=np.int8))
@@ -210,9 +234,8 @@ class TestPairwise:
         ids=["below-budget", "below-budget-3-words", "above-budget"],
     )
     def test_workspace_is_bounded_by_the_pair_budget(self, q, n, code_len):
-        # beside the output, one block's uint64 xor and uint8 popcount: 9
-        # bytes per pair of a block of chunk_rows(n) query rows, so at most
-        # 9 * CHUNK_PAIRS bytes, or one query row's 9 * n past the budget
+        # beside the output, one query row's uint64 xor and uint8 popcount:
+        # 9 * n bytes, within the bound of a block of chunk_rows(n) rows
         rng = np.random.default_rng(n + code_len)
 
         def codes(rows):
